@@ -152,7 +152,11 @@ def kappa(h: float, w: np.ndarray, w2: np.ndarray) -> float:
 
 
 def _kappa_matrix(flat: np.ndarray, h: float) -> np.ndarray:
-    return np.exp(-_pairwise_sq_dists(flat) / h)
+    K = np.exp(-_pairwise_sq_dists(flat) / h)
+    # Subnormal weights carry no mass next to the unit diagonal, but they make
+    # the kappa @ G product about 30x slower; flush them to zero.
+    K[K < np.finfo(float).tiny] = 0.0
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +518,13 @@ def _fit_loop(data, config, trajectory_hook):
         if trajectory_hook is not None:
             trajectory_hook(epoch, ensemble)
 
+    # the last epoch's capped pool, so the cap also bounds this pass
+    X_u = _subsample_unlabeled(
+        data.X_unlabeled, config.unlabeled_cap, seeds["unlabeled"], config.max_epochs
+    )
     final = _objective_core(
         ensemble,
-        TrainData(X_tr, y_tr, data.X_unlabeled),
+        TrainData(X_tr, y_tr, X_u),
         config,
         basis,
         want_grads=False,

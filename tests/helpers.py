@@ -34,6 +34,21 @@ def kernel_quad_loop(spec, embeddings_a, embeddings_b) -> np.ndarray:
     return K
 
 
+def kernel_cotangents_loop(spec, embeddings, C) -> list[np.ndarray]:
+    """Per-particle-pair reference for kernels.kernel_embedding_cotangents."""
+    Csym = C + C.T
+    m = len(embeddings)
+    out = []
+    for Zl in embeddings:
+        G = np.zeros_like(Zl)
+        for Zl2 in embeddings:
+            d2 = np.sum((Zl[:, None, :] - Zl2[None, :, :]) ** 2, axis=-1)
+            M = Csym * spec.amplitude * np.exp(-d2 / (2.0 * spec.bandwidth**2))
+            G += M.sum(axis=1)[:, None] * Zl - M @ Zl2
+        out.append(-G / (m**2 * spec.bandwidth**2))
+    return out
+
+
 def fd_gradient(f, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
     g = np.zeros_like(w0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import fd_gradient, kernel_quad_loop, rel_err
+from helpers import fd_gradient, kernel_cotangents_loop, kernel_quad_loop, rel_err
 
 import dpkl.kernels as kernels_mod
 from dpkl.errors import DimensionMismatch
@@ -11,6 +11,7 @@ from dpkl.kernels import (
     base_kernel_grad,
     cross_kernel,
     cross_kernel_batch,
+    empirical_cross_block,
     empirical_kernel_exact,
     kernel_embedding_cotangents,
     rff_embedding_cotangents,
@@ -89,13 +90,6 @@ class TestEmpiricalKernel:
         K = empirical_kernel_exact(SPEC, embeddings)
         np.testing.assert_allclose(K, kernel_quad_loop(SPEC, embeddings, embeddings), atol=1e-12)
 
-    def test_loop_path_matches_stacked_path(self, monkeypatch):
-        embeddings = random_embeddings(3, 6, 2, seed=4)
-        stacked = empirical_kernel_exact(SPEC, embeddings)
-        monkeypatch.setattr(kernels_mod, "_STACK_LIMIT", 1)
-        looped = empirical_kernel_exact(SPEC, embeddings)
-        np.testing.assert_allclose(stacked, looped, atol=1e-12)
-
     def test_symmetric_and_factorizable(self):
         from dpkl.linalg import cholesky
 
@@ -156,6 +150,52 @@ class TestCrossKernel:
             ks, kss = cross_kernel(SPEC, train, single)
             np.testing.assert_allclose(K_star[i], ks, atol=1e-12)
             np.testing.assert_allclose(k_ss[i], kss, atol=1e-12)
+
+
+class TestBlockBoundaries:
+    """Blocked exact-kernel routes against the loop oracles when blocks split
+    a particle's rows: one row per block, and a row count that leaves a
+    ragged last block (2 rows per block for 7 rows, 3 for k_ss)."""
+
+    M, NA, NB = 3, 7, 5
+    SPEC = LatentKernelSpec(amplitude=0.7, bandwidth=1.3)
+
+    @pytest.mark.parametrize("entries", [1, 2 * M * NB + 1])
+    def test_cross_block(self, monkeypatch, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        a = random_embeddings(self.M, self.NA, 2, seed=40)
+        b = random_embeddings(self.M, self.NB, 2, seed=41)
+        np.testing.assert_allclose(
+            empirical_cross_block(self.SPEC, a, b),
+            kernel_quad_loop(self.SPEC, a, b),
+            rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("entries", [1, 2 * M * NA + 1])
+    def test_cotangents(self, monkeypatch, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        embeddings = random_embeddings(self.M, self.NA, 2, seed=42)
+        C = np.random.default_rng(43).normal(size=(self.NA, self.NA))  # asymmetric
+        for G, G_ref in zip(
+            kernel_embedding_cotangents(self.SPEC, embeddings, C),
+            kernel_cotangents_loop(self.SPEC, embeddings, C),
+        ):
+            np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("entries", [1, 2 * M * NB + 1])
+    def test_cross_kernel_batch(self, monkeypatch, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        train = random_embeddings(self.M, self.NB, 2, seed=44)
+        queries = random_embeddings(self.M, self.NA, 2, seed=45)
+        K_star, k_ss = cross_kernel_batch(self.SPEC, train, queries)
+        np.testing.assert_allclose(
+            K_star, kernel_quad_loop(self.SPEC, queries, train), rtol=0, atol=1e-12
+        )
+        for i in range(self.NA):
+            single = [Z[i : i + 1] for Z in queries]
+            np.testing.assert_allclose(
+                k_ss[i], kernel_quad_loop(self.SPEC, single, single)[0, 0], rtol=0, atol=1e-12
+            )
 
 
 class TestRffBasis:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import particle_fd_gradient, rel_err
 
-from dpkl import net
+from dpkl import net, trainer
 from dpkl.data import synth_regression
 from dpkl.errors import ConfigError, EmptyUnlabeledSet, InsufficientData
 from dpkl.trainer import (
@@ -175,6 +175,26 @@ class TestFunctionalGradientStep:
                 ens.particles[i].flatten(), solo.particles[0].flatten(), atol=1e-6
             )
 
+    def test_far_particles_give_no_subnormal_kappa(self, monkeypatch):
+        # squared distance 720 at bandwidth 1: exp(-720) is subnormal
+        cfg = tiny_config(m=3, kappa_bandwidth=1.0)
+        arch = cfg.architecture(3)
+        ens = net.init_ensemble(arch, 3, 8)
+        w0 = ens.particles[0].flatten()
+        shift = np.zeros_like(w0)
+        shift[0] = np.sqrt(720.0)
+        ens.particles[1] = net.unflatten_params(arch, w0 + shift)
+        ens.particles[2] = net.unflatten_params(arch, w0 + 2 * shift)
+        seen, kappa_matrix = [], trainer._kappa_matrix
+        monkeypatch.setattr(
+            trainer, "_kappa_matrix", lambda flat, h: seen.append(kappa_matrix(flat, h)) or seen[-1]
+        )
+        grads = [np.ones_like(w0) for _ in range(3)]
+        functional_gradient_step(ens, grads, AdamState.zeros(3, w0.size), cfg)
+        (K,) = seen
+        assert not np.any((K != 0.0) & (np.abs(K) < np.finfo(float).tiny))
+        np.testing.assert_allclose(K, np.eye(3), rtol=0, atol=1e-12)
+
     def test_identity_weighting_uses_raw_gradients(self):
         cfg = tiny_config(kappa_weighting="identity")
         arch = cfg.architecture(3)
@@ -279,6 +299,21 @@ class TestFit:
         cfg = TrainConfig(m=2, q=10, max_epochs=4, seed=11, hidden_dims=(6,), mode="ssdpkl")
         _, report = fit(data, cfg)
         assert len(report.epochs) == 4
+
+    @pytest.mark.parametrize("max_epochs", [0, 2])
+    def test_unlabeled_cap_bounds_every_forward_pass(self, monkeypatch, max_epochs):
+        rng = np.random.default_rng(14)
+        n_l, cap = 12, 5
+        data = TrainData(
+            rng.uniform(0, 1, (n_l, 1)), rng.normal(size=n_l), rng.uniform(0, 1, (40, 1))
+        )
+        cfg = TrainConfig(m=2, q=10, max_epochs=max_epochs, seed=15, hidden_dims=(6,),
+                          mode="ssdpkl", unlabeled_cap=cap)
+        rows = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda p, X: rows.append(len(X)) or forward(p, X))
+        fit(data, cfg)
+        assert rows and max(rows) <= n_l + cap
 
     def test_ssdpkl_without_pool_rejected(self):
         cfg = TrainConfig(m=2, max_epochs=2, mode="ssdpkl", hidden_dims=(6,))
