@@ -43,7 +43,6 @@ from .trainer import (
     TrainData,
     fit,
     functional_gradient_step,
-    kappa,
     median_heuristic,
     per_particle_loss_grads,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "nll", "nll_grad_kernel", "nll_grad_rff", "posterior",
     "variance_regularizer", "projection_residual_oracle",
     "TrainConfig", "TrainData", "RunReport", "fit",
-    "median_heuristic", "kappa", "per_particle_loss_grads", "functional_gradient_step",
+    "median_heuristic", "per_particle_loss_grads", "functional_gradient_step",
     "SoftmaxHead", "logits", "softmax_probs", "cross_entropy", "fit_classifier",
     "Dataset", "SplitSpec", "load_csv", "normalize", "split",
     "synth_regression", "synth_blobs",

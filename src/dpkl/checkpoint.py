@@ -23,9 +23,10 @@ Layout (format_version 1), stable across releases:
       "config": {<fully resolved training config>}
     }
 
-Particle vectors use the MlpParams.flatten layout: per layer, the (out, in)
-weight matrix row-major, then the bias. Floats survive the JSON round trip
-bit-exactly (shortest-repr encoding).
+Each particle vector is one row of the ensemble's (m, P) particle matrix:
+per layer, the (out, in) weight matrix row-major, then the bias. Each head
+vector is one particle's (C, d) class-weight matrix, row-major. Floats
+survive the JSON round trip bit-exactly (shortest-repr encoding).
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             },
             "m": ckpt.ensemble.m,
             "seed": ckpt.ensemble.seed,
-            "particles": [p.flatten().tolist() for p in ckpt.ensemble.particles],
+            "particles": ckpt.ensemble.flat().tolist(),
         },
         "head": None
         if ckpt.head is None
-        else {"C": ckpt.head.C, "thetas": [t.ravel().tolist() for t in ckpt.head.thetas]},
+        else {"C": ckpt.head.C, "thetas": ckpt.head.flat().tolist()},
         "kernel": {
             "amplitude": ckpt.kernel_spec.amplitude,
             "bandwidth": ckpt.kernel_spec.bandwidth,
@@ -121,24 +122,17 @@ def load_checkpoint(path) -> Checkpoint:
         latent_dim=arch_doc["latent_dim"],
         activation=arch_doc["activation"],
     )
-    particles = [
-        net.unflatten_params(arch, np.asarray(vec, dtype=np.float64))
-        for vec in ens_doc["particles"]
-    ]
-    if len(particles) != ens_doc["m"]:
+    if len(ens_doc["particles"]) != ens_doc["m"]:
         raise CheckpointError("particle count does not match m")
-    ensemble = net.ParticleEnsemble(arch, particles, seed=ens_doc["seed"])
+    ensemble = net.ParticleEnsemble(
+        arch, np.asarray(ens_doc["particles"], dtype=np.float64), seed=ens_doc["seed"]
+    )
 
     head = None
     if doc.get("head") is not None:
         C = doc["head"]["C"]
-        head = classify.SoftmaxHead(
-            C,
-            [
-                np.asarray(t, dtype=np.float64).reshape(C, arch.latent_dim)
-                for t in doc["head"]["thetas"]
-            ],
-        )
+        thetas = np.asarray(doc["head"]["thetas"], dtype=np.float64)
+        head = classify.SoftmaxHead(C, thetas.reshape(-1, C, arch.latent_dim))
 
     basis = None
     if doc.get("rff_basis") is not None:

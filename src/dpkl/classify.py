@@ -3,13 +3,14 @@
 The softmax head keeps one weight vector per class per particle; class scores
 are the inner product of the particle-mean latent embedding with the
 particle-mean class vector (exact for the linear kernel, O(m) instead of the
-O(m^2) double sum). Training reuses the particle functional-gradient
-machinery on the cross-entropy objective with minibatches.
+O(m^2) double sum). Training calls the regression trainer's update rule,
+``trainer.functional_gradient_step``, once per minibatch of the cross-entropy:
+each particle is a row of one joint matrix [network weights | class weights],
+and the ensemble and the head are views into it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -24,36 +25,41 @@ from .trainer import (
     RunReport,
     TrainConfig,
     TrainData,
-    _kappa_matrix,
-    _pairwise_sq_dists,
+    _kappa_matrix,  # noqa: F401 -- perfbench's tracer test reads classify._kappa_matrix
+    _require_finite,
+    _validation_split,
     derive_seeds,
-    _H_FLOOR,
+    functional_gradient_step,
 )
 
 
 @dataclass
 class SoftmaxHead:
-    """Per-particle class-weight vectors; thetas[l] has shape (C, d)."""
+    """Per-particle class-weight vectors: thetas is (m, C, d), thetas[l] is (C, d)."""
 
     C: int
-    thetas: list[np.ndarray]
+    thetas: np.ndarray
+
+    def __post_init__(self):
+        self.thetas = np.asarray(self.thetas, dtype=np.float64)
 
     @property
     def m(self) -> int:
-        return len(self.thetas)
+        return self.thetas.shape[0]
 
     @property
     def d(self) -> int:
-        return self.thetas[0].shape[1]
+        return self.thetas.shape[2]
 
     def flat(self) -> np.ndarray:
-        return np.stack([t.ravel() for t in self.thetas])
+        """(m, C*d) matrix, one row-major class-weight matrix per particle."""
+        return self.thetas.reshape(self.m, -1)
 
     def mean_theta(self) -> np.ndarray:
-        return np.mean(np.stack(self.thetas), axis=0)
+        return np.mean(self.thetas, axis=0)
 
     def copy(self) -> "SoftmaxHead":
-        return SoftmaxHead(self.C, [t.copy() for t in self.thetas])
+        return SoftmaxHead(self.C, self.thetas.copy())
 
 
 def init_head(C: int, d: int, m: int, seed: int) -> SoftmaxHead:
@@ -120,25 +126,6 @@ def predict_probs(
 # ---------------------------------------------------------------------------
 
 
-def _joint_flat(ensemble: net.ParticleEnsemble, head: SoftmaxHead) -> np.ndarray:
-    return np.hstack([ensemble.flat(), head.flat()])
-
-
-def _write_back(ensemble, head, flat, p_net):
-    ensemble.particles = [net.unflatten_params(ensemble.arch, row[:p_net]) for row in flat]
-    head.thetas = [row[p_net:].reshape(head.C, head.d).copy() for row in flat]
-
-
-def _joint_median_heuristic(flat: np.ndarray) -> float:
-    m = flat.shape[0]
-    if m == 1:
-        return 1.0
-    d2 = _pairwise_sq_dists(flat)
-    iu = np.triu_indices(m, k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
-    return max(med**2 / math.log(m + 1), _H_FLOOR)
-
-
 def batch_objective(
     ensemble: net.ParticleEnsemble,
     head: SoftmaxHead,
@@ -160,21 +147,31 @@ def batch_grads(
     X: np.ndarray,
     labels: np.ndarray,
     l2: float = 0.0,
-) -> list[np.ndarray]:
-    """Per-particle gradient of batch_objective w.r.t. the joint (w, theta) vector."""
+) -> tuple[np.ndarray, float]:
+    """Gradient of batch_objective w.r.t. each particle's joint (w, theta) vector.
+
+    Returns the (m, P + C*d) gradient, rows in the joint layout, and the value
+    of batch_objective at the current parameters, read off the same forward
+    pass.
+    """
     Z = net.ensemble_embeddings(ensemble, X)
     Z_bar = np.mean(np.stack(Z), axis=0)
     theta_bar = head.mean_theta()
     probs = softmax_probs(Z_bar @ theta_bar.T)
-    E = (probs - one_hot(labels, head.C)) / X.shape[0]
+    onehot = one_hot(labels, head.C)
+    loss = cross_entropy(probs, onehot)
+    if l2 > 0:
+        loss += l2 * float(sum(np.sum(t * t) for t in head.thetas))
+    E = (probs - onehot) / X.shape[0]
     G_z = (E @ theta_bar) / head.m  # same for every particle
     g_theta_common = (E.T @ Z_bar) / head.m
-    grads = []
-    for p, theta in zip(ensemble.particles, head.thetas):
-        g_w = net.backward_params(p, X, G_z)
-        g_t = g_theta_common + (2.0 * l2 * theta if l2 > 0 else 0.0)
-        grads.append(np.concatenate([g_w, np.asarray(g_t).ravel()]))
-    return grads
+    p_net = ensemble.arch.num_params
+    grads = np.empty((head.m, p_net + head.C * head.d))
+    for l, p in enumerate(ensemble.particles):
+        grads[l, :p_net] = net.backward_params(p, X, G_z)
+    g_theta = g_theta_common + (2.0 * l2 * head.thetas if l2 > 0 else 0.0)
+    grads[:, p_net:] = g_theta.reshape(-1, head.C * head.d)  # broadcasts when l2 == 0
+    return grads, loss
 
 
 def fit_classifier(
@@ -186,7 +183,10 @@ def fit_classifier(
 
     Each particle's parameter vector is its network weights concatenated with
     its class-weight matrix, so the particle kernel and median heuristic act
-    on the joint space. Returns the best-validation-accuracy snapshot.
+    on the joint space. Returns the best-validation-accuracy snapshot. Each
+    epoch's ``train_nll`` (and ``objective``) is the mean minibatch objective
+    taken before that minibatch's update, from the forward pass the gradient
+    needs anyway.
     """
     config.validate()
     if config.mode == "ssdpkl":
@@ -207,8 +207,6 @@ def _fit_classifier_loop(data, config, trajectory_hook):
         raise InsufficientData("need at least two classes in the training data")
 
     seeds = derive_seeds(config.seed)
-    from .trainer import _validation_split
-
     tr_idx, val_idx = _validation_split(X.shape[0], config.val_fraction, seeds["val_split"])
     X_tr, y_tr = X[tr_idx], labels[tr_idx]
     X_val, y_val = X[val_idx], labels[val_idx]
@@ -216,8 +214,12 @@ def _fit_classifier_loop(data, config, trajectory_hook):
     arch = config.architecture(X.shape[1])
     ensemble = net.init_ensemble(arch, config.m, seeds["init"])
     head = init_head(C, config.latent_dim, config.m, seeds["rff"])
+    # one joint particle matrix; the ensemble and the head are views into it
+    W = np.hstack([ensemble.flat(), head.flat()])
     p_net = arch.num_params
-    opt = AdamState.zeros(config.m, p_net + C * config.latent_dim)
+    ensemble = net.ParticleEnsemble(arch, W[:, :p_net], ensemble.seed)
+    head = SoftmaxHead(C, W[:, p_net:].reshape(head.thetas.shape))
+    opt = AdamState.zeros(*W.shape)
 
     def val_accuracy(ens, hd) -> float:
         probs = predict_probs(ens, hd, X_val)
@@ -236,33 +238,12 @@ def _fit_classifier_loop(data, config, trajectory_hook):
         t0 = time.perf_counter()
         order = np.random.default_rng([seeds["batches"], epoch]).permutation(n_tr)
         epoch_losses = []
-        last_h = None
         for start in range(0, n_tr, bs):
             idx = order[start : start + bs]
-            grads = batch_grads(ensemble, head, X_tr[idx], y_tr[idx], config.classifier_l2)
-            flat = _joint_flat(ensemble, head)
-            G = np.stack(grads)
-            if config.kappa_weighting == "identity":
-                phi = G
-            else:
-                h = (
-                    config.kappa_bandwidth
-                    if config.kappa_bandwidth is not None
-                    else _joint_median_heuristic(flat)
-                )
-                phi = _kappa_matrix(flat, h) @ G
-                last_h = h
-            opt.t += 1
-            b1, b2 = config.adam_beta1, config.adam_beta2
-            opt.m1 = b1 * opt.m1 + (1.0 - b1) * phi
-            opt.m2 = b2 * opt.m2 + (1.0 - b2) * phi * phi
-            m_hat = opt.m1 / (1.0 - b1**opt.t)
-            v_hat = opt.m2 / (1.0 - b2**opt.t)
-            flat = flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-            _write_back(ensemble, head, flat, p_net)
-            epoch_losses.append(
-                batch_objective(ensemble, head, X_tr[idx], y_tr[idx], config.classifier_l2)
-            )
+            G, loss = batch_grads(ensemble, head, X_tr[idx], y_tr[idx], config.classifier_l2)
+            _require_finite(loss, "minibatch loss", opt.t + 1)
+            functional_gradient_step(W, G, opt, config)
+            epoch_losses.append(loss)
         checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
         metric = val_accuracy(ensemble, head) if checked else None
         if metric is not None and metric > best_metric:
@@ -275,7 +256,7 @@ def _fit_classifier_loop(data, config, trajectory_hook):
                 train_nll=float(np.mean(epoch_losses)),
                 objective=float(np.mean(epoch_losses)),
                 val_metric=metric,
-                h_kappa=last_h,
+                h_kappa=opt.last_bandwidth,
                 jitter=0.0,
                 seconds=time.perf_counter() - t0,
             )
@@ -285,7 +266,7 @@ def _fit_classifier_loop(data, config, trajectory_hook):
 
     report.best_epoch = best_epoch
     report.best_val_metric = best_metric
-    report.final_train_nll = report.epochs[-1].train_nll if report.epochs else math.nan
-    report.final_objective = report.final_train_nll
+    if report.epochs:
+        report.final_train_nll = report.final_objective = report.epochs[-1].train_nll
     report.total_seconds = time.perf_counter() - t_start
     return best_ens, best_head, report

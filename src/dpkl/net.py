@@ -2,8 +2,9 @@
 
 Each particle is a full set of MLP weights. The ensemble of m particles is the
 empirical stand-in for a distribution over network parameters; all particles
-share one architecture. Backprop is hand-written so gradients are exact,
-testable against finite differences, and free of framework dependencies.
+share one architecture and are the rows of one (m, P) matrix. Backprop is
+hand-written so gradients are exact, testable against finite differences, and
+free of framework dependencies.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class MlpParams:
             parts.append(b)
         return np.concatenate(parts)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.arch,
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
 
 def unflatten_params(arch: MlpArchitecture, w: np.ndarray) -> MlpParams:
     """Inverse of MlpParams.flatten."""
@@ -86,24 +80,40 @@ def unflatten_params(arch: MlpArchitecture, w: np.ndarray) -> MlpParams:
     return MlpParams(arch, weights, biases)
 
 
-@dataclass
 class ParticleEnsemble:
-    """m particles sharing one architecture, plus the seed used at init."""
+    """m particles sharing one architecture, stored as the rows of one matrix.
 
-    arch: MlpArchitecture
-    particles: list[MlpParams]
-    seed: int
+    The (m, P) float64 matrix is the only storage: ``flat()`` returns it live,
+    and each particle's weights and biases are reshaped views of its row, so
+    an in-place update of the matrix is what every forward pass reads.
+    """
+
+    def __init__(self, arch: MlpArchitecture, flat: np.ndarray, seed: int):
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.ndim != 2 or flat.shape[1] != arch.num_params:
+            raise DimensionMismatch(
+                f"particle matrix has shape {flat.shape}, expected (m, {arch.num_params})"
+            )
+        self.arch = arch
+        self.seed = seed
+        self._flat = flat
+        self._particles = tuple(unflatten_params(arch, row) for row in flat)
+
+    @property
+    def particles(self) -> tuple[MlpParams, ...]:
+        """Per-particle views of the matrix rows; read-only."""
+        return self._particles
 
     @property
     def m(self) -> int:
-        return len(self.particles)
+        return self._flat.shape[0]
 
     def flat(self) -> np.ndarray:
-        """(m, P) matrix of flattened particle vectors."""
-        return np.stack([p.flatten() for p in self.particles])
+        """The live (m, P) particle matrix, rows in the MlpParams.flatten layout."""
+        return self._flat
 
     def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.arch, [p.copy() for p in self.particles], self.seed)
+        return ParticleEnsemble(self.arch, self._flat.copy(), self.seed)
 
 
 def init_params(arch: MlpArchitecture, rng: np.random.Generator) -> MlpParams:
@@ -124,7 +134,9 @@ def init_ensemble(arch: MlpArchitecture, m: int, seed: int) -> ParticleEnsemble:
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    return ParticleEnsemble(arch, [init_params(arch, rng) for _ in range(m)], seed)
+    return ParticleEnsemble(
+        arch, np.stack([init_params(arch, rng).flatten() for _ in range(m)]), seed
+    )
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:

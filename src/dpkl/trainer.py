@@ -4,7 +4,9 @@ Each iteration computes every particle's gradient of the scalar objective,
 mixes the raw gradients with an RBF kernel over parameter vectors (bandwidth
 from the median heuristic), and applies one Adam update per particle. With a
 single particle this is exactly gradient descent on the GP likelihood, i.e.
-the deterministic deep-kernel baseline.
+the deterministic deep-kernel baseline. ``functional_gradient_step`` is the
+one update rule: it acts in place on an (m, P) particle matrix, and the
+softmax classifier in ``classify`` calls it too.
 
 Three training modes:
   dpkl   — minimize the GP negative log likelihood over labeled data;
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp, kernels, net
-from .errors import ConfigError, EmptyUnlabeledSet, InsufficientData
+from .errors import ConfigError, EmptyUnlabeledSet, InsufficientData, InternalConsistencyError
 from .linalg import solve_chol
 from .threads import single_threaded_blas
 
@@ -62,10 +64,8 @@ class TrainConfig:
     unlabeled_cap: int = 50000
     batch_size: int = 16  # classification only; regression is full-batch
     classifier_l2: float = 0.0
-    # particle-kernel knobs: fixed bandwidth overrides the median heuristic;
-    # "identity" weighting is a test hook that decouples the particles
+    # a fixed particle-kernel bandwidth overrides the median heuristic
     kappa_bandwidth: float | None = None
-    kappa_weighting: str = "rbf"
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -88,8 +88,6 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.early_stop_check_every < 1:
             raise ConfigError("early_stop_check_every must be >= 1")
-        if self.kappa_weighting not in ("rbf", "identity"):
-            raise ConfigError("kappa_weighting must be 'rbf' or 'identity'")
 
     def kernel_spec(self) -> kernels.LatentKernelSpec:
         return kernels.LatentKernelSpec(self.amplitude, self.bandwidth)
@@ -127,32 +125,23 @@ def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def median_heuristic(ensemble: net.ParticleEnsemble) -> float:
-    """Bandwidth med^2 / log(m+1) from median pairwise particle distance.
+def median_heuristic(d2: np.ndarray) -> float:
+    """Bandwidth med^2 / log(m+1) from the (m, m) squared particle distances.
 
     Returns 1 for a single particle, and floors the bandwidth at 1e-12 when
     all particles coincide (kappa is then 1 among them regardless).
     """
-    if ensemble.m == 1:
+    m = d2.shape[0]
+    if m == 1:
         return 1.0
-    flat = ensemble.flat()
-    d2 = _pairwise_sq_dists(flat)
-    iu = np.triu_indices(ensemble.m, k=1)
+    iu = np.triu_indices(m, k=1)
     med = float(np.median(np.sqrt(d2[iu])))
-    return max(med**2 / math.log(ensemble.m + 1), _H_FLOOR)
+    return max(med**2 / math.log(m + 1), _H_FLOOR)
 
 
-def kappa(h: float, w: np.ndarray, w2: np.ndarray) -> float:
-    """RBF kernel between flattened parameter vectors: exp(-|w-w'|^2 / h)."""
-    w = np.asarray(w, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    if w.shape != w2.shape:
-        raise ValueError(f"parameter vectors differ in shape: {w.shape} vs {w2.shape}")
-    return float(np.exp(-np.sum((w - w2) ** 2) / h))
-
-
-def _kappa_matrix(flat: np.ndarray, h: float) -> np.ndarray:
-    K = np.exp(-_pairwise_sq_dists(flat) / h)
+def _kappa_matrix(d2: np.ndarray, h: float) -> np.ndarray:
+    """RBF particle kernel exp(-|w - w'|^2 / h) from squared distances."""
+    K = np.exp(-d2 / h)
     # Subnormal weights carry no mass next to the unit diagonal, but they make
     # the kappa @ G product about 30x slower; flush them to zero.
     K[K < np.finfo(float).tiny] = 0.0
@@ -169,7 +158,7 @@ class _ObjectiveResult:
     objective: float
     nll: float
     regularizer: float
-    grads: list[np.ndarray]
+    grads: np.ndarray | None  # (m, P), one row per particle
     jitter: float
 
 
@@ -236,7 +225,7 @@ def _objective_core(
         objective = nll_value
 
     if not want_grads:
-        return _ObjectiveResult(objective, nll_value, reg_value, [], state.chol.jitter_used)
+        return _ObjectiveResult(objective, nll_value, reg_value, None, state.chol.jitter_used)
 
     S = gp.nll_grad_kernel(state)
     if rff:
@@ -257,10 +246,10 @@ def _objective_core(
             C[n_l:, n_l:] = w_reg * np.eye(n_u)
         G_list = kernels.kernel_embedding_cotangents(spec, Z_all, C)
 
-    grads = [
+    grads = np.stack([
         net.backward_params(p, X_all, G)
         for p, G in zip(ensemble.particles, G_list)
-    ]
+    ])
     return _ObjectiveResult(objective, nll_value, reg_value, grads, state.chol.jitter_used)
 
 
@@ -269,8 +258,8 @@ def per_particle_loss_grads(
     data: TrainData,
     config: TrainConfig,
     basis: kernels.RffBasis | None = None,
-) -> list[np.ndarray]:
-    """Gradient of the scalar training objective with respect to each particle.
+) -> np.ndarray:
+    """(m, P) gradient of the scalar training objective, one row per particle.
 
     The objective is the GP nll (dpkl/dkl) or its semi-supervised extension
     (ssdpkl). The chain runs objective -> kernel representation -> per-particle
@@ -308,39 +297,48 @@ class AdamState:
         return AdamState(m1=np.zeros((m, p)), m2=np.zeros((m, p)))
 
 
+def _require_finite(value, stage: str, step: int) -> None:
+    if not np.all(np.isfinite(value)):
+        raise InternalConsistencyError(f"non-finite {stage} at step {step}")
+
+
 def functional_gradient_step(
-    ensemble: net.ParticleEnsemble,
-    grads: list[np.ndarray],
+    W: np.ndarray,
+    G: np.ndarray,
     opt: AdamState,
     config: TrainConfig,
-) -> net.ParticleEnsemble:
-    """Kernel-mix the particle gradients and take one Adam step per particle.
+) -> None:
+    """Kernel-mix the particle gradients and take one Adam step, in place.
 
-    phi(w_i) = sum_l kappa(w_i, w_l) grads[l], with kappa's bandwidth from the
-    median heuristic recomputed this iteration (or the configured override).
-    Mutates and returns the ensemble.
+    W is the live (m, P) particle matrix and G its (m, P) gradient. The mixed
+    gradient is phi(w_i) = sum_l kappa(w_i, w_l) G[l], with kappa's bandwidth
+    from the median heuristic recomputed this step (or the configured
+    override); one pairwise-distance matrix serves both. Updates W, opt.m1 and
+    opt.m2 in place. Raises InternalConsistencyError on a non-finite gradient
+    or update.
     """
-    flat = ensemble.flat()
-    G = np.stack(grads)
-    if G.shape != flat.shape:
-        raise ValueError(f"gradient stack {G.shape} does not match particles {flat.shape}")
-    if config.kappa_weighting == "identity":
-        phi = G
-        opt.last_bandwidth = None
-    else:
-        h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(ensemble)
-        phi = _kappa_matrix(flat, h) @ G
-        opt.last_bandwidth = h
-
+    if G.shape != W.shape:
+        raise ValueError(f"gradient {G.shape} does not match particles {W.shape}")
     opt.t += 1
+    _require_finite(G, "gradient", opt.t)
+    d2 = _pairwise_sq_dists(W)
+    h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(d2)
+    phi = _kappa_matrix(d2, h) @ G
+    opt.last_bandwidth = h
+
     b1, b2 = config.adam_beta1, config.adam_beta2
-    opt.m1 = b1 * opt.m1 + (1.0 - b1) * phi
-    opt.m2 = b2 * opt.m2 + (1.0 - b2) * phi * phi
-    m_hat = opt.m1 / (1.0 - b1**opt.t)
-    v_hat = opt.m2 / (1.0 - b2**opt.t)
-    flat = flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    ensemble.particles = [net.unflatten_params(ensemble.arch, row) for row in flat]
-    return ensemble
+    opt.m1 *= b1
+    opt.m1 += (1.0 - b1) * phi
+    opt.m2 *= b2
+    opt.m2 += (1.0 - b2) * phi * phi
+    step = opt.m1 / (1.0 - b1**opt.t)
+    step *= config.learning_rate
+    denom = opt.m2 / (1.0 - b2**opt.t)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    step /= denom
+    W -= step
+    _require_finite(W, "particle update", opt.t)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +495,8 @@ def _fit_loop(data, config, trajectory_hook):
         )
         epoch_data = TrainData(X_tr, y_tr, X_u)
         result = _objective_core(ensemble, epoch_data, config, basis, want_grads=True)
-        functional_gradient_step(ensemble, result.grads, opt, config)
+        _require_finite(result.objective, "objective", opt.t + 1)
+        functional_gradient_step(ensemble.flat(), result.grads, opt, config)
         checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
         metric = val_metric(ensemble) if checked else None
         if metric is not None and metric < best_metric:

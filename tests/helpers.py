@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from dpkl import net
 from dpkl.kernels import base_kernel
 
 
@@ -67,14 +66,14 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def particle_fd_gradient(ensemble, l: int, objective, step: float = 1e-5) -> np.ndarray:
     """Finite differences of objective(ensemble) w.r.t. particle l alone."""
-    arch = ensemble.arch
-    w0 = ensemble.particles[l].flatten()
+    row = ensemble.flat()[l]  # live row: writing it moves particle l
+    w0 = row.copy()
 
     def f(w):
-        ensemble.particles[l] = net.unflatten_params(arch, w)
+        row[:] = w
         try:
             return objective()
         finally:
-            ensemble.particles[l] = net.unflatten_params(arch, w0)
+            row[:] = w0
 
     return fd_gradient(f, w0, step)

@@ -390,11 +390,14 @@ def test_criterion_10_property_suite(verdict):
             ens_a = net.init_ensemble(arch, cfg.m, trial)
             ens_b = ens_a.copy()
             perm2 = list(rng.permutation(cfg.m))
-            ens_b.particles = [ens_b.particles[i] for i in perm2]
+            ens_b.flat()[:] = ens_b.flat()[perm2]
             grads = [rng.normal(size=arch.num_params) for _ in range(cfg.m)]
-            functional_gradient_step(ens_a, grads, AdamState.zeros(cfg.m, arch.num_params), cfg)
             functional_gradient_step(
-                ens_b, [grads[i] for i in perm2], AdamState.zeros(cfg.m, arch.num_params), cfg
+                ens_a.flat(), np.stack(grads), AdamState.zeros(cfg.m, arch.num_params), cfg
+            )
+            functional_gradient_step(
+                ens_b.flat(), np.stack([grads[i] for i in perm2]),
+                AdamState.zeros(cfg.m, arch.num_params), cfg,
             )
             for out_pos, src in enumerate(perm2):
                 np.testing.assert_allclose(

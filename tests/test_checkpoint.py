@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpkl import net
 from dpkl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from dpkl.cli import main as cli_main
 from dpkl.classify import init_head
 from dpkl.data import NormalizationStats
 from dpkl.errors import CheckpointError
@@ -33,6 +35,29 @@ def make_checkpoint(task="regression", with_head=False, with_basis=True):
         config={"m": 3, "seed": 13},
         version="test",
     )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("task, target", [("regression", "y"), ("classification", "label")])
+class TestGoldenV1:
+    """format_version 1 files written by an earlier build (see data/README.md)."""
+
+    def test_predict_output_byte_identical(self, task, target, tmp_path, capsys):
+        out = tmp_path / "pred.csv"
+        code = cli_main([
+            "predict", "--checkpoint", str(DATA / f"v1_{task}.ckpt.json"),
+            "--data", str(DATA / f"v1_{task}_query.csv"), "--target", target,
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"v1_{task}_predictions.csv").read_bytes()
+
+    def test_resave_byte_identical(self, task, target, tmp_path):
+        golden = DATA / f"v1_{task}.ckpt.json"
+        save_checkpoint(tmp_path / "again.json", load_checkpoint(golden))
+        assert (tmp_path / "again.json").read_bytes() == golden.read_bytes()
 
 
 class TestRoundTrip:

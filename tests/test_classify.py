@@ -150,24 +150,34 @@ class TestBatchGrads:
         head = init_head(C, 2, m, 9)
         X = rng.normal(size=(n, 3))
         labels = rng.integers(0, C, size=n)
-        grads = batch_grads(ensemble, head, X, labels, l2=0.01)
+        grads, _ = batch_grads(ensemble, head, X, labels, l2=0.01)
         p_net = arch.num_params
         for l in range(m):
-            joint0 = np.concatenate([ensemble.particles[l].flatten(), head.thetas[l].ravel()])
+            w_row, theta = ensemble.flat()[l], head.thetas[l]  # live views
+            joint0 = np.concatenate([w_row, theta.ravel()])
 
             def f(joint):
-                old_p = ensemble.particles[l]
-                old_t = head.thetas[l]
-                ensemble.particles[l] = net.unflatten_params(arch, joint[:p_net])
-                head.thetas[l] = joint[p_net:].reshape(C, 2)
+                w_row[:] = joint[:p_net]
+                theta[:] = joint[p_net:].reshape(C, 2)
                 try:
                     return batch_objective(ensemble, head, X, labels, l2=0.01)
                 finally:
-                    ensemble.particles[l] = old_p
-                    head.thetas[l] = old_t
+                    w_row[:] = joint0[:p_net]
+                    theta[:] = joint0[p_net:].reshape(C, 2)
 
             numeric = fd_gradient(f, joint0, step=1e-6)
             assert rel_err(grads[l], numeric) < 1e-6
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_loss_is_batch_objective_at_current_parameters(self, l2):
+        arch = net.MlpArchitecture(3, (4,), 2)
+        ensemble = net.init_ensemble(arch, 3, 1)
+        head = init_head(3, 2, 3, 2)
+        rng = np.random.default_rng(3)
+        X, labels = rng.normal(size=(7, 3)), rng.integers(0, 3, size=7)
+        grads, loss = batch_grads(ensemble, head, X, labels, l2=l2)
+        assert grads.shape == (3, arch.num_params + 3 * 2)
+        assert loss == batch_objective(ensemble, head, X, labels, l2=l2)
 
 
 class TestFitClassifier:
@@ -240,6 +250,45 @@ class TestFitClassifier:
                     np.sqrt(v1 / (1 - 0.999**t)) + cfg.adam_eps
                 )
         np.testing.assert_allclose(trajectory[-1], w, rtol=1e-9, atol=1e-12)
+
+    def test_train_nll_is_the_pre_step_minibatch_loss(self):
+        # one epoch, one minibatch: the logged loss is the objective at the
+        # parameters the step started from, not at the ones it produced
+        data = self.blobs(seed=4)
+        cfg = self.small_config(max_epochs=1, batch_size=1000)
+        snaps = {}
+
+        def hook(epoch, ens, hd):
+            snaps[epoch] = (ens.copy(), hd.copy())
+
+        _, _, report = fit_classifier(data, cfg, trajectory_hook=hook)
+        seeds = derive_seeds(cfg.seed)
+        tr, _ = _validation_split(data.X.shape[0], cfg.val_fraction, seeds["val_split"])
+        X_tr, y_tr = data.X[tr], data.y.astype(int)[tr]
+        before = batch_objective(*snaps[0], X_tr, y_tr)
+        after = batch_objective(*snaps[1], X_tr, y_tr)
+        np.testing.assert_allclose(report.epochs[0].train_nll, before, rtol=1e-12)
+        assert abs(after - before) > 1e-6
+
+    def test_best_snapshot_is_not_moved_by_later_steps(self):
+        ds = synth_blobs(C=2, n_per_class=30, d_in=2, separation=2.0, seed=0)
+        data = TrainData(ds.X, ds.y)
+        cfg = self.small_config(max_epochs=6, seed=0, hidden_dims=(8,),
+                                early_stop_check_every=2, learning_rate=0.05)
+        snaps, live = [], {}
+
+        def hook(epoch, ens, hd):
+            snaps.append(np.hstack([ens.flat(), hd.flat()]))
+            live["model"] = (ens, hd)
+
+        ens, head, report = fit_classifier(data, cfg, trajectory_hook=hook)
+        assert 0 < report.best_epoch < cfg.max_epochs
+        returned = np.hstack([ens.flat(), head.flat()])
+        np.testing.assert_array_equal(returned, snaps[report.best_epoch])
+        live_ens, live_head = live["model"]
+        assert not np.array_equal(ens.flat(), live_ens.flat())
+        assert not np.shares_memory(ens.flat(), live_ens.flat())
+        assert not np.shares_memory(head.thetas, live_head.thetas)
 
     def test_ssdpkl_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -254,6 +254,27 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "InternalConsistencyError"
 
+    def test_non_finite_objective_is_exit_two(self, tmp_path, capsys):
+        # Labels scaled to 1e200 would not do: their std overflows and label
+        # normalization squashes them back to finite values. Features are not
+        # normalized with this flag, so 1e200 overflows the exact kernel.
+        ds = synth_regression("sine", n=30, D=1, noise_std=0.1, seed=0)
+        data = tmp_path / "huge.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x0", "y"])
+            for row, target in zip(ds.X * 1e200, ds.y):
+                w.writerow([*row, target])
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                        "--kernel-mode", "exact", "--no-normalize-features",
+                        "--out", tmp_path / "run", *FAST])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "InternalConsistencyError"
+        assert "objective" in record["message"]
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_unexpected_exception_is_exit_two(self, tmp_path, capsys, monkeypatch):
         from dpkl import cli
 

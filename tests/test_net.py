@@ -6,6 +6,7 @@ from dpkl.errors import DimensionMismatch
 from dpkl.net import (
     MlpArchitecture,
     MlpParams,
+    ParticleEnsemble,
     backward_params,
     forward,
     init_ensemble,
@@ -15,6 +16,41 @@ from dpkl.net import (
 
 def small_arch(activation="tanh"):
     return MlpArchitecture(input_dim=3, hidden_dims=(4,), latent_dim=2, activation=activation)
+
+
+class TestParticleMatrix:
+    def test_particles_are_views_of_the_matrix_rows(self):
+        ens = init_ensemble(small_arch(), 3, 0)
+        X = np.random.default_rng(1).normal(size=(5, 3))
+        ens.flat()[1] += 0.5
+        for p, row in zip(ens.particles, ens.flat()):
+            assert all(np.shares_memory(W, row) for W in p.weights + p.biases)
+            np.testing.assert_array_equal(p.flatten(), row)
+        np.testing.assert_array_equal(
+            forward(ens.particles[1], X), forward(unflatten_params(ens.arch, ens.flat()[1]), X)
+        )
+
+    def test_particles_cannot_be_reassigned(self):
+        ens = init_ensemble(small_arch(), 3, 0)
+        with pytest.raises(AttributeError):
+            ens.particles = list(ens.particles)
+        with pytest.raises(TypeError):
+            ens.particles[0] = ens.particles[1]
+
+    def test_copy_shares_no_memory(self):
+        ens = init_ensemble(small_arch(), 3, 0)
+        dup = ens.copy()
+        np.testing.assert_array_equal(dup.flat(), ens.flat())
+        assert not np.shares_memory(dup.flat(), ens.flat())
+        ens.flat()[:] = 0.0
+        assert np.any(dup.particles[0].weights[0] != 0.0)
+
+    def test_matrix_shape_checked(self):
+        arch = small_arch()
+        with pytest.raises(DimensionMismatch):
+            ParticleEnsemble(arch, np.zeros((2, arch.num_params + 1)), 0)
+        with pytest.raises(DimensionMismatch):
+            ParticleEnsemble(arch, np.zeros(arch.num_params), 0)
 
 
 class TestInit:

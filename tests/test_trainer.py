@@ -4,7 +4,12 @@ from helpers import particle_fd_gradient, rel_err
 
 from dpkl import net, trainer
 from dpkl.data import synth_regression
-from dpkl.errors import ConfigError, EmptyUnlabeledSet, InsufficientData
+from dpkl.errors import (
+    ConfigError,
+    EmptyUnlabeledSet,
+    InsufficientData,
+    InternalConsistencyError,
+)
 from dpkl.trainer import (
     AdamState,
     TrainConfig,
@@ -12,10 +17,11 @@ from dpkl.trainer import (
     derive_seeds,
     fit,
     functional_gradient_step,
-    kappa,
     median_heuristic,
     objective_value,
     per_particle_loss_grads,
+    _kappa_matrix,
+    _pairwise_sq_dists,
     _validation_split,
 )
 
@@ -38,45 +44,52 @@ def tiny_data(seed=0, n=6, n_unlabeled=0):
     return TrainData(X, y, Xu)
 
 
+def particle_d2(ens):
+    return _pairwise_sq_dists(ens.flat())
+
+
 class TestMedianHeuristic:
     def test_single_particle(self):
         ens = net.init_ensemble(net.MlpArchitecture(3, (4,), 2), 1, 0)
-        assert median_heuristic(ens) == 1.0
+        assert median_heuristic(particle_d2(ens)) == 1.0
 
     def test_two_particles_closed_form(self):
         arch = net.MlpArchitecture(2, (), 2)
         ens = net.init_ensemble(arch, 2, 0)
-        w = ens.particles[0].flatten()
+        w = ens.flat()[0].copy()
         shift = np.zeros_like(w)
         shift[0] = 3.0  # distance exactly 3
-        ens.particles[1] = net.unflatten_params(arch, w + shift)
-        np.testing.assert_allclose(median_heuristic(ens), 9.0 / np.log(3.0), rtol=1e-12)
+        ens.flat()[1] = w + shift
+        np.testing.assert_allclose(
+            median_heuristic(particle_d2(ens)), 9.0 / np.log(3.0), rtol=1e-12
+        )
 
     def test_collapsed_particles_keep_kappa_one(self):
         arch = net.MlpArchitecture(2, (), 2)
         ens = net.init_ensemble(arch, 3, 0)
-        w = ens.particles[0].flatten()
-        ens.particles = [net.unflatten_params(arch, w.copy()) for _ in range(3)]
-        h = median_heuristic(ens)
+        ens.flat()[:] = ens.flat()[0].copy()
+        d2 = particle_d2(ens)
+        h = median_heuristic(d2)
         assert h > 0
-        assert kappa(h, w, w) == 1.0
+        assert np.all(_kappa_matrix(d2, h) == 1.0)
 
 
 class TestKappa:
     def test_self_similarity(self):
-        w = np.random.default_rng(0).normal(size=10)
-        assert kappa(2.0, w, w) == 1.0
+        W = np.random.default_rng(0).normal(size=(4, 10))
+        K = _kappa_matrix(_pairwise_sq_dists(W), 2.0)
+        np.testing.assert_allclose(np.diag(K), 1.0, rtol=0, atol=1e-14)
 
     def test_unit_bandwidth_point(self):
-        w = np.zeros(4)
-        w2 = np.array([1.0, 1.0, 1.0, 0.0])  # squared distance 3
-        np.testing.assert_allclose(kappa(3.0, w, w2), np.exp(-1.0), rtol=1e-14)
+        W = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])  # squared distance 3
+        K = _kappa_matrix(_pairwise_sq_dists(W), 3.0)
+        np.testing.assert_allclose(K[0, 1], np.exp(-1.0), rtol=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            w, w2 = rng.normal(size=6), rng.normal(size=6)
-            assert kappa(1.7, w, w2) == kappa(1.7, w2, w)
+            K = _kappa_matrix(_pairwise_sq_dists(rng.normal(size=(5, 6))), 1.7)
+            np.testing.assert_array_equal(K, K.T)
 
 
 class TestPerParticleGrads:
@@ -85,7 +98,7 @@ class TestPerParticleGrads:
         data = tiny_data()
         arch = cfg.architecture(3)
         ens = net.init_ensemble(arch, 3, 42)
-        ens.particles[1] = net.unflatten_params(arch, ens.particles[0].flatten())
+        ens.flat()[1] = ens.flat()[0]
         grads = per_particle_loss_grads(ens, data, cfg)
         np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
@@ -123,22 +136,34 @@ class TestFunctionalGradientStep:
         cfg = tiny_config()
         ens = net.init_ensemble(cfg.architecture(3), 3, 0)
         before = ens.flat().copy()
-        opt = AdamState.zeros(3, before.shape[1])
-        grads = [np.zeros(before.shape[1]) for _ in range(3)]
-        functional_gradient_step(ens, grads, opt, cfg)
+        opt = AdamState.zeros(*before.shape)
+        functional_gradient_step(ens.flat(), np.zeros_like(before), opt, cfg)
         np.testing.assert_array_equal(ens.flat(), before)
+
+    def test_step_moves_the_particle_views_in_place(self):
+        cfg = tiny_config()
+        ens = net.init_ensemble(cfg.architecture(3), 3, 1)
+        X = np.random.default_rng(2).uniform(size=(4, 3))
+        before = [net.forward(p, X) for p in ens.particles]
+        W = ens.flat()
+        G = np.random.default_rng(3).normal(size=W.shape)
+        functional_gradient_step(W, G, AdamState.zeros(*W.shape), cfg)
+        assert W is ens.flat()
+        for p, row, Z in zip(ens.particles, W, before):
+            np.testing.assert_array_equal(p.flatten(), row)
+            assert not np.array_equal(net.forward(p, X), Z)
 
     def test_single_particle_is_plain_adam(self):
         cfg = tiny_config(m=1)
         arch = cfg.architecture(3)
         ens = net.init_ensemble(arch, 1, 5)
-        w = ens.particles[0].flatten().copy()
+        w = ens.flat()[0].copy()
         rng = np.random.default_rng(6)
         grad_seq = [rng.normal(size=w.size) for _ in range(4)]
 
         opt = AdamState.zeros(1, w.size)
         for g in grad_seq:
-            functional_gradient_step(ens, [g], opt, cfg)
+            functional_gradient_step(ens.flat(), g[None, :], opt, cfg)
 
         m1 = np.zeros_like(w)
         v1 = np.zeros_like(w)
@@ -157,58 +182,49 @@ class TestFunctionalGradientStep:
         cfg2 = tiny_config(m=2, kappa_bandwidth=1.0)
         arch = cfg2.architecture(3)
         ens = net.init_ensemble(arch, 2, 8)
-        w0 = ens.particles[0].flatten()
-        ens.particles[1] = net.unflatten_params(arch, w0 + 100.0)
+        ens.flat()[1] = ens.flat()[0] + 100.0
         flats = ens.flat().copy()
-        rng = np.random.default_rng(9)
-        grads = [rng.normal(size=w0.size) for _ in range(2)]
+        G = np.random.default_rng(9).normal(size=flats.shape)
 
-        opt = AdamState.zeros(2, w0.size)
-        functional_gradient_step(ens, grads, opt, cfg2)
+        opt = AdamState.zeros(*flats.shape)
+        functional_gradient_step(ens.flat(), G, opt, cfg2)
 
         cfg1 = tiny_config(m=1, kappa_bandwidth=1.0)
         for i in range(2):
-            solo = net.ParticleEnsemble(arch, [net.unflatten_params(arch, flats[i])], 0)
-            opt1 = AdamState.zeros(1, w0.size)
-            functional_gradient_step(solo, [grads[i]], opt1, cfg1)
-            np.testing.assert_allclose(
-                ens.particles[i].flatten(), solo.particles[0].flatten(), atol=1e-6
-            )
+            solo = flats[i : i + 1].copy()
+            opt1 = AdamState.zeros(*solo.shape)
+            functional_gradient_step(solo, G[i : i + 1], opt1, cfg1)
+            np.testing.assert_allclose(ens.flat()[i], solo[0], atol=1e-6)
 
     def test_far_particles_give_no_subnormal_kappa(self, monkeypatch):
         # squared distance 720 at bandwidth 1: exp(-720) is subnormal
         cfg = tiny_config(m=3, kappa_bandwidth=1.0)
         arch = cfg.architecture(3)
         ens = net.init_ensemble(arch, 3, 8)
-        w0 = ens.particles[0].flatten()
-        shift = np.zeros_like(w0)
+        W = ens.flat()
+        shift = np.zeros(W.shape[1])
         shift[0] = np.sqrt(720.0)
-        ens.particles[1] = net.unflatten_params(arch, w0 + shift)
-        ens.particles[2] = net.unflatten_params(arch, w0 + 2 * shift)
+        W[1] = W[0] + shift
+        W[2] = W[0] + 2 * shift
         seen, kappa_matrix = [], trainer._kappa_matrix
         monkeypatch.setattr(
-            trainer, "_kappa_matrix", lambda flat, h: seen.append(kappa_matrix(flat, h)) or seen[-1]
+            trainer, "_kappa_matrix", lambda d2, h: seen.append(kappa_matrix(d2, h)) or seen[-1]
         )
-        grads = [np.ones_like(w0) for _ in range(3)]
-        functional_gradient_step(ens, grads, AdamState.zeros(3, w0.size), cfg)
+        functional_gradient_step(W, np.ones_like(W), AdamState.zeros(*W.shape), cfg)
         (K,) = seen
         assert not np.any((K != 0.0) & (np.abs(K) < np.finfo(float).tiny))
         np.testing.assert_allclose(K, np.eye(3), rtol=0, atol=1e-12)
 
-    def test_identity_weighting_uses_raw_gradients(self):
-        cfg = tiny_config(kappa_weighting="identity")
-        arch = cfg.architecture(3)
-        ens = net.init_ensemble(arch, 3, 10)
-        flats = ens.flat().copy()
-        rng = np.random.default_rng(11)
-        grads = [rng.normal(size=flats.shape[1]) for _ in range(3)]
-        opt = AdamState.zeros(3, flats.shape[1])
-        functional_gradient_step(ens, grads, opt, cfg)
-        for i in range(3):
-            g = grads[i]
-            # first Adam step with bias correction reduces to lr * g / (|g| + eps)
-            expected = flats[i] - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
-            np.testing.assert_allclose(ens.particles[i].flatten(), expected, rtol=1e-10)
+    def test_distances_computed_once_per_step(self, monkeypatch):
+        cfg = tiny_config()
+        ens = net.init_ensemble(cfg.architecture(3), 3, 4)
+        W = ens.flat()
+        calls, pairwise = [], trainer._pairwise_sq_dists
+        monkeypatch.setattr(
+            trainer, "_pairwise_sq_dists", lambda flat: calls.append(1) or pairwise(flat)
+        )
+        functional_gradient_step(W, np.ones_like(W), AdamState.zeros(*W.shape), cfg)
+        assert len(calls) == 1
 
     def test_particle_permutation_equivariance(self):
         cfg = tiny_config()
@@ -216,19 +232,52 @@ class TestFunctionalGradientStep:
         ens_a = net.init_ensemble(arch, 3, 12)
         ens_b = ens_a.copy()
         perm = [2, 0, 1]
-        ens_b.particles = [ens_b.particles[i] for i in perm]
-        rng = np.random.default_rng(13)
-        grads = [rng.normal(size=arch.num_params) for _ in range(3)]
-        functional_gradient_step(ens_a, grads, AdamState.zeros(3, arch.num_params), cfg)
-        functional_gradient_step(
-            ens_b, [grads[i] for i in perm], AdamState.zeros(3, arch.num_params), cfg
-        )
+        ens_b.flat()[:] = ens_b.flat()[perm]
+        G = np.random.default_rng(13).normal(size=ens_a.flat().shape)
+        functional_gradient_step(ens_a.flat(), G, AdamState.zeros(*G.shape), cfg)
+        functional_gradient_step(ens_b.flat(), G[perm], AdamState.zeros(*G.shape), cfg)
         for out_pos, src in enumerate(perm):
             np.testing.assert_allclose(
                 ens_b.particles[out_pos].flatten(),
                 ens_a.particles[src].flatten(),
                 atol=1e-12,
             )
+
+    def test_gradient_shape_mismatch_rejected(self):
+        W = np.zeros((3, 5))
+        with pytest.raises(ValueError):
+            functional_gradient_step(W, np.zeros((3, 4)), AdamState.zeros(3, 5), tiny_config())
+
+
+class TestNonFinite:
+    def test_non_finite_gradient_names_stage_and_step(self):
+        W = np.zeros((2, 4))
+        G = np.ones_like(W)
+        G[1, 2] = np.nan
+        opt = AdamState.zeros(*W.shape)
+        opt.t = 6
+        with pytest.raises(InternalConsistencyError, match="gradient at step 7"):
+            functional_gradient_step(W, G, opt, tiny_config(m=2))
+
+    def test_overflowing_update_is_caught(self):
+        # finite gradients whose kappa-mixed sum overflows to inf
+        W = np.zeros((3, 4))
+        G = np.full_like(W, 1e308)
+        with np.errstate(all="ignore"), pytest.raises(
+            InternalConsistencyError, match="particle update at step 1"
+        ):
+            functional_gradient_step(W, G, AdamState.zeros(*W.shape), tiny_config())
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    def test_fit_with_huge_labels_raises(self, kernel_mode):
+        # y ~ 1e200 makes y^T A^-1 y overflow; the run must not end as a
+        # "success" at best_epoch 0 with a nan objective
+        ds = synth_regression("sine", n=30, D=1, noise_std=0.1, seed=0)
+        cfg = TrainConfig(m=3, q=10, max_epochs=4, hidden_dims=(8,), kernel_mode=kernel_mode)
+        with np.errstate(all="ignore"), pytest.raises(
+            InternalConsistencyError, match="objective at step 1"
+        ):
+            fit(TrainData(ds.X, ds.y * 1e200), cfg)
 
 
 class TestFit:
@@ -269,6 +318,23 @@ class TestFit:
         assert len(trajectories["dpkl"]) == len(trajectories["dkl"]) == 11
         for a, b in zip(trajectories["dpkl"], trajectories["dkl"]):
             np.testing.assert_array_equal(a, b)
+
+    def test_best_snapshot_is_not_moved_by_later_steps(self):
+        # the step updates the live particle matrix in place; the returned
+        # best-validation snapshot must be a copy taken at its epoch
+        cfg = TrainConfig(m=3, q=20, max_epochs=9, seed=3, hidden_dims=(8,),
+                          early_stop_check_every=3, learning_rate=0.05)
+        snaps, live = [], {}
+
+        def hook(epoch, ens):
+            snaps.append(ens.flat().copy())
+            live["ens"] = ens
+
+        best, report = fit(self.sine_data(), cfg, trajectory_hook=hook)
+        assert 0 < report.best_epoch < cfg.max_epochs
+        np.testing.assert_array_equal(best.flat(), snaps[report.best_epoch])
+        assert not np.array_equal(best.flat(), live["ens"].flat())
+        assert not np.shares_memory(best.flat(), live["ens"].flat())
 
     def test_early_stop_never_worse_than_epoch_zero(self):
         from dpkl.trainer import predict_regression, predictive_nll
