@@ -257,6 +257,7 @@ def _fit_classifier_loop(data, config, trajectory_hook):
                 objective=float(np.mean(epoch_losses)),
                 val_metric=metric,
                 h_kappa=opt.last_bandwidth,
+                kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
                 jitter=0.0,
                 seconds=time.perf_counter() - t0,
             )

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InsufficientRows,
+    InternalConsistencyError,
     MissingTarget,
     ParseError,
 )
@@ -182,6 +183,13 @@ def _is_float(s: str) -> bool:
         return False
 
 
+def _require_finite_stats(mean, std, which: str) -> None:
+    # a std that overflows would turn the data into zeros and the predictions
+    # into 0 * inf = NaN, so stop here instead
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise InternalConsistencyError(f"non-finite {which} normalization mean or std")
+
+
 def normalize(
     train: Dataset,
     others: list[Dataset] = (),
@@ -191,13 +199,16 @@ def normalize(
     """Standardize features and (for regression) labels using train-split stats.
 
     Population std; constant columns are warned about and their std clamped
-    to 1. The same stats transform every other split.
+    to 1. The same stats transform every other split. A non-finite mean or
+    std (e.g. a std that overflows) raises InternalConsistencyError.
     """
-    x_mean = train.X.mean(axis=0)
-    x_std = train.X.std(axis=0)
-    if not normalize_features:
-        x_mean = np.zeros_like(x_mean)
-        x_std = np.ones_like(x_std)
+    if normalize_features:
+        x_mean = train.X.mean(axis=0)
+        x_std = train.X.std(axis=0)
+        _require_finite_stats(x_mean, x_std, "feature")
+    else:
+        x_mean = np.zeros(train.dim)
+        x_std = np.ones(train.dim)
     const = x_std == 0.0
     if np.any(const):
         warnings.warn(f"{int(const.sum())} constant feature column(s); std clamped to 1", stacklevel=2)
@@ -207,6 +218,7 @@ def normalize(
     if normalize_labels:
         y_mean = float(train.y.mean())
         y_std = float(train.y.std())
+        _require_finite_stats(y_mean, y_std, "label")
         if y_std == 0.0:
             warnings.warn("constant labels; std clamped to 1", stacklevel=2)
             y_std = 1.0

@@ -6,7 +6,13 @@ from the median heuristic), and applies one Adam update per particle. With a
 single particle this is exactly gradient descent on the GP likelihood, i.e.
 the deterministic deep-kernel baseline. ``functional_gradient_step`` is the
 one update rule: it acts in place on an (m, P) particle matrix, and the
-softmax classifier in ``classify`` calls it too.
+softmax classifier in ``classify`` calls it too. Its Adam update is one pass
+over the matrix in chunks of ``_ADAM_CHUNK`` entries that stay in a core's
+L2, written into two reused chunk buffers; the mixed gradient phi is the
+only (m, P) array a step allocates. Each chunk gets the unchunked update's
+elementwise operations in the same order, so the result is bitwise identical
+to it. The step also records the mean off-diagonal particle kernel, a
+particle-collapse signal.
 
 Three training modes:
   dpkl   — minimize the GP negative log likelihood over labeled data;
@@ -32,6 +38,10 @@ MODES = ("dpkl", "ssdpkl", "dkl")
 KERNEL_MODES = ("exact", "rff")
 
 _H_FLOOR = 1e-12
+# Entries per chunk of the particle update's elementwise passes. In the Adam
+# pass the phi, m1, m2 and W slices and two chunk buffers are 6 x 128 KB,
+# which stays inside one core's L2.
+_ADAM_CHUNK = 1 << 14
 
 
 @dataclass
@@ -120,7 +130,15 @@ def derive_seeds(seed: int) -> dict[str, int]:
 
 
 def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
-    sq = np.sum(flat * flat, axis=1)
+    # squared row norms through a buffer of whole rows: np.sum(flat * flat,
+    # axis=1) bit for bit, without an (m, P) temporary
+    m, P = flat.shape
+    rows = min(m, max(1, _ADAM_CHUNK // P))
+    buf, sq = np.empty((rows, P)), np.empty(m)
+    for i in range(0, m, rows):
+        block = buf[: min(rows, m - i)]
+        np.multiply(flat[i : i + rows], flat[i : i + rows], out=block)
+        np.sum(block, axis=1, out=sq[i : i + rows])
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
     return np.maximum(d2, 0.0)
 
@@ -285,12 +303,18 @@ def objective_value(
 
 @dataclass
 class AdamState:
-    """Per-particle Adam moments; only raw gradients are kernel-mixed."""
+    """Per-particle Adam moments; only raw gradients are kernel-mixed.
+
+    ``last_bandwidth`` and ``last_kappa_offdiag_mean`` describe the particle
+    kernel of the latest step; the mean off-diagonal kappa is None for m = 1
+    and tends to 1 as the particles collapse onto one another.
+    """
 
     m1: np.ndarray
     m2: np.ndarray
     t: int = 0
     last_bandwidth: float | None = None
+    last_kappa_offdiag_mean: float | None = None
 
     @staticmethod
     def zeros(m: int, p: int) -> "AdamState":
@@ -300,6 +324,42 @@ class AdamState:
 def _require_finite(value, stage: str, step: int) -> None:
     if not np.all(np.isfinite(value)):
         raise InternalConsistencyError(f"non-finite {stage} at step {step}")
+
+
+def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainConfig) -> None:
+    """One Adam step on W from the mixed gradient phi, in cache-sized chunks.
+
+    Each chunk is a block of whole rows, or part of one row when a row exceeds
+    _ADAM_CHUNK entries, so slicing never copies and a non-contiguous W is
+    still written in place. Every chunk sees the same elementwise operations
+    in the same order as the unchunked update, so the result is bitwise equal
+    to it; the only working memory is two chunk buffers.
+    """
+    m, P = W.shape
+    cols = min(P, _ADAM_CHUNK)
+    rows = min(m, max(1, _ADAM_CHUNK // P))
+    buf_a, buf_b = np.empty((rows, cols)), np.empty((rows, cols))
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1, c2 = 1.0 - b1**opt.t, 1.0 - b2**opt.t
+    for i in range(0, m, rows):
+        for j in range(0, P, cols):
+            block = np.s_[i : i + rows, j : j + cols]
+            g, m1, m2, w = phi[block], opt.m1[block], opt.m2[block], W[block]
+            a, b = buf_a[: g.shape[0], : g.shape[1]], buf_b[: g.shape[0], : g.shape[1]]
+            m1 *= b1
+            np.multiply(1.0 - b1, g, out=a)
+            m1 += a
+            m2 *= b2
+            np.multiply(1.0 - b2, g, out=a)
+            a *= g
+            m2 += a
+            np.divide(m1, c1, out=a)
+            a *= config.learning_rate
+            np.divide(m2, c2, out=b)
+            np.sqrt(b, out=b)
+            b += config.adam_eps
+            a /= b
+            w -= a
 
 
 def functional_gradient_step(
@@ -314,8 +374,9 @@ def functional_gradient_step(
     gradient is phi(w_i) = sum_l kappa(w_i, w_l) G[l], with kappa's bandwidth
     from the median heuristic recomputed this step (or the configured
     override); one pairwise-distance matrix serves both. Updates W, opt.m1 and
-    opt.m2 in place. Raises InternalConsistencyError on a non-finite gradient
-    or update.
+    opt.m2 in place with one chunked Adam pass (``_adam_update``); phi is the
+    only (m, P) array allocated. Raises InternalConsistencyError on a
+    non-finite gradient or update.
     """
     if G.shape != W.shape:
         raise ValueError(f"gradient {G.shape} does not match particles {W.shape}")
@@ -323,21 +384,14 @@ def functional_gradient_step(
     _require_finite(G, "gradient", opt.t)
     d2 = _pairwise_sq_dists(W)
     h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(d2)
-    phi = _kappa_matrix(d2, h) @ G
+    K = _kappa_matrix(d2, h)
+    phi = K @ G
     opt.last_bandwidth = h
-
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    opt.m1 *= b1
-    opt.m1 += (1.0 - b1) * phi
-    opt.m2 *= b2
-    opt.m2 += (1.0 - b2) * phi * phi
-    step = opt.m1 / (1.0 - b1**opt.t)
-    step *= config.learning_rate
-    denom = opt.m2 / (1.0 - b2**opt.t)
-    np.sqrt(denom, out=denom)
-    denom += config.adam_eps
-    step /= denom
-    W -= step
+    m = K.shape[0]
+    opt.last_kappa_offdiag_mean = (
+        float((K.sum() - np.trace(K)) / (m * (m - 1))) if m > 1 else None
+    )
+    _adam_update(W, phi, opt, config)
     _require_finite(W, "particle update", opt.t)
 
 
@@ -390,6 +444,7 @@ class EpochRecord:
     objective: float
     val_metric: float | None
     h_kappa: float | None
+    kappa_offdiag_mean: float | None  # particle-collapse signal: 1 when all coincide
     jitter: float
     seconds: float
 
@@ -499,6 +554,8 @@ def _fit_loop(data, config, trajectory_hook):
         functional_gradient_step(ensemble.flat(), result.grads, opt, config)
         checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
         metric = val_metric(ensemble) if checked else None
+        if metric is not None:
+            _require_finite(metric, "validation metric", opt.t)
         if metric is not None and metric < best_metric:
             best_metric = metric
             best_snapshot = ensemble.copy()
@@ -510,12 +567,18 @@ def _fit_loop(data, config, trajectory_hook):
                 objective=result.objective,
                 val_metric=metric,
                 h_kappa=opt.last_bandwidth,
+                kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
                 jitter=result.jitter,
                 seconds=time.perf_counter() - t0,
             )
         )
         if trajectory_hook is not None:
             trajectory_hook(epoch, ensemble)
+
+    # Epoch 0's metric is checked only now, so that a non-finite objective at
+    # step 1 is reported as such; a NaN never compares below it, so it would
+    # otherwise stay "best".
+    _require_finite(best_metric, "validation metric", 0)
 
     # the last epoch's capped pool, so the cap also bounds this pass
     X_u = _subsample_unlabeled(

@@ -77,3 +77,33 @@ def particle_fd_gradient(ensemble, l: int, objective, step: float = 1e-5) -> np.
             row[:] = w0
 
     return fd_gradient(f, w0, step)
+
+
+def functional_gradient_step_unblocked(W, G, opt, config) -> None:
+    """Reference for trainer.functional_gradient_step: Adam over whole arrays.
+
+    The same kappa mixing, then the update written with full (m, P)
+    temporaries and no chunking. The chunked in-place step must reproduce W,
+    opt.m1, opt.m2 and opt.last_bandwidth bit for bit.
+    """
+    from dpkl.trainer import _kappa_matrix, median_heuristic
+
+    opt.t += 1
+    sq = np.sum(W * W, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (W @ W.T), 0.0)
+    h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(d2)
+    phi = _kappa_matrix(d2, h) @ G
+    opt.last_bandwidth = h
+
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    opt.m1 *= b1
+    opt.m1 += (1.0 - b1) * phi
+    opt.m2 *= b2
+    opt.m2 += (1.0 - b2) * phi * phi
+    step = opt.m1 / (1.0 - b1**opt.t)
+    step *= config.learning_rate
+    denom = opt.m2 / (1.0 - b2**opt.t)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    step /= denom
+    W -= step

@@ -275,6 +275,38 @@ class TestExitCodes:
         assert "objective" in record["message"]
         assert not (tmp_path / "run" / "checkpoint.json").exists()
 
+    def scaled_sine_csv(self, path, x_scale=1.0, y_scale=1.0):
+        ds = synth_regression("sine", n=30, D=1, noise_std=0.1, seed=0)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x0", "y"])
+            for row, target in zip(ds.X * x_scale, ds.y * y_scale):
+                w.writerow([*row, target])
+        return path
+
+    def test_non_finite_validation_metric_is_exit_two(self, tmp_path, capsys):
+        # on the default rff route the objective of 1e200 features stays
+        # finite; the exact-kernel validation NLL does not
+        data = self.scaled_sine_csv(tmp_path / "huge.csv", x_scale=1e200)
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                        "--no-normalize-features", "--out", tmp_path / "run", *FAST])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "InternalConsistencyError"
+        assert "validation metric" in record["message"]
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+    def test_overflowing_label_std_is_exit_two(self, tmp_path, capsys):
+        data = self.scaled_sine_csv(tmp_path / "huge.csv", y_scale=1e200)
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                        "--out", tmp_path / "run", *FAST])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "InternalConsistencyError",
+                          "message": "non-finite label normalization mean or std"}
+
     def test_unexpected_exception_is_exit_two(self, tmp_path, capsys, monkeypatch):
         from dpkl import cli
 

@@ -10,7 +10,7 @@ from dpkl.data import (
     synth_blobs,
     synth_regression,
 )
-from dpkl.errors import InsufficientRows, MissingTarget, ParseError
+from dpkl.errors import InsufficientRows, InternalConsistencyError, MissingTarget, ParseError
 
 
 class TestLoadCsv:
@@ -110,6 +110,23 @@ class TestNormalize:
         train = Dataset(np.random.default_rng(2).normal(size=(6, 2)), np.arange(6.0))
         train_n, _, _ = normalize(train, normalize_labels=False)
         np.testing.assert_array_equal(train_n.y, train.y)
+
+
+    def test_overflowing_feature_std_raises(self):
+        train = Dataset(np.linspace(-1.0, 1.0, 10)[:, None] * 1e200, np.arange(10.0))
+        with np.errstate(over="ignore"), pytest.raises(
+            InternalConsistencyError, match="non-finite feature normalization"
+        ):
+            normalize(train)
+        normalize(train, normalize_features=False)  # nothing to overflow
+
+    def test_overflowing_label_std_raises(self):
+        train = Dataset(np.arange(10.0)[:, None], np.linspace(-1.0, 1.0, 10) * 1e200)
+        with np.errstate(over="ignore"), pytest.raises(
+            InternalConsistencyError, match="non-finite label normalization"
+        ):
+            normalize(train)
+        normalize(train, normalize_labels=False)
 
 
 class TestSplit:

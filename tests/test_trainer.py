@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from helpers import particle_fd_gradient, rel_err
+from helpers import functional_gradient_step_unblocked, particle_fd_gradient, rel_err
 
-from dpkl import net, trainer
-from dpkl.data import synth_regression
+from dpkl import classify, net, trainer
+from dpkl.data import synth_blobs, synth_regression
 from dpkl.errors import (
     ConfigError,
     EmptyUnlabeledSet,
@@ -249,6 +249,105 @@ class TestFunctionalGradientStep:
             functional_gradient_step(W, np.zeros((3, 4)), AdamState.zeros(3, 5), tiny_config())
 
 
+def assert_same_step_state(W, opt, W_ref, opt_ref):
+    np.testing.assert_array_equal(W, W_ref)
+    np.testing.assert_array_equal(opt.m1, opt_ref.m1)
+    np.testing.assert_array_equal(opt.m2, opt_ref.m2)
+    assert opt.t == opt_ref.t
+    assert opt.last_bandwidth == opt_ref.last_bandwidth
+
+
+class TestChunkedUpdate:
+    """The chunked in-place Adam pass reproduces the unblocked oracle bit for bit."""
+
+    def run_against_oracle(self, W, cfg, steps=4, seed=0):
+        rng = np.random.default_rng(seed)
+        W_ref = W.copy()
+        opt, opt_ref = AdamState.zeros(*W.shape), AdamState.zeros(*W.shape)
+        for k in range(steps):
+            G = rng.normal(size=W.shape) * 10.0 ** (k - 2)
+            functional_gradient_step(W, G, opt, cfg)
+            functional_gradient_step_unblocked(W_ref, G, opt_ref, cfg)
+            assert_same_step_state(W, opt, W_ref, opt_ref)
+
+    # P = 26 here: a chunk of 7 leaves a ragged last column chunk (26 = 3 * 7 + 5),
+    # a chunk of 60 takes two whole rows and leaves a ragged last row block.
+    @pytest.mark.parametrize("chunk", [1, 7, 60, None])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_unblocked_oracle(self, monkeypatch, chunk, m):
+        if chunk is not None:
+            monkeypatch.setattr(trainer, "_ADAM_CHUNK", chunk)
+        cfg = tiny_config(m=m)
+        W = net.init_ensemble(cfg.architecture(3), m, 11).flat()
+        assert W.shape == (m, 26)
+        self.run_against_oracle(W, cfg)
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_non_contiguous_view_updated_in_place(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(trainer, "_ADAM_CHUNK", chunk)
+        wide = np.random.default_rng(3).normal(size=(3, 40))
+        before = wide.copy()
+        W = wide[:, 5:31]
+        assert not W.flags.c_contiguous
+        self.run_against_oracle(W, tiny_config())  # checks the view, so the writes land in wide
+        assert not np.array_equal(wide[:, 5:31], before[:, 5:31])
+        np.testing.assert_array_equal(wide[:, :5], before[:, :5])
+        np.testing.assert_array_equal(wide[:, 31:], before[:, 31:])
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_classifier_joint_matrix(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(trainer, "_ADAM_CHUNK", chunk)
+        shapes, shadow = [], {}
+
+        def checked_step(W, G, opt, config):
+            if not shadow:
+                shadow["W"], shadow["opt"] = W.copy(), AdamState.zeros(*W.shape)
+            functional_gradient_step_unblocked(shadow["W"], G, shadow["opt"], config)
+            functional_gradient_step(W, G, opt, config)
+            assert_same_step_state(W, opt, shadow["W"], shadow["opt"])
+            shapes.append(W.shape)
+
+        monkeypatch.setattr(classify, "functional_gradient_step", checked_step)
+        ds = synth_blobs(C=3, n_per_class=8, d_in=3, separation=4.0, seed=0)
+        cfg = tiny_config(m=3, max_epochs=2, batch_size=8)
+        classify.fit_classifier(TrainData(ds.X, ds.y), cfg)
+        assert len(shapes) == 2 * 3  # 21 training rows in batches of 8
+        assert set(shapes) == {(3, 26 + 3 * 2)}  # (m, P + C * d)
+
+
+class TestKappaDiagnostic:
+    def kappa_offdiag_after_step(self, W, cfg):
+        opt = AdamState.zeros(*W.shape)
+        functional_gradient_step(W, np.ones_like(W), opt, cfg)
+        return opt.last_kappa_offdiag_mean
+
+    def test_coincident_particles_give_one(self):
+        # every entry is exact in binary, so the distances are exactly 0
+        W = np.full((3, 26), 0.25)
+        assert self.kappa_offdiag_after_step(W, tiny_config()) == 1.0
+
+    def test_far_apart_particles_give_zero(self):
+        W = np.zeros((3, 26))
+        W[1, 0], W[2, 0] = 100.0, 200.0
+        assert self.kappa_offdiag_after_step(W, tiny_config(kappa_bandwidth=1.0)) == 0.0
+
+    def test_single_particle_has_none(self):
+        assert self.kappa_offdiag_after_step(np.zeros((1, 26)), tiny_config(m=1)) is None
+
+    def test_recorded_per_epoch(self):
+        _, report = fit(tiny_data(), tiny_config())
+        values = [e.kappa_offdiag_mean for e in report.epochs]
+        assert len(values) == 5 and all(0.0 < v <= 1.0 for v in values)
+        assert report.to_dict()["epochs"][0]["kappa_offdiag_mean"] == values[0]
+        _, report = fit(tiny_data(), tiny_config(m=1, mode="dkl"))
+        assert all(e.kappa_offdiag_mean is None for e in report.epochs)
+        ds = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
+        _, _, report = classify.fit_classifier(TrainData(ds.X, ds.y), tiny_config(max_epochs=2))
+        assert all(0.0 < e.kappa_offdiag_mean <= 1.0 for e in report.epochs)
+
+
 class TestNonFinite:
     def test_non_finite_gradient_names_stage_and_step(self):
         W = np.zeros((2, 4))
@@ -278,6 +377,25 @@ class TestNonFinite:
             InternalConsistencyError, match="objective at step 1"
         ):
             fit(TrainData(ds.X, ds.y * 1e200), cfg)
+
+
+class TestNonFiniteValidation:
+    def test_non_finite_validation_metric_raises(self):
+        # rff features of huge inputs stay finite, the exact-kernel validation does not
+        ds = synth_regression("sine", n=30, D=1, noise_std=0.1, seed=0)
+        cfg = TrainConfig(m=3, q=10, max_epochs=4, hidden_dims=(8,), kernel_mode="rff")
+        with np.errstate(all="ignore"), pytest.raises(
+            InternalConsistencyError, match="validation metric at step 4"
+        ):
+            fit(TrainData(ds.X * 1e200, ds.y), cfg)
+
+    def test_non_finite_epoch_zero_metric_raises(self):
+        ds = synth_regression("sine", n=30, D=1, noise_std=0.1, seed=0)
+        cfg = TrainConfig(m=3, q=10, max_epochs=0, hidden_dims=(8,))
+        with np.errstate(all="ignore"), pytest.raises(
+            InternalConsistencyError, match="validation metric at step 0"
+        ):
+            fit(TrainData(ds.X * 1e200, ds.y), cfg)
 
 
 class TestFit:
