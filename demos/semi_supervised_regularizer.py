@@ -64,5 +64,5 @@ for mode in ("dpkl", "ssdpkl"):
 print("\nthe regularized run holds lower variance on the pool it saw")
 
 # the latent picture: mean embeddings of the pool, spread along the span
-ensemble_Z = np.mean(np.stack(ensemble_embeddings(ensemble, pool_n)), axis=0)
+ensemble_Z = ensemble_embeddings(ensemble, pool_n).mean(axis=0)
 print(f"pool mean-embedding spread (per latent dim): {ensemble_Z.std(axis=0).round(3)}")

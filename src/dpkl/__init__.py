@@ -33,8 +33,6 @@ from .net import (
     MlpArchitecture,
     MlpParams,
     ParticleEnsemble,
-    backward_params,
-    forward,
     init_ensemble,
 )
 from .trainer import (
@@ -51,7 +49,7 @@ __all__ = [
     "__version__",
     "CholFactor", "cholesky", "solve_chol", "logdet_chol",
     "MlpArchitecture", "MlpParams", "ParticleEnsemble",
-    "init_ensemble", "forward", "backward_params",
+    "init_ensemble",
     "LatentKernelSpec", "RffBasis", "base_kernel", "base_kernel_grad",
     "empirical_kernel_exact", "cross_kernel", "sample_rff_basis", "rff_feature_matrix",
     "GpState", "PredictiveDistribution", "gp_state_exact", "gp_state_rff",

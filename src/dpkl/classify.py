@@ -6,7 +6,10 @@ particle-mean class vector (exact for the linear kernel, O(m) instead of the
 O(m^2) double sum). Training calls the regression trainer's update rule,
 ``trainer.functional_gradient_step``, once per minibatch of the cross-entropy:
 each particle is a row of one joint matrix [network weights | class weights],
-and the ensemble and the head are views into it.
+and the ensemble and the head are views into it. A minibatch's gradient is
+one grouped forward pass and one grouped backward pass over all particles
+(``net.ensemble_vjp``), written straight into the network block of the
+(m, P + C d) joint gradient; the class-weight block follows in closed form.
 """
 
 from __future__ import annotations
@@ -70,13 +73,14 @@ def init_head(C: int, d: int, m: int, seed: int) -> SoftmaxHead:
     return SoftmaxHead(C, [rng.normal(0.0, np.sqrt(2.0 / d), size=(C, d)) for _ in range(m)])
 
 
-def logits(head: SoftmaxHead, embeddings: list[np.ndarray]) -> np.ndarray:
+def logits(head: SoftmaxHead, embeddings: np.ndarray) -> np.ndarray:
     """Class scores (n, C): particle-mean embedding dotted with particle-mean weights.
 
     The double particle average of theta_c . z_i factorizes into the product
-    of the two means because the score is bilinear.
+    of the two means because the score is bilinear. ``embeddings`` is the
+    stacked (m, n, d) particle images, or a sequence of m (n, d) arrays.
     """
-    Z = np.stack(embeddings)
+    Z = np.asarray(embeddings)
     if Z.shape[-1] != head.d:
         raise DimensionMismatch(f"embeddings have dim {Z.shape[-1]}, head has d={head.d}")
     if Z.shape[0] != head.m:
@@ -155,7 +159,7 @@ def batch_grads(
     pass.
     """
     Z = net.ensemble_embeddings(ensemble, X)
-    Z_bar = np.mean(np.stack(Z), axis=0)
+    Z_bar = Z.mean(axis=0)
     theta_bar = head.mean_theta()
     probs = softmax_probs(Z_bar @ theta_bar.T)
     onehot = one_hot(labels, head.C)
@@ -167,8 +171,7 @@ def batch_grads(
     g_theta_common = (E.T @ Z_bar) / head.m
     p_net = ensemble.arch.num_params
     grads = np.empty((head.m, p_net + head.C * head.d))
-    for l, p in enumerate(ensemble.particles):
-        grads[l, :p_net] = net.backward_params(p, X, G_z)
+    net.ensemble_vjp(ensemble, X, np.broadcast_to(G_z, Z.shape), out=grads[:, :p_net])
     g_theta = g_theta_common + (2.0 * l2 * head.thetas if l2 > 0 else 0.0)
     grads[:, p_net:] = g_theta.reshape(-1, head.C * head.d)  # broadcasts when l2 == 0
     return grads, loss
@@ -258,7 +261,10 @@ def _fit_classifier_loop(data, config, trajectory_hook):
                 val_metric=metric,
                 h_kappa=opt.last_bandwidth,
                 kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
+                grad_norm=opt.last_grad_norm,
+                mixed_grad_norm=opt.last_mixed_grad_norm,
                 jitter=0.0,
+                chol_min_diag=None,
                 seconds=time.perf_counter() - t0,
             )
         )

@@ -21,7 +21,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import __version__, classify, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -179,6 +178,10 @@ def _spearman(x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
         return None
+    # imported here: scipy.stats takes most of a second to import, and only
+    # this statistic needs it
+    from scipy.stats import spearmanr
+
     rho = spearmanr(x, y).statistic
     return None if rho is None or math.isnan(rho) else float(rho)
 

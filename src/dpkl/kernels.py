@@ -115,8 +115,9 @@ def _particle_blocks(spec: LatentKernelSpec, embeddings_a: list[np.ndarray], B: 
             yield l, rows, _exp_nonpositive(E)
 
 
-def _check_embeddings(embeddings: list[np.ndarray]) -> tuple[int, int]:
-    if not embeddings:
+def _check_embeddings(embeddings) -> tuple[int, int]:
+    """(n, d) of stacked (m, n, d) particle images or a sequence of m (n, d) arrays."""
+    if len(embeddings) == 0:
         raise DimensionMismatch("need at least one particle embedding")
     n, d = embeddings[0].shape
     for Z in embeddings:
@@ -243,11 +244,11 @@ def rff_embedding_cotangents(
     embeddings: list[np.ndarray],
     spec: LatentKernelSpec,
     T: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Chain a cotangent on R back to each particle's embedding matrix.
 
-    Given T = dJ/dR for R = rff_feature_matrix(...), returns G^(l) (n, d) with
-    G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V.
+    Given T = dJ/dR for R = rff_feature_matrix(...), returns the stacked
+    (m, n, d) cotangents G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V.
     """
     n, d = _check_embeddings(embeddings)
     T = np.asarray(T, dtype=np.float64)
@@ -255,19 +256,22 @@ def rff_embedding_cotangents(
         raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, basis.q)}")
     m = len(embeddings)
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
-    return [scale * ((T * np.sin(Z @ basis.V.T + basis.b)) @ basis.V) for Z in embeddings]
+    G = np.empty((m, n, d))
+    for l, Z in enumerate(embeddings):  # one (n, q) temporary at a time
+        G[l] = scale * ((T * np.sin(Z @ basis.V.T + basis.b)) @ basis.V)
+    return G
 
 
 def kernel_embedding_cotangents(
     spec: LatentKernelSpec,
     embeddings: list[np.ndarray],
     C: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Chain a cotangent on the exact kernel matrix back to the embeddings.
 
     Given C = dJ/dK for K = empirical_kernel_exact over one point set (C need
-    not be symmetric; both index slots are accounted for), returns per-particle
-    G^(l) (n, d):
+    not be symmetric; both index slots are accounted for), returns the stacked
+    (m, n, d) cotangents G^(l):
 
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
     """
@@ -286,4 +290,4 @@ def kernel_embedding_cotangents(
         P = E @ B1  # [sum_c M_ic B_c, sum_c M_ic]
         G[l, rows] = P[:, d:] * embeddings[l][rows] - P[:, :d]
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
-    return list(G)
+    return G

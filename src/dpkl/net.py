@@ -5,6 +5,16 @@ empirical stand-in for a distribution over network parameters; all particles
 share one architecture and are the rows of one (m, P) matrix. Backprop is
 hand-written so gradients are exact, testable against finite differences, and
 free of framework dependencies.
+
+The ensemble goes through the network in groups of particles: each layer's
+weights are strided (g, out, in) views of the matrix rows, the forward pass is
+one stacked GEMM per layer for the whole group (``forward_group``), and the
+vector-Jacobian product writes each layer's gradient straight into the same
+views of an (m, P) output. Groups are sized so that a group's activations hold
+about ``_GROUP_ENTRIES`` values, which keeps the working memory at
+O(_GROUP_ENTRIES + m n d) for any input size; a large input goes one particle
+at a time. Per slice, the stacked GEMMs and reductions make the same calls as
+a per-particle loop, so the results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -16,6 +26,12 @@ import numpy as np
 from .errors import DimensionMismatch
 
 ACTIVATIONS = ("relu", "tanh")
+
+# Entries in one group's activations: particles go through the network
+# together in groups of g, where g n (D + sum(hidden) + d) is at most 2^17
+# float64 values (1 MB), so a group's stacked GEMMs and activations stay in
+# a core's L2 while large inputs still go one particle at a time.
+_GROUP_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -140,73 +156,110 @@ def init_ensemble(arch: MlpArchitecture, m: int, seed: int) -> ParticleEnsemble:
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
+    """The hidden-layer nonlinearity, in place."""
     if activation == "relu":
-        return np.maximum(pre, 0.0)
-    return np.tanh(pre)
+        return np.maximum(pre, 0.0, out=pre)
+    return np.tanh(pre, out=pre)
 
 
-def forward(p: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Map inputs (n, D) to latent points (n, d); last layer is affine only."""
+def _group_size(arch: MlpArchitecture, n: int) -> int:
+    """Particles per group, so that a group's activations fill about _GROUP_ENTRIES."""
+    width = arch.input_dim + sum(arch.hidden_dims) + arch.latent_dim
+    return max(1, _GROUP_ENTRIES // (max(n, 1) * width))
+
+
+def _layer_views(arch: MlpArchitecture, W: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the (g, out, in) weight and (g, out) bias views of the rows of W.
+
+    Slicing and reshaping a matrix whose rows are unit-stride never copies, so
+    writing a view writes W.
+    """
+    views, pos = [], 0
+    for out, fin in arch.layer_shapes:
+        end = pos + out * fin
+        views.append((W[:, pos:end].reshape(W.shape[0], out, fin), W[:, end : end + out]))
+        pos = end + out
+    return views
+
+
+def _check_input(arch: MlpArchitecture, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.arch.input_dim:
-        raise DimensionMismatch(
-            f"X has shape {X.shape}, expected (n, {p.arch.input_dim})"
-        )
-    a = X
-    last = len(p.weights) - 1
-    for i, (W, b) in enumerate(zip(p.weights, p.biases)):
-        pre = a @ W.T + b
-        a = pre if i == last else _activate(pre, p.arch.activation)
-    return a
+    if X.ndim != 2 or X.shape[1] != arch.input_dim:
+        raise DimensionMismatch(f"X has shape {X.shape}, expected (n, {arch.input_dim})")
+    return X
 
 
-def _forward_trace(p: MlpParams, X: np.ndarray):
-    """Forward pass keeping the post-activation input of every layer."""
+def forward_group(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    """Forward pass of the particles in the rows of W, keeping every layer's input.
+
+    Returns [X, A_1, ..., Z]: the shared (n, D) input, then one stacked
+    (g, n, width) array per layer; the last layer is affine only. Every
+    forward pass of the library, with or without a backward pass, is a
+    sequence of these calls.
+    """
     acts = [X]
-    a = X
-    last = len(p.weights) - 1
-    for i, (W, b) in enumerate(zip(p.weights, p.biases)):
-        pre = a @ W.T + b
-        a = pre if i == last else _activate(pre, p.arch.activation)
-        acts.append(a)
+    layers = _layer_views(arch, W)
+    for i, (Wl, bl) in enumerate(layers):
+        a = np.matmul(acts[-1], Wl.transpose(0, 2, 1))
+        a += bl[:, None, :]
+        acts.append(a if i == len(layers) - 1 else _activate(a, arch.activation))
     return acts
 
 
-def backward_params(p: MlpParams, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of the forward map, flattened.
+def ensemble_embeddings(ensemble: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
+    """Latent embeddings of X under every particle, stacked (m, n, d)."""
+    arch, W = ensemble.arch, ensemble.flat()
+    X = _check_input(arch, X)
+    Z = np.empty((W.shape[0], X.shape[0], arch.latent_dim))
+    g = _group_size(arch, X.shape[0])
+    for s in range(0, W.shape[0], g):
+        Z[s : s + g] = forward_group(arch, W[s : s + g], X)[-1]
+    return Z
 
-    Returns d(sum_ij G_ij * Z_ij)/dw for Z = forward(p, X), in the same layout
-    as MlpParams.flatten. G must match the forward output shape (n, d).
+
+def ensemble_vjp(
+    ensemble: ParticleEnsemble, X: np.ndarray, G: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vector-Jacobian products of every particle's forward map, one row each.
+
+    Row l is d(sum_ij G[l]_ij Z^(l)_ij)/dw^(l) for Z = ensemble_embeddings(
+    ensemble, X), in the MlpParams.flatten layout. G is (m, n, d); a broadcast
+    view serves when every particle gets the same cotangent. Each layer's
+    gradient is written straight into the layer views of ``out``, an (m, P)
+    matrix with unit-stride rows (a column block of a wider matrix will do),
+    allocated when None. Returns ``out``.
     """
-    X = np.asarray(X, dtype=np.float64)
+    arch, W = ensemble.arch, ensemble.flat()
+    X = _check_input(arch, X)
+    m, n = W.shape[0], X.shape[0]
     G = np.asarray(G, dtype=np.float64)
-    acts = _forward_trace(p, X)
-    if G.shape != acts[-1].shape:
+    if G.shape != (m, n, arch.latent_dim):
         raise DimensionMismatch(
-            f"cotangent has shape {G.shape}, forward output is {acts[-1].shape}"
+            f"cotangent has shape {G.shape}, forward output is {(m, n, arch.latent_dim)}"
         )
-    grads_w = [None] * len(p.weights)
-    grads_b = [None] * len(p.weights)
-    delta = G
-    for i in range(len(p.weights) - 1, -1, -1):
-        a_in = acts[i]
-        if i < len(p.weights) - 1:
-            # chain through the activation applied at layer i's output
-            out = acts[i + 1]
-            if p.arch.activation == "relu":
-                delta = delta * (out > 0.0)
-            else:
-                delta = delta * (1.0 - out * out)
-        grads_w[i] = delta.T @ a_in
-        grads_b[i] = delta.sum(axis=0)
-        delta = delta @ p.weights[i]
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
-
-
-def ensemble_embeddings(ensemble: ParticleEnsemble, X: np.ndarray) -> list[np.ndarray]:
-    """Per-particle latent embeddings [Z^(1), ..., Z^(m)], each (n, d)."""
-    return [forward(p, X) for p in ensemble.particles]
+    if out is None:
+        out = np.empty(W.shape)
+    elif out.shape != W.shape or out.strides[1] != out.itemsize:
+        raise DimensionMismatch(
+            f"gradient output {out.shape} must be {W.shape} with unit-stride rows"
+        )
+    g = _group_size(arch, n)
+    for s in range(0, m, g):
+        rows = slice(s, s + g)
+        acts = forward_group(arch, W[rows], X)
+        delta = G[rows]
+        layers = list(zip(_layer_views(arch, W[rows]), _layer_views(arch, out[rows])))
+        for i in range(len(layers) - 1, -1, -1):
+            (Wl, _), (gW, gb) = layers[i]
+            if i < len(layers) - 1:
+                # chain through the activation applied at layer i's output
+                a = acts[i + 1]
+                if arch.activation == "relu":
+                    delta = delta * (a > 0.0)
+                else:
+                    delta = delta * (1.0 - a * a)
+            np.matmul(delta.transpose(0, 2, 1), acts[i], out=gW)
+            np.sum(delta, axis=1, out=gb)
+            if i > 0:
+                delta = delta @ Wl
+    return out

@@ -12,7 +12,11 @@ L2, written into two reused chunk buffers; the mixed gradient phi is the
 only (m, P) array a step allocates. Each chunk gets the unchunked update's
 elementwise operations in the same order, so the result is bitwise identical
 to it. The step also records the mean off-diagonal particle kernel, a
-particle-collapse signal.
+particle-collapse signal, and the norms of the raw and mixed gradients.
+
+The objective's gradient is one grouped pass over the ensemble: embeddings
+and kernel cotangents are stacked (m, n, d) arrays, and ``net.ensemble_vjp``
+writes the (m, P) gradient in place.
 
 Three training modes:
   dpkl   — minimize the GP negative log likelihood over labeled data;
@@ -178,6 +182,7 @@ class _ObjectiveResult:
     regularizer: float
     grads: np.ndarray | None  # (m, P), one row per particle
     jitter: float
+    chol_min_diag: float  # smallest pivot of the GP Cholesky factor
 
 
 def _rff_basis_for(config: TrainConfig, seed: int | None = None) -> kernels.RffBasis:
@@ -223,6 +228,7 @@ def _objective_core(
         state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
 
     nll_value = gp.nll(state)
+    chol_min_diag = float(np.min(np.diag(state.chol.L)))
 
     reg_value = 0.0
     B = None
@@ -243,7 +249,9 @@ def _objective_core(
         objective = nll_value
 
     if not want_grads:
-        return _ObjectiveResult(objective, nll_value, reg_value, None, state.chol.jitter_used)
+        return _ObjectiveResult(
+            objective, nll_value, reg_value, None, state.chol.jitter_used, chol_min_diag
+        )
 
     S = gp.nll_grad_kernel(state)
     if rff:
@@ -253,7 +261,7 @@ def _objective_core(
             T_all = np.vstack([T_L, T_U])
         else:
             T_all = 2.0 * S @ R_L
-        G_list = kernels.rff_embedding_cotangents(basis, Z_all, spec, T_all)
+        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T_all)
     else:
         n_tot = n_l + n_u
         C = np.zeros((n_tot, n_tot))
@@ -262,13 +270,12 @@ def _objective_core(
             C[:n_l, :n_l] += w_reg * (B @ B.T)
             C[:n_l, n_l:] = -2.0 * w_reg * B
             C[n_l:, n_l:] = w_reg * np.eye(n_u)
-        G_list = kernels.kernel_embedding_cotangents(spec, Z_all, C)
+        G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
 
-    grads = np.stack([
-        net.backward_params(p, X_all, G)
-        for p, G in zip(ensemble.particles, G_list)
-    ])
-    return _ObjectiveResult(objective, nll_value, reg_value, grads, state.chol.jitter_used)
+    grads = net.ensemble_vjp(ensemble, X_all, G)
+    return _ObjectiveResult(
+        objective, nll_value, reg_value, grads, state.chol.jitter_used, chol_min_diag
+    )
 
 
 def per_particle_loss_grads(
@@ -308,6 +315,8 @@ class AdamState:
     ``last_bandwidth`` and ``last_kappa_offdiag_mean`` describe the particle
     kernel of the latest step; the mean off-diagonal kappa is None for m = 1
     and tends to 1 as the particles collapse onto one another.
+    ``last_grad_norm`` and ``last_mixed_grad_norm`` are the Frobenius norms of
+    that step's raw (m, P) gradient and of its kappa-mixed gradient phi.
     """
 
     m1: np.ndarray
@@ -315,6 +324,8 @@ class AdamState:
     t: int = 0
     last_bandwidth: float | None = None
     last_kappa_offdiag_mean: float | None = None
+    last_grad_norm: float | None = None
+    last_mixed_grad_norm: float | None = None
 
     @staticmethod
     def zeros(m: int, p: int) -> "AdamState":
@@ -391,6 +402,8 @@ def functional_gradient_step(
     opt.last_kappa_offdiag_mean = (
         float((K.sum() - np.trace(K)) / (m * (m - 1))) if m > 1 else None
     )
+    opt.last_grad_norm = math.sqrt(np.vdot(G, G))
+    opt.last_mixed_grad_norm = math.sqrt(np.vdot(phi, phi))
     _adam_update(W, phi, opt, config)
     _require_finite(W, "particle update", opt.t)
 
@@ -420,8 +433,7 @@ def predict_regression(
 
 def latent_mean_embeddings(ensemble: net.ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     """Mean over particles of the latent images of each point, (n, d)."""
-    Z = net.ensemble_embeddings(ensemble, X)
-    return np.mean(np.stack(Z), axis=0)
+    return net.ensemble_embeddings(ensemble, X).mean(axis=0)
 
 
 def predictive_nll(
@@ -445,7 +457,10 @@ class EpochRecord:
     val_metric: float | None
     h_kappa: float | None
     kappa_offdiag_mean: float | None  # particle-collapse signal: 1 when all coincide
+    grad_norm: float  # |G| of the epoch's last step, raw per-particle gradients
+    mixed_grad_norm: float  # |phi| of that step, after kappa-mixing
     jitter: float
+    chol_min_diag: float | None  # min diag(L) of the GP Cholesky; None for classification
     seconds: float
 
 
@@ -568,7 +583,10 @@ def _fit_loop(data, config, trajectory_hook):
                 val_metric=metric,
                 h_kappa=opt.last_bandwidth,
                 kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
+                grad_norm=opt.last_grad_norm,
+                mixed_grad_norm=opt.last_mixed_grad_norm,
                 jitter=result.jitter,
+                chol_min_diag=result.chol_min_diag,
                 seconds=time.perf_counter() - t0,
             )
         )

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from dpkl.errors import DimensionMismatch
 from dpkl.kernels import base_kernel
+from dpkl.net import MlpParams
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -107,3 +109,59 @@ def functional_gradient_step_unblocked(W, G, opt, config) -> None:
     denom += config.adam_eps
     step /= denom
     W -= step
+
+
+def forward(p: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Reference for net.ensemble_embeddings: one particle's forward map, (n, d)."""
+    return _forward_trace(p, X)[-1]
+
+
+def _forward_trace(p: MlpParams, X: np.ndarray) -> list[np.ndarray]:
+    """One particle's forward pass keeping the post-activation input of every layer."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != p.arch.input_dim:
+        raise DimensionMismatch(f"X has shape {X.shape}, expected (n, {p.arch.input_dim})")
+    acts = [X]
+    a = X
+    last = len(p.weights) - 1
+    for i, (W, b) in enumerate(zip(p.weights, p.biases)):
+        pre = a @ W.T + b
+        if i < last:
+            pre = np.maximum(pre, 0.0) if p.arch.activation == "relu" else np.tanh(pre)
+        a = pre
+        acts.append(a)
+    return acts
+
+
+def backward_params(p: MlpParams, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Reference for net.ensemble_vjp: one particle's vector-Jacobian product.
+
+    Returns d(sum_ij G_ij * Z_ij)/dw for Z = forward(p, X), in the
+    MlpParams.flatten layout. G must match the forward output shape (n, d).
+    """
+    G = np.asarray(G, dtype=np.float64)
+    acts = _forward_trace(p, X)
+    if G.shape != acts[-1].shape:
+        raise DimensionMismatch(
+            f"cotangent has shape {G.shape}, forward output is {acts[-1].shape}"
+        )
+    grads_w = [None] * len(p.weights)
+    grads_b = [None] * len(p.weights)
+    delta = G
+    for i in range(len(p.weights) - 1, -1, -1):
+        a_in = acts[i]
+        if i < len(p.weights) - 1:
+            # chain through the activation applied at layer i's output
+            out = acts[i + 1]
+            if p.arch.activation == "relu":
+                delta = delta * (out > 0.0)
+            else:
+                delta = delta * (1.0 - out * out)
+        grads_w[i] = delta.T @ a_in
+        grads_b[i] = delta.sum(axis=0)
+        delta = delta @ p.weights[i]
+    parts = []
+    for gw, gb in zip(grads_w, grads_b):
+        parts.append(gw.ravel())
+        parts.append(gb)
+    return np.concatenate(parts)

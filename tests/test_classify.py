@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import fd_gradient, rel_err
+from helpers import backward_params, fd_gradient, forward, rel_err
 
 from dpkl import net
 from dpkl.classify import (
@@ -239,10 +239,10 @@ class TestFitClassifier:
                 Xb, yb = X_tr[idx], y_tr[idx]
                 p = net.unflatten_params(arch, w[:p_net])
                 th = w[p_net:].reshape(2, cfg.latent_dim)
-                Z = net.forward(p, Xb)
+                Z = forward(p, Xb)
                 probs = softmax_probs(Z @ th.T)
                 E = (probs - one_hot(yb, 2)) / len(Xb)
-                g = np.concatenate([net.backward_params(p, Xb, E @ th), (E.T @ Z).ravel()])
+                g = np.concatenate([backward_params(p, Xb, E @ th), (E.T @ Z).ravel()])
                 t += 1
                 m1 = 0.9 * m1 + 0.1 * g
                 v1 = 0.999 * v1 + 0.001 * g * g

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,16 @@ class TestTrain:
         assert report["config"]["seed"] == 7
         assert len(report["run"]["epochs"]) == 3
         assert "spearman_variance_error" in report["test"]
+
+    def test_report_records_step_diagnostics(self, tmp_path):
+        data = write_regression_csv(tmp_path / "sine.csv")
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                    "--out", out, *FAST]) == 0
+        epochs = json.loads((out / "report.json").read_text())["run"]["epochs"]
+        for rec in epochs:
+            assert rec["grad_norm"] > 0.0 and rec["mixed_grad_norm"] > 0.0
+            assert rec["chol_min_diag"] > 0.0
 
     def test_ssdpkl_without_pool_fails(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")
@@ -315,3 +329,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_report", boom)
         assert run(["report", "--run-dir", tmp_path]) == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the CLI's import time and only the Spearman
+    # statistic needs it, so importing dpkl.cli must not load it
+    import dpkl
+
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dpkl.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

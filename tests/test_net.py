@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from helpers import fd_gradient, rel_err
+from helpers import backward_params, fd_gradient, forward, rel_err
 
+from dpkl import net
 from dpkl.errors import DimensionMismatch
 from dpkl.net import (
     MlpArchitecture,
     MlpParams,
     ParticleEnsemble,
-    backward_params,
-    forward,
+    ensemble_embeddings,
+    ensemble_vjp,
     init_ensemble,
     unflatten_params,
 )
@@ -139,9 +140,9 @@ class TestForward:
         np.testing.assert_array_equal(forward(p, X), forward(p, X))
 
     def test_wrong_input_dim(self):
-        p = init_ensemble(small_arch(), 1, 0).particles[0]
+        ens = init_ensemble(small_arch(), 1, 0)
         with pytest.raises(DimensionMismatch):
-            forward(p, np.zeros((4, 5)))
+            ensemble_embeddings(ens, np.zeros((4, 5)))
 
 
 class TestBackward:
@@ -194,6 +195,102 @@ class TestBackward:
         assert rel_err(backward_params(p0, X, G), fd_gradient(f, p0.flatten())) < 1e-5
 
     def test_wrong_cotangent_shape(self):
-        p = init_ensemble(small_arch(), 1, 0).particles[0]
+        ens = init_ensemble(small_arch(), 1, 0)
         with pytest.raises(DimensionMismatch):
-            backward_params(p, np.zeros((5, 3)), np.zeros((4, 2)))
+            ensemble_vjp(ens, np.zeros((5, 3)), np.zeros((1, 4, 2)))
+
+
+def random_ensemble(arch, m, seed):
+    """Initial particles with nonzero biases, so every parameter matters."""
+    ens = init_ensemble(arch, m, seed)
+    ens.flat()[:] += 0.1 * np.random.default_rng(seed).normal(size=ens.flat().shape)
+    return ens
+
+
+def per_particle(ens, X, G):
+    """The per-particle oracles stacked: embeddings (m, n, d) and VJPs (m, P)."""
+    Z = np.stack([forward(p, X) for p in ens.particles])
+    grads = np.stack([backward_params(p, X, G_l) for p, G_l in zip(ens.particles, G)])
+    return Z, grads
+
+
+class TestBatchedPass:
+    """The grouped particle pass against the per-particle oracles, bit for bit."""
+
+    ARCH_DIMS = dict(input_dim=3, hidden_dims=(4, 6), latent_dim=2)
+    N = 7
+    WIDTH = 3 + 4 + 6 + 2  # D + sum(hidden) + d
+
+    # budget 1: one particle per group; 2 * N * WIDTH: groups 2, 2, 1 of m = 5
+    @pytest.mark.parametrize("budget", [1, 2 * N * WIDTH, None])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_particle_oracle(self, monkeypatch, budget, activation, m):
+        if budget is not None:
+            monkeypatch.setattr(net, "_GROUP_ENTRIES", budget)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, 3)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(self.N, 3))
+        G = rng.normal(size=(m, self.N, 2))
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        np.testing.assert_array_equal(ensemble_embeddings(ens, X), Z_ref)
+        np.testing.assert_array_equal(ensemble_vjp(ens, X, G), grads_ref)
+        # one cotangent shared by every particle, as a broadcast view
+        shared = np.broadcast_to(G[0], G.shape)
+        np.testing.assert_array_equal(
+            ensemble_vjp(ens, X, shared), per_particle(ens, X, [G[0]] * m)[1]
+        )
+
+    def test_paper_architecture_default_groups(self):
+        # m = 50 at n = 45 with the paper MLP: groups of 14 with a ragged last one
+        ens = random_ensemble(MlpArchitecture(1, (100, 50, 50), 2), 50, 5)
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-3, 3, size=(45, 1))
+        G = rng.normal(size=(50, 45, 2))
+        assert 50 % net._group_size(ens.arch, 45) != 0
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        np.testing.assert_array_equal(ensemble_embeddings(ens, X), Z_ref)
+        np.testing.assert_array_equal(ensemble_vjp(ens, X, G), grads_ref)
+
+    def test_writes_only_its_column_block(self, monkeypatch):
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 2 * self.N * self.WIDTH)
+        arch = MlpArchitecture(**self.ARCH_DIMS)
+        m, P = 5, arch.num_params
+        # the particles are themselves the left block of a wider matrix
+        joint = np.hstack([random_ensemble(arch, m, 7).flat(), np.ones((m, 4))])
+        ens = ParticleEnsemble(arch, joint[:, :P], 7)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(self.N, 3))
+        G = rng.normal(size=(m, self.N, 2))
+        wide = np.full((m, P + 9), 7.5)
+        result = ensemble_vjp(ens, X, G, out=wide[:, 3 : 3 + P])
+        assert np.shares_memory(result, wide)
+        np.testing.assert_array_equal(wide[:, 3 : 3 + P], per_particle(ens, X, G)[1])
+        np.testing.assert_array_equal(wide[:, :3], 7.5)
+        np.testing.assert_array_equal(wide[:, 3 + P :], 7.5)
+
+    def test_bad_output_rejected(self):
+        ens = init_ensemble(small_arch(), 2, 0)
+        X, G = np.zeros((5, 3)), np.zeros((2, 5, 2))
+        with pytest.raises(DimensionMismatch):
+            ensemble_vjp(ens, X, G, out=np.empty((2, ens.arch.num_params + 1)))
+        with pytest.raises(DimensionMismatch):
+            ensemble_vjp(ens, X, G, out=np.empty((ens.arch.num_params, 2)).T)
+
+    @pytest.mark.parametrize("budget", [1, 2 * N * WIDTH, 10 * N * WIDTH - 1, None])
+    def test_group_activations_bounded(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(net, "_GROUP_ENTRIES", budget)
+        stacks = []
+        forward_group = net.forward_group
+
+        def recording(arch, W, X):
+            acts = forward_group(arch, W, X)
+            stacks.append(sum(a.size for a in acts[1:]))
+            return acts
+
+        monkeypatch.setattr(net, "forward_group", recording)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS), 9, 9)
+        X = np.random.default_rng(10).normal(size=(self.N, 3))
+        ensemble_vjp(ens, X, ensemble_embeddings(ens, X))
+        assert stacks and max(stacks) <= max(net._GROUP_ENTRIES, self.N * self.WIDTH)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import functional_gradient_step_unblocked, particle_fd_gradient, rel_err
@@ -144,14 +146,15 @@ class TestFunctionalGradientStep:
         cfg = tiny_config()
         ens = net.init_ensemble(cfg.architecture(3), 3, 1)
         X = np.random.default_rng(2).uniform(size=(4, 3))
-        before = [net.forward(p, X) for p in ens.particles]
+        before = net.ensemble_embeddings(ens, X)
         W = ens.flat()
         G = np.random.default_rng(3).normal(size=W.shape)
         functional_gradient_step(W, G, AdamState.zeros(*W.shape), cfg)
         assert W is ens.flat()
-        for p, row, Z in zip(ens.particles, W, before):
+        after = net.ensemble_embeddings(ens, X)
+        for p, row, Z, Z_new in zip(ens.particles, W, before, after):
             np.testing.assert_array_equal(p.flatten(), row)
-            assert not np.array_equal(net.forward(p, X), Z)
+            assert not np.array_equal(Z_new, Z)
 
     def test_single_particle_is_plain_adam(self):
         cfg = tiny_config(m=1)
@@ -348,6 +351,45 @@ class TestKappaDiagnostic:
         assert all(0.0 < e.kappa_offdiag_mean <= 1.0 for e in report.epochs)
 
 
+class TestStepDiagnostics:
+    """Gradient norms per step and the smallest Cholesky pivot per epoch."""
+
+    def test_norms_of_raw_and_mixed_gradients(self):
+        rng = np.random.default_rng(20)
+        W, G = rng.normal(size=(4, 26)), rng.normal(size=(4, 26))
+        mixed = _kappa_matrix(_pairwise_sq_dists(W), median_heuristic(_pairwise_sq_dists(W))) @ G
+        opt = AdamState.zeros(*W.shape)
+        functional_gradient_step(W, G, opt, tiny_config(m=4))
+        assert opt.last_grad_norm == pytest.approx(np.linalg.norm(G), rel=1e-13)
+        assert opt.last_mixed_grad_norm == pytest.approx(np.linalg.norm(mixed), rel=1e-13)
+        assert opt.last_mixed_grad_norm > opt.last_grad_norm  # kappa adds neighbours' pulls
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(kernel_mode="rff"), dict(m=1, mode="dkl"),
+    ])
+    def test_recorded_per_epoch_by_fit(self, overrides):
+        cfg = tiny_config(**overrides)
+        _, report = fit(tiny_data(n=8), cfg)
+        records = report.to_dict()["epochs"]
+        assert len(records) == cfg.max_epochs
+        for e, rec in zip(report.epochs, records):
+            assert e.grad_norm > 0.0 and e.mixed_grad_norm > 0.0
+            if cfg.m == 1:  # kappa is exactly 1: mixing changes nothing
+                assert e.mixed_grad_norm == pytest.approx(e.grad_norm, rel=1e-13)
+            # every pivot of chol(K + noise I) is at least sqrt(noise_var)
+            assert math.sqrt(cfg.noise_var) * (1 - 1e-9) <= e.chol_min_diag
+            assert e.chol_min_diag <= math.sqrt(2 * cfg.amplitude + cfg.noise_var + 1e-6)
+            for key in ("grad_norm", "mixed_grad_norm", "chol_min_diag"):
+                assert rec[key] == getattr(e, key)
+
+    def test_recorded_per_epoch_by_fit_classifier(self):
+        ds = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
+        _, _, report = classify.fit_classifier(TrainData(ds.X, ds.y), tiny_config(max_epochs=2))
+        for rec in report.to_dict()["epochs"]:
+            assert rec["grad_norm"] > 0.0 and rec["mixed_grad_norm"] > 0.0
+            assert rec["chol_min_diag"] is None
+
+
 class TestNonFinite:
     def test_non_finite_gradient_names_stage_and_step(self):
         W = np.zeros((2, 4))
@@ -494,8 +536,11 @@ class TestFit:
         cfg = TrainConfig(m=2, q=10, max_epochs=max_epochs, seed=15, hidden_dims=(6,),
                           mode="ssdpkl", unlabeled_cap=cap)
         rows = []
-        forward = net.forward
-        monkeypatch.setattr(net, "forward", lambda p, X: rows.append(len(X)) or forward(p, X))
+        forward_group = net.forward_group
+        monkeypatch.setattr(
+            net, "forward_group",
+            lambda arch, W, X: rows.append(len(X)) or forward_group(arch, W, X),
+        )
         fit(data, cfg)
         assert rows and max(rows) <= n_l + cap
 
