@@ -13,20 +13,21 @@ same 20 labels and compares pool variance and held-out RMSE.
 import numpy as np
 
 from dpkl.data import Dataset, normalize, synth_regression
-from dpkl.gp import gp_state_exact, posterior, projection_residual_oracle
-from dpkl.kernels import LatentKernelSpec, cross_kernel, empirical_kernel_exact
+from dpkl.gp import gp_state_exact, posterior_batch
+from dpkl.kernels import LatentKernelSpec, cross_kernel_batch, empirical_kernel_exact
 from dpkl.net import ensemble_embeddings
 from dpkl.trainer import TrainConfig, TrainData, fit, predict_regression
 
 # --- the identity behind the regularizer, on one trained-free example ------
 rng = np.random.default_rng(3)
 spec = LatentKernelSpec()
-clouds = [rng.normal(size=(6, 2)) for _ in range(3)]
+clouds = rng.normal(size=(3, 6, 2))  # 3 particles' images of 6 labeled points
 K = empirical_kernel_exact(spec, clouds)
-query = [rng.normal(size=(1, 2)) for _ in range(3)]
-k_star, k_ss = cross_kernel(spec, clouds, query)
-var = posterior(gp_state_exact(K, np.zeros(6), noise_var=0.0), k_star, k_ss).variance
-residual = projection_residual_oracle(K, k_star, k_ss)
+query = rng.normal(size=(3, 1, 2))  # and of one query point
+K_star, k_ss = cross_kernel_batch(spec, clouds, query)
+_, (var,) = posterior_batch(gp_state_exact(K, np.zeros(6), noise_var=0.0), K_star, k_ss)
+# squared RKHS distance to the labeled span, by Gram algebra: k** - k*^T K^-1 k*
+residual = k_ss[0] - K_star[0] @ np.linalg.solve(K, K_star[0])
 print("posterior variance as a projection residual:")
 print(f"  gp formula        {var:.10f}")
 print(f"  gram projection   {residual:.10f}   (difference {abs(var - residual):.1e})")

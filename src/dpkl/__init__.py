@@ -6,35 +6,16 @@ __version__ = "0.1.0"
 
 from .classify import SoftmaxHead, cross_entropy, fit_classifier, logits, softmax_probs
 from .data import Dataset, SplitSpec, load_csv, normalize, split, synth_blobs, synth_regression
-from .gp import (
-    GpState,
-    PredictiveDistribution,
-    gp_state_exact,
-    gp_state_rff,
-    nll,
-    nll_grad_kernel,
-    nll_grad_rff,
-    posterior,
-    projection_residual_oracle,
-    variance_regularizer,
-)
+from .gp import GpState, gp_state_exact, gp_state_rff, nll, nll_grad_kernel
 from .kernels import (
     LatentKernelSpec,
     RffBasis,
-    base_kernel,
-    base_kernel_grad,
-    cross_kernel,
     empirical_kernel_exact,
     rff_feature_matrix,
     sample_rff_basis,
 )
 from .linalg import CholFactor, cholesky, logdet_chol, solve_chol
-from .net import (
-    MlpArchitecture,
-    MlpParams,
-    ParticleEnsemble,
-    init_ensemble,
-)
+from .net import MlpArchitecture, ParticleEnsemble, init_ensemble
 from .trainer import (
     RunReport,
     TrainConfig,
@@ -42,21 +23,17 @@ from .trainer import (
     fit,
     functional_gradient_step,
     median_heuristic,
-    per_particle_loss_grads,
 )
 
 __all__ = [
     "__version__",
     "CholFactor", "cholesky", "solve_chol", "logdet_chol",
-    "MlpArchitecture", "MlpParams", "ParticleEnsemble",
-    "init_ensemble",
-    "LatentKernelSpec", "RffBasis", "base_kernel", "base_kernel_grad",
-    "empirical_kernel_exact", "cross_kernel", "sample_rff_basis", "rff_feature_matrix",
-    "GpState", "PredictiveDistribution", "gp_state_exact", "gp_state_rff",
-    "nll", "nll_grad_kernel", "nll_grad_rff", "posterior",
-    "variance_regularizer", "projection_residual_oracle",
+    "MlpArchitecture", "ParticleEnsemble", "init_ensemble",
+    "LatentKernelSpec", "RffBasis",
+    "empirical_kernel_exact", "sample_rff_basis", "rff_feature_matrix",
+    "GpState", "gp_state_exact", "gp_state_rff", "nll", "nll_grad_kernel",
     "TrainConfig", "TrainData", "RunReport", "fit",
-    "median_heuristic", "per_particle_loss_grads", "functional_gradient_step",
+    "median_heuristic", "functional_gradient_step",
     "SoftmaxHead", "logits", "softmax_probs", "cross_entropy", "fit_classifier",
     "Dataset", "SplitSpec", "load_csv", "normalize", "split",
     "synth_regression", "synth_blobs",

@@ -78,7 +78,7 @@ def logits(head: SoftmaxHead, embeddings: np.ndarray) -> np.ndarray:
 
     The double particle average of theta_c . z_i factorizes into the product
     of the two means because the score is bilinear. ``embeddings`` is the
-    stacked (m, n, d) particle images, or a sequence of m (n, d) arrays.
+    stacked (m, n, d) particle images.
     """
     Z = np.asarray(embeddings)
     if Z.shape[-1] != head.d:
@@ -130,21 +130,6 @@ def predict_probs(
 # ---------------------------------------------------------------------------
 
 
-def batch_objective(
-    ensemble: net.ParticleEnsemble,
-    head: SoftmaxHead,
-    X: np.ndarray,
-    labels: np.ndarray,
-    l2: float = 0.0,
-) -> float:
-    """Cross-entropy (plus optional head L2) on one batch; the trained scalar."""
-    probs = predict_probs(ensemble, head, X)
-    value = cross_entropy(probs, one_hot(labels, head.C))
-    if l2 > 0:
-        value += l2 * float(sum(np.sum(t * t) for t in head.thetas))
-    return value
-
-
 def batch_grads(
     ensemble: net.ParticleEnsemble,
     head: SoftmaxHead,
@@ -152,10 +137,12 @@ def batch_grads(
     labels: np.ndarray,
     l2: float = 0.0,
 ) -> tuple[np.ndarray, float]:
-    """Gradient of batch_objective w.r.t. each particle's joint (w, theta) vector.
+    """Gradient of the batch objective w.r.t. each particle's joint (w, theta) vector.
 
-    Returns the (m, P + C*d) gradient, rows in the joint layout, and the value
-    of batch_objective at the current parameters, read off the same forward
+    The objective is the cross-entropy of ``predict_probs`` on the batch, plus
+    l2 times the squared norm of every particle's class weights when l2 > 0.
+    Returns the (m, P + C*d) gradient, rows in the joint layout, and the
+    objective's value at the current parameters, read off the same forward
     pass.
     """
     Z = net.ensemble_embeddings(ensemble, X)

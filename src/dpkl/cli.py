@@ -29,7 +29,9 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DpklError,
+    InsufficientRows,
     InternalConsistencyError,
+    ParseError,
 )
 from .threads import single_threaded_blas
 from .trainer import TrainConfig, TrainData
@@ -235,24 +237,22 @@ def _evaluate_classification(ensemble, head, test):
     }
 
 
-def _split_dataset(ds: Dataset, args, seed: int):
-    n_labeled = _resolve(args, "n_labeled")
+def _run_training(
+    ds: Dataset, cfg: TrainConfig, task: str, seed: int,
+    n_labeled: int | None, n_unlabeled: int, n_test: int | None, normalize_features: bool,
+):
+    """Split, normalize, fit, evaluate. Returns everything train/benchmark need.
+
+    ``n_test`` None means every row not labeled or unlabeled.
+    """
     if n_labeled is None:
         raise ConfigError("--n-labeled is required")
-    n_unlabeled = _resolve(args, "n_unlabeled", 0)
-    n_test = _resolve(args, "n_test")
     if n_test is None:
         n_test = ds.n - n_labeled - n_unlabeled
     if n_test < 0:
         raise ConfigError("labeled + unlabeled sizes exceed the dataset")
-    return split(ds, SplitSpec(n_labeled, n_unlabeled, n_test, seed)), n_test
-
-
-def _run_training(ds: Dataset, args, cfg: TrainConfig, task: str, seed: int):
-    """Split, normalize, fit, evaluate. Returns everything train/benchmark need."""
-    parts, n_test = _split_dataset(ds, args, seed)
+    parts = split(ds, SplitSpec(n_labeled, n_unlabeled, n_test, seed))
     labeled, unlabeled, test = parts["labeled"], parts["unlabeled"], parts["test"]
-    normalize_features = not bool(_resolve(args, "no_normalize_features", False))
     labeled_n, (unlabeled_n, test_n), stats = normalize(
         labeled,
         [unlabeled, test],
@@ -306,7 +306,10 @@ def cmd_train(args) -> int:
         raise ConfigError("ssdpkl mode needs --n-unlabeled > 0")
 
     ensemble, head, report, metrics, labeled_n, test_n, stats, latent = _run_training(
-        ds, args, cfg, task, cfg.seed
+        ds, cfg, task, cfg.seed,
+        n_labeled=_resolve(args, "n_labeled"), n_unlabeled=_resolve(args, "n_unlabeled", 0),
+        n_test=_resolve(args, "n_test"),
+        normalize_features=not _resolve(args, "no_normalize_features", False),
     )
 
     resolved = dict(asdict(cfg), task=task, data=str(data_path), target=str(target))
@@ -358,11 +361,16 @@ def cmd_predict(args) -> int:
     target = args.target if args.target is not None else ckpt.target_column
     D = ckpt.ensemble.arch.input_dim
 
-    # the query file may or may not still carry the target column
+    # the query file may or may not still carry the target column; a file
+    # that load_csv rejects is read whole, so a bad cell is named as in the file
     try:
         X = load_csv(args.data, target, delimiter=args.delimiter, has_header=has_header).X
-    except DpklError:
+    except (DpklError, ValueError):
         X = _load_featureonly_csv(args.data, args.delimiter, has_header)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = int(bad[0, 0]) + 1 + has_header, int(bad[0, 1]) + 1
+        raise ParseError(row, col, f"query cell at row {row}, column {col} is not finite")
     if X.shape[1] != D:
         raise CheckpointError(
             f"query has {X.shape[1]} feature columns, checkpoint expects {D}"
@@ -397,6 +405,8 @@ def _load_featureonly_csv(path, delimiter, has_header) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
     body = rows[1:] if has_header else rows
+    if not body:
+        raise InsufficientRows(f"query file {path} has no data rows")
     try:
         return np.asarray([[float(c) for c in r] for r in body])
     except ValueError as exc:
@@ -442,6 +452,7 @@ def cmd_benchmark(args) -> int:
         n_test = ds.n - max(sizes) - n_unlabeled
         if n_test < 1:
             raise ConfigError("dataset too small for the requested sizes; set --n-test")
+    normalize_features = not _resolve(args, "no_normalize_features", False)
 
     def run_cell(mode: str, n: int, trial: int):
         seed = base_seed + trial
@@ -451,17 +462,11 @@ def cmd_benchmark(args) -> int:
             kwargs["m"] = 1
         cfg = TrainConfig(**kwargs)
         cfg.validate()
-
-        class _CellArgs:
-            pass
-
-        cell = _CellArgs()
-        cell._file_config = {}
-        cell.n_labeled = n
-        cell.n_unlabeled = n_unlabeled if mode == "ssdpkl" else 0
-        cell.n_test = n_test
-        cell.no_normalize_features = bool(_resolve(args, "no_normalize_features", False))
-        _, _, _, metrics, *_ = _run_training(ds, cell, cfg, "regression", seed)
+        _, _, _, metrics, *_ = _run_training(
+            ds, cfg, "regression", seed, n_labeled=n,
+            n_unlabeled=n_unlabeled if mode == "ssdpkl" else 0, n_test=n_test,
+            normalize_features=normalize_features,
+        )
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]
 
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]

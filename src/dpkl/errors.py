@@ -13,10 +13,6 @@ class NotPositiveDefinite(DpklError):
     """A matrix could not be Cholesky-factorized even with maximal jitter."""
 
 
-class ModeMismatch(DpklError):
-    """An operation was called on a GP state built for the other kernel mode."""
-
-
 class EmptyUnlabeledSet(DpklError):
     """The posterior-variance regularizer needs at least one unlabeled point."""
 

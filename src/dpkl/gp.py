@@ -1,4 +1,4 @@
-"""GP marginal likelihood, posterior prediction, and the variance regularizer.
+"""GP marginal likelihood, its kernel gradient, and batched posterior prediction.
 
 A GpState freezes everything prediction needs: the kernel representation
 (dense matrix or RFF factor), the Cholesky factor of K + sigma^2 I, and the
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    EmptyUnlabeledSet,
-    InternalConsistencyError,
-    ModeMismatch,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, InternalConsistencyError
 
 # Posterior variance more negative than this is a genuine inconsistency, not
 # floating-point cancellation.
@@ -90,42 +84,15 @@ def nll(state: GpState) -> float:
 
 def nll_grad_kernel(state: GpState) -> np.ndarray:
     """d nll / d K = 0.5 ((K + sigma^2 I)^{-1} - alpha alpha^T), symmetric."""
-    Ainv = linalg.inv_chol(state.chol)
+    Ainv = linalg.solve_chol(state.chol, np.eye(state.n))
     S = 0.5 * (Ainv - np.outer(state.alpha, state.alpha))
     return 0.5 * (S + S.T)
-
-
-def nll_grad_rff(state: GpState) -> np.ndarray:
-    """d nll / d R = 2 (d nll / d K) R for K = R R^T."""
-    if state.mode != "rff":
-        raise ModeMismatch("nll_grad_rff requires an rff-mode state")
-    return 2.0 * nll_grad_kernel(state) @ state.R
-
-
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Posterior mean and latent variance at one query (normalized target units)."""
-
-    mean: float
-    variance: float
 
 
 def _clamp_variance(v: float) -> float:
     if v < _VARIANCE_SLACK:
         raise InternalConsistencyError(f"posterior variance {v:.3e} below tolerance")
     return max(v, 0.0)
-
-
-def posterior(state: GpState, k_star: np.ndarray, k_ss: float) -> PredictiveDistribution:
-    """GP posterior at one query: mean k_*^T alpha, variance k_** - k_*^T A^{-1} k_*."""
-    k_star = np.asarray(k_star, dtype=np.float64).reshape(-1)
-    if k_star.shape[0] != state.n:
-        raise DimensionMismatch(f"k_star has length {k_star.shape[0]}, state has n={state.n}")
-    if k_ss < 0:
-        raise ValueError("k_ss must be >= 0")
-    mean = float(k_star @ state.alpha)
-    var = float(k_ss - k_star @ linalg.solve_chol(state.chol, k_star))
-    return PredictiveDistribution(mean=mean, variance=_clamp_variance(var))
 
 
 def posterior_batch(
@@ -140,36 +107,3 @@ def posterior_batch(
     B = linalg.solve_chol(state.chol, K_star.T)  # (n, n_q)
     variances = k_ss - np.sum(K_star.T * B, axis=0)
     return means, np.array([_clamp_variance(float(v)) for v in variances])
-
-
-def variance_regularizer(
-    state: GpState, unlabeled_cross: list[tuple[np.ndarray, float]]
-) -> float:
-    """Sum of posterior variances over unlabeled points.
-
-    The caller applies the alpha/n_u weight of the semi-supervised objective.
-    """
-    if len(unlabeled_cross) == 0:
-        raise EmptyUnlabeledSet("variance regularizer needs at least one unlabeled point")
-    total = 0.0
-    for k_star, k_ss in unlabeled_cross:
-        total += posterior(state, k_star, k_ss).variance
-    return total
-
-
-def projection_residual_oracle(K: np.ndarray, k_star: np.ndarray, k_ss: float) -> float:
-    """Squared RKHS distance from a query embedding to the labeled span.
-
-    Computed by explicit Gram algebra as k_** - k_*^T K^{-1} k_* with no noise
-    term; K must be invertible. Exists solely as an independent check that the
-    posterior variance equals this projection residual.
-    """
-    K = linalg.check_symmetric(K)
-    k_star = np.asarray(k_star, dtype=np.float64).reshape(-1)
-    if k_star.shape[0] != K.shape[0]:
-        raise DimensionMismatch("k_star length does not match K")
-    try:
-        f = linalg.cholesky(K, base_jitter=0.0)
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite("labeled Gram matrix is singular; projection undefined")
-    return float(k_ss - k_star @ linalg.solve_chol(f, k_star))

@@ -10,6 +10,8 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
   backward chain rebuilds the blocks, at one exp and 4d+8 FLOPs a pair.
   Working memory is O(_BLOCK_ENTRIES + m n d), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
+
+Every function takes the particle images of a point set stacked (m, n, d).
 """
 
 from __future__ import annotations
@@ -54,24 +56,6 @@ class RffBasis:
         return self.V.shape[1]
 
 
-def base_kernel(spec: LatentKernelSpec, z: np.ndarray, z2: np.ndarray) -> float:
-    """Base RBF kernel between two latent points."""
-    z = np.asarray(z, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z.shape != z2.shape:
-        raise DimensionMismatch(f"latent points differ in shape: {z.shape} vs {z2.shape}")
-    d2 = float(np.sum((z - z2) ** 2))
-    return spec.amplitude * np.exp(-d2 / (2.0 * spec.bandwidth**2))
-
-
-def base_kernel_grad(spec: LatentKernelSpec, z: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Gradient of the base kernel in its first argument: -k(z,z') (z-z') / h^2."""
-    z = np.asarray(z, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    k = base_kernel(spec, z, z2)
-    return -k * (z - z2) / spec.bandwidth**2
-
-
 def _augment(spec: LatentKernelSpec, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left rows [z/h^2, -|z|^2/2h^2, -1] and right rows [z, 1, |z|^2/2h^2].
 
@@ -95,14 +79,14 @@ def _exp_nonpositive(blk: np.ndarray) -> np.ndarray:
     return np.exp(blk, out=blk)
 
 
-def _particle_blocks(spec: LatentKernelSpec, embeddings_a: list[np.ndarray], B: np.ndarray):
+def _particle_blocks(spec: LatentKernelSpec, embeddings_a: np.ndarray, B: np.ndarray):
     """Yield (l, rows, E): E[i, c] = k(za_i^(l), B[c]) / amplitude for i in rows.
 
     ``B`` is the b-side images stacked particle-major, (m * n_b, d). Each block
     holds at most max(m * n_b, _BLOCK_ENTRIES) entries and is written into one
     reused buffer, so a consumer must finish with E before the next step.
     """
-    na = embeddings_a[0].shape[0]
+    na = embeddings_a.shape[1]
     right_T = np.ascontiguousarray(_augment(spec, B)[1].T)
     step = max(1, _BLOCK_ENTRIES // max(B.shape[0], 1))
     buf = np.empty((min(step, na), B.shape[0]))
@@ -115,21 +99,18 @@ def _particle_blocks(spec: LatentKernelSpec, embeddings_a: list[np.ndarray], B: 
             yield l, rows, _exp_nonpositive(E)
 
 
-def _check_embeddings(embeddings) -> tuple[int, int]:
-    """(n, d) of stacked (m, n, d) particle images or a sequence of m (n, d) arrays."""
-    if len(embeddings) == 0:
-        raise DimensionMismatch("need at least one particle embedding")
-    n, d = embeddings[0].shape
-    for Z in embeddings:
-        if Z.shape != (n, d):
-            raise DimensionMismatch("all particle embeddings must share one shape")
-    return n, d
+def _check_embeddings(embeddings) -> np.ndarray:
+    """The particle images as one float64 (m, n, d) array with m >= 1."""
+    Z = np.asarray(embeddings, dtype=np.float64)
+    if Z.ndim != 3 or Z.shape[0] < 1:
+        raise DimensionMismatch(f"embeddings must be stacked (m, n, d), got shape {Z.shape}")
+    return Z
 
 
 def empirical_cross_block(
     spec: LatentKernelSpec,
-    embeddings_a: list[np.ndarray],
-    embeddings_b: list[np.ndarray],
+    embeddings_a: np.ndarray,
+    embeddings_b: np.ndarray,
 ) -> np.ndarray:
     """Double particle-average kernel block between two point sets.
 
@@ -137,61 +118,43 @@ def empirical_cross_block(
     particle sum runs in index order and each block reduces through the same
     BLAS calls, so results are deterministic.
     """
-    na, d = _check_embeddings(embeddings_a)
-    nb, d2 = _check_embeddings(embeddings_b)
-    if d != d2:
+    embeddings_a = _check_embeddings(embeddings_a)
+    embeddings_b = _check_embeddings(embeddings_b)
+    m, na, d = embeddings_a.shape
+    if embeddings_b.shape[2] != d:
         raise DimensionMismatch("latent dimensions differ between point sets")
-    m = len(embeddings_a)
-    if len(embeddings_b) != m:
+    if embeddings_b.shape[0] != m:
         raise DimensionMismatch("both sides must come from the same particle count")
+    nb = embeddings_b.shape[1]
     ones = np.ones(m)
     out = np.zeros((na, nb))
-    for _, rows, E in _particle_blocks(spec, embeddings_a, np.concatenate(embeddings_b)):
+    for _, rows, E in _particle_blocks(spec, embeddings_a, embeddings_b.reshape(-1, d)):
         out[rows] += ones @ E.reshape(-1, m, nb)
     return out * (spec.amplitude / m**2)
 
 
 def empirical_kernel_exact(
-    spec: LatentKernelSpec, embeddings: list[np.ndarray]
+    spec: LatentKernelSpec, embeddings: np.ndarray
 ) -> np.ndarray:
     """The n x n distributional kernel matrix, symmetrized against round-off."""
     K = empirical_cross_block(spec, embeddings, embeddings)
     return 0.5 * (K + K.T)
 
 
-def cross_kernel(
-    spec: LatentKernelSpec,
-    train_embeddings: list[np.ndarray],
-    query_embeddings: list[np.ndarray],
-) -> tuple[np.ndarray, float]:
-    """(k_*, k_**) for a single query point.
-
-    ``query_embeddings`` holds the particle images of one point, each (1, d).
-    k_*[i] averages the base kernel between training point i and the query over
-    all particle pairs; k_** is the query's self-average.
-    """
-    nq, _ = _check_embeddings(query_embeddings)
-    if nq != 1:
-        raise DimensionMismatch("cross_kernel takes a single query point")
-    k_star = empirical_cross_block(spec, train_embeddings, query_embeddings)[:, 0]
-    k_ss = float(empirical_cross_block(spec, query_embeddings, query_embeddings)[0, 0])
-    return k_star, k_ss
-
-
 def cross_kernel_batch(
     spec: LatentKernelSpec,
-    train_embeddings: list[np.ndarray],
-    query_embeddings: list[np.ndarray],
+    train_embeddings: np.ndarray,
+    query_embeddings: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K_*, k_**) for many query points: K_* is (n_q, n), k_** is (n_q,).
 
     k_** entries are the per-query self-averages, i.e. the diagonal of the
     query block — not the full query kernel matrix.
     """
+    query_embeddings = _check_embeddings(query_embeddings)
     K_star = empirical_cross_block(spec, query_embeddings, train_embeddings)
-    m = len(query_embeddings)
-    nq, _ = _check_embeddings(query_embeddings)
-    left, right = _augment(spec, np.stack(query_embeddings, axis=1))  # (nq, m, d+2)
+    m, nq, _ = query_embeddings.shape
+    left, right = _augment(spec, query_embeddings.transpose(1, 0, 2))  # (nq, m, d+2)
     right_T = right.transpose(0, 2, 1)
     step = max(1, _BLOCK_ENTRIES // m**2)
     k_ss = np.empty(nq)
@@ -219,19 +182,19 @@ def sample_rff_basis(
 
 
 def rff_feature_matrix(
-    basis: RffBasis, embeddings: list[np.ndarray], spec: LatentKernelSpec
+    basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec
 ) -> np.ndarray:
     """Particle-averaged feature matrix R (n, q) with R R^T ~= the exact kernel.
 
     R_ij = sqrt(a) * (1/m) * sum_l sqrt(2/q) cos(v_j . z_i^(l) + b_j); the
     sqrt(a) factor carries the kernel amplitude into the factorization.
     """
-    n, d = _check_embeddings(embeddings)
+    embeddings = _check_embeddings(embeddings)
+    m, n, d = embeddings.shape
     if d != basis.d:
         raise DimensionMismatch(
             f"basis dimension {basis.d} does not match embeddings dimension {d}"
         )
-    m = len(embeddings)
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
     for Z in embeddings:
@@ -241,7 +204,7 @@ def rff_feature_matrix(
 
 def rff_embedding_cotangents(
     basis: RffBasis,
-    embeddings: list[np.ndarray],
+    embeddings: np.ndarray,
     spec: LatentKernelSpec,
     T: np.ndarray,
 ) -> np.ndarray:
@@ -250,11 +213,11 @@ def rff_embedding_cotangents(
     Given T = dJ/dR for R = rff_feature_matrix(...), returns the stacked
     (m, n, d) cotangents G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V.
     """
-    n, d = _check_embeddings(embeddings)
+    embeddings = _check_embeddings(embeddings)
+    m, n, d = embeddings.shape
     T = np.asarray(T, dtype=np.float64)
     if T.shape != (n, basis.q):
         raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, basis.q)}")
-    m = len(embeddings)
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     G = np.empty((m, n, d))
     for l, Z in enumerate(embeddings):  # one (n, q) temporary at a time
@@ -264,7 +227,7 @@ def rff_embedding_cotangents(
 
 def kernel_embedding_cotangents(
     spec: LatentKernelSpec,
-    embeddings: list[np.ndarray],
+    embeddings: np.ndarray,
     C: np.ndarray,
 ) -> np.ndarray:
     """Chain a cotangent on the exact kernel matrix back to the embeddings.
@@ -275,13 +238,13 @@ def kernel_embedding_cotangents(
 
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
     """
-    n, d = _check_embeddings(embeddings)
+    embeddings = _check_embeddings(embeddings)
+    m, n, d = embeddings.shape
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (n, n):
         raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n)}")
     Csym = C + C.T
-    m = len(embeddings)
-    B = np.concatenate(embeddings)
+    B = embeddings.reshape(-1, d)
     B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
     G = np.empty((m, n, d))
     for l, rows, E in _particle_blocks(spec, embeddings, B):

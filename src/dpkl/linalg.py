@@ -91,8 +91,3 @@ def solve_chol(f: CholFactor, b: np.ndarray) -> np.ndarray:
 def logdet_chol(f: CholFactor) -> float:
     """log det of the factored matrix: 2 * sum(log diag(L))."""
     return float(2.0 * np.sum(np.log(np.diag(f.L))))
-
-
-def inv_chol(f: CholFactor) -> np.ndarray:
-    """Explicit inverse of the factored matrix (used by the NLL gradient)."""
-    return solve_chol(f, np.eye(f.n))

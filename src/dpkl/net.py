@@ -63,45 +63,13 @@ class MlpArchitecture:
         return sum(out * (fin + 1) for out, fin in self.layer_shapes)
 
 
-@dataclass
-class MlpParams:
-    """One particle's weights and biases; weights are (fan_out, fan_in)."""
-
-    arch: MlpArchitecture
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def flatten(self) -> np.ndarray:
-        """Single parameter vector: per layer, weights row-major then bias."""
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-
-def unflatten_params(arch: MlpArchitecture, w: np.ndarray) -> MlpParams:
-    """Inverse of MlpParams.flatten."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (arch.num_params,):
-        raise DimensionMismatch(
-            f"parameter vector has length {w.size}, architecture needs {arch.num_params}"
-        )
-    weights, biases, pos = [], [], 0
-    for out, fin in arch.layer_shapes:
-        weights.append(w[pos : pos + out * fin].reshape(out, fin))
-        pos += out * fin
-        biases.append(w[pos : pos + out])
-        pos += out
-    return MlpParams(arch, weights, biases)
-
-
 class ParticleEnsemble:
     """m particles sharing one architecture, stored as the rows of one matrix.
 
     The (m, P) float64 matrix is the only storage: ``flat()`` returns it live,
-    and each particle's weights and biases are reshaped views of its row, so
-    an in-place update of the matrix is what every forward pass reads.
+    so an in-place update of the matrix is what every forward pass reads. Row
+    l is particle l's parameter vector: per layer, the (out, in) weights
+    row-major, then the bias.
     """
 
     def __init__(self, arch: MlpArchitecture, flat: np.ndarray, seed: int):
@@ -113,46 +81,42 @@ class ParticleEnsemble:
         self.arch = arch
         self.seed = seed
         self._flat = flat
-        self._particles = tuple(unflatten_params(arch, row) for row in flat)
 
     @property
-    def particles(self) -> tuple[MlpParams, ...]:
-        """Per-particle views of the matrix rows; read-only."""
-        return self._particles
+    def particles(self) -> np.ndarray:
+        """A read-only view of the matrix rows, one particle each."""
+        view = self._flat.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def m(self) -> int:
         return self._flat.shape[0]
 
     def flat(self) -> np.ndarray:
-        """The live (m, P) particle matrix, rows in the MlpParams.flatten layout."""
+        """The live (m, P) particle matrix."""
         return self._flat
 
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(self.arch, self._flat.copy(), self.seed)
 
 
-def init_params(arch: MlpArchitecture, rng: np.random.Generator) -> MlpParams:
-    """He-scaled Gaussian weights (std sqrt(2/fan_in)), zero biases."""
-    weights, biases = [], []
-    for out, fin in arch.layer_shapes:
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fin), size=(out, fin)))
-        biases.append(np.zeros(out))
-    return MlpParams(arch, weights, biases)
-
-
 def init_ensemble(arch: MlpArchitecture, m: int, seed: int) -> ParticleEnsemble:
     """Draw m particles i.i.d. from the He-scaled Gaussian init, deterministically.
 
-    Particles are drawn sequentially from one generator seeded with ``seed``,
-    so the result is bitwise reproducible.
+    Weights are N(0, 2/fan_in) and biases zero. Particles are drawn
+    sequentially, layer by layer, from one generator seeded with ``seed``, so
+    the result is bitwise reproducible.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    return ParticleEnsemble(
-        arch, np.stack([init_params(arch, rng).flatten() for _ in range(m)]), seed
-    )
+    W = np.zeros((m, arch.num_params))
+    layers = _layer_views(arch, W)
+    for l in range(m):
+        for Wl, _ in layers:
+            Wl[l] = rng.normal(0.0, np.sqrt(2.0 / Wl.shape[2]), size=Wl.shape[1:])
+    return ParticleEnsemble(arch, W, seed)
 
 
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
@@ -223,7 +187,7 @@ def ensemble_vjp(
     """Vector-Jacobian products of every particle's forward map, one row each.
 
     Row l is d(sum_ij G[l]_ij Z^(l)_ij)/dw^(l) for Z = ensemble_embeddings(
-    ensemble, X), in the MlpParams.flatten layout. G is (m, n, d); a broadcast
+    ensemble, X), in the layout of the particle rows. G is (m, n, d); a broadcast
     view serves when every particle gets the same cotangent. Each layer's
     gradient is written straight into the layer views of ``out``, an (m, P)
     matrix with unit-stride rows (a column block of a wider matrix will do),

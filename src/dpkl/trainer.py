@@ -222,8 +222,7 @@ def _objective_core(
         R_L, R_U = R_all[:n_l], R_all[n_l:]
         state = gp.gp_state_rff(R_L, y, config.noise_var, config.base_jitter)
     else:
-        K_full = kernels.empirical_cross_block(spec, Z_all, Z_all)
-        K_full = 0.5 * (K_full + K_full.T)
+        K_full = kernels.empirical_kernel_exact(spec, Z_all)
         K_LL = K_full[:n_l, :n_l]
         state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
 
@@ -276,31 +275,6 @@ def _objective_core(
     return _ObjectiveResult(
         objective, nll_value, reg_value, grads, state.chol.jitter_used, chol_min_diag
     )
-
-
-def per_particle_loss_grads(
-    ensemble: net.ParticleEnsemble,
-    data: TrainData,
-    config: TrainConfig,
-    basis: kernels.RffBasis | None = None,
-) -> np.ndarray:
-    """(m, P) gradient of the scalar training objective, one row per particle.
-
-    The objective is the GP nll (dpkl/dkl) or its semi-supervised extension
-    (ssdpkl). The chain runs objective -> kernel representation -> per-particle
-    embedding cotangents -> parameter vectors.
-    """
-    return _objective_core(ensemble, data, config, basis, want_grads=True).grads
-
-
-def objective_value(
-    ensemble: net.ParticleEnsemble,
-    data: TrainData,
-    config: TrainConfig,
-    basis: kernels.RffBasis | None = None,
-) -> float:
-    """The scalar objective the trainer descends, at the current particles."""
-    return _objective_core(ensemble, data, config, basis, want_grads=False).objective
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Shared oracles for the test suite: finite differences and brute-force sums."""
+"""Shared oracles for the test suite: finite differences, brute-force sums, and
+the per-particle, single-query and scalar forms of library routines that the
+library itself computes only in stacked or batched form."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from dpkl.errors import DimensionMismatch
-from dpkl.kernels import base_kernel
-from dpkl.net import MlpParams
+from dpkl import classify, linalg, trainer
+from dpkl.errors import DimensionMismatch, EmptyUnlabeledSet, NotPositiveDefinite
+from dpkl.gp import GpState, _clamp_variance, nll_grad_kernel
+from dpkl.kernels import LatentKernelSpec, empirical_cross_block
+from dpkl.net import MlpArchitecture
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -18,6 +24,31 @@ def det_cofactor(a: np.ndarray) -> float:
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * a[0, j] * det_cofactor(minor)
     return total
+
+
+def base_kernel(spec: LatentKernelSpec, z: np.ndarray, z2: np.ndarray) -> float:
+    """Base RBF kernel between two latent points."""
+    z = np.asarray(z, dtype=np.float64)
+    z2 = np.asarray(z2, dtype=np.float64)
+    if z.shape != z2.shape:
+        raise DimensionMismatch(f"latent points differ in shape: {z.shape} vs {z2.shape}")
+    d2 = float(np.sum((z - z2) ** 2))
+    return spec.amplitude * np.exp(-d2 / (2.0 * spec.bandwidth**2))
+
+
+def cross_kernel(spec, train_embeddings, query_embeddings) -> tuple[np.ndarray, float]:
+    """(k_*, k_**) for a single query point; reference for kernels.cross_kernel_batch.
+
+    ``query_embeddings`` holds the particle images of one point, each (1, d).
+    k_*[i] averages the base kernel between training point i and the query over
+    all particle pairs; k_** is the query's self-average.
+    """
+    query = np.asarray(query_embeddings, dtype=np.float64)
+    if query.ndim != 3 or query.shape[1] != 1:
+        raise DimensionMismatch("cross_kernel takes a single query point")
+    k_star = empirical_cross_block(spec, train_embeddings, query)[:, 0]
+    k_ss = float(empirical_cross_block(spec, query, query)[0, 0])
+    return k_star, k_ss
 
 
 def kernel_quad_loop(spec, embeddings_a, embeddings_b) -> np.ndarray:
@@ -111,6 +142,39 @@ def functional_gradient_step_unblocked(W, G, opt, config) -> None:
     W -= step
 
 
+@dataclass
+class MlpParams:
+    """One particle's weights and biases; weights are (fan_out, fan_in)."""
+
+    arch: MlpArchitecture
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    def flatten(self) -> np.ndarray:
+        """Single parameter vector: per layer, weights row-major then bias."""
+        parts = []
+        for W, b in zip(self.weights, self.biases):
+            parts.append(W.ravel())
+            parts.append(b)
+        return np.concatenate(parts)
+
+
+def unflatten_params(arch: MlpArchitecture, w: np.ndarray) -> MlpParams:
+    """Inverse of MlpParams.flatten: views of one particle row of the (m, P) matrix."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (arch.num_params,):
+        raise DimensionMismatch(
+            f"parameter vector has length {w.size}, architecture needs {arch.num_params}"
+        )
+    weights, biases, pos = [], [], 0
+    for out, fin in arch.layer_shapes:
+        weights.append(w[pos : pos + out * fin].reshape(out, fin))
+        pos += out * fin
+        biases.append(w[pos : pos + out])
+        pos += out
+    return MlpParams(arch, weights, biases)
+
+
 def forward(p: MlpParams, X: np.ndarray) -> np.ndarray:
     """Reference for net.ensemble_embeddings: one particle's forward map, (n, d)."""
     return _forward_trace(p, X)[-1]
@@ -165,3 +229,91 @@ def backward_params(p: MlpParams, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         parts.append(gw.ravel())
         parts.append(gb)
     return np.concatenate(parts)
+
+
+def inv_chol(f: linalg.CholFactor) -> np.ndarray:
+    """Explicit inverse of the factored matrix."""
+    return linalg.solve_chol(f, np.eye(f.n))
+
+
+def nll_grad_rff(state: GpState) -> np.ndarray:
+    """d nll / d R = 2 (d nll / d K) R for K = R R^T, on an rff-mode state."""
+    return 2.0 * nll_grad_kernel(state) @ state.R
+
+
+@dataclass(frozen=True)
+class PredictiveDistribution:
+    """Posterior mean and latent variance at one query (normalized target units)."""
+
+    mean: float
+    variance: float
+
+
+def posterior(state: GpState, k_star: np.ndarray, k_ss: float) -> PredictiveDistribution:
+    """GP posterior at one query: mean k_*^T alpha, variance k_** - k_*^T A^{-1} k_*.
+
+    Reference for gp.posterior_batch.
+    """
+    k_star = np.asarray(k_star, dtype=np.float64).reshape(-1)
+    if k_star.shape[0] != state.n:
+        raise DimensionMismatch(f"k_star has length {k_star.shape[0]}, state has n={state.n}")
+    if k_ss < 0:
+        raise ValueError("k_ss must be >= 0")
+    mean = float(k_star @ state.alpha)
+    var = float(k_ss - k_star @ linalg.solve_chol(state.chol, k_star))
+    return PredictiveDistribution(mean=mean, variance=_clamp_variance(var))
+
+
+def variance_regularizer(
+    state: GpState, unlabeled_cross: list[tuple[np.ndarray, float]]
+) -> float:
+    """Sum of posterior variances over unlabeled points, one query at a time.
+
+    The semi-supervised objective applies the alpha/n_u weight to this sum.
+    """
+    if len(unlabeled_cross) == 0:
+        raise EmptyUnlabeledSet("variance regularizer needs at least one unlabeled point")
+    total = 0.0
+    for k_star, k_ss in unlabeled_cross:
+        total += posterior(state, k_star, k_ss).variance
+    return total
+
+
+def projection_residual_oracle(K: np.ndarray, k_star: np.ndarray, k_ss: float) -> float:
+    """Squared RKHS distance from a query embedding to the labeled span.
+
+    Computed by explicit Gram algebra as k_** - k_*^T K^{-1} k_* with no noise
+    term; K must be invertible. Exists solely as an independent check that the
+    posterior variance equals this projection residual.
+    """
+    K = linalg.check_symmetric(K)
+    k_star = np.asarray(k_star, dtype=np.float64).reshape(-1)
+    if k_star.shape[0] != K.shape[0]:
+        raise DimensionMismatch("k_star length does not match K")
+    try:
+        f = linalg.cholesky(K, base_jitter=0.0)
+    except NotPositiveDefinite:
+        raise NotPositiveDefinite("labeled Gram matrix is singular; projection undefined")
+    return float(k_ss - k_star @ linalg.solve_chol(f, k_star))
+
+
+def per_particle_loss_grads(ensemble, data, config, basis=None) -> np.ndarray:
+    """(m, P) gradient of the scalar training objective, one row per particle."""
+    return trainer._objective_core(ensemble, data, config, basis, want_grads=True).grads
+
+
+def objective_value(ensemble, data, config, basis=None) -> float:
+    """The scalar objective the trainer descends, at the current particles."""
+    return trainer._objective_core(ensemble, data, config, basis, want_grads=False).objective
+
+
+def batch_objective(ensemble, head, X, labels, l2: float = 0.0) -> float:
+    """Cross-entropy (plus optional head L2) on one batch, from its own forward pass.
+
+    Reference for the loss that classify.batch_grads returns.
+    """
+    probs = classify.predict_probs(ensemble, head, X)
+    value = classify.cross_entropy(probs, classify.one_hot(labels, head.C))
+    if l2 > 0:
+        value += l2 * float(sum(np.sum(t * t) for t in head.thetas))
+    return value

@@ -10,16 +10,23 @@ import time
 
 import numpy as np
 import pytest
-from helpers import particle_fd_gradient, rel_err
+from helpers import (
+    cross_kernel,
+    objective_value,
+    particle_fd_gradient,
+    per_particle_loss_grads,
+    posterior,
+    projection_residual_oracle,
+    rel_err,
+)
 
 from dpkl import net
 from dpkl.classify import fit_classifier, logits, predict_probs, SoftmaxHead
 from dpkl.cli import main as cli_main
 from dpkl.data import Dataset, normalize, synth_blobs, synth_regression
-from dpkl.gp import gp_state_exact, posterior, projection_residual_oracle
+from dpkl.gp import gp_state_exact
 from dpkl.kernels import (
     LatentKernelSpec,
-    cross_kernel,
     empirical_kernel_exact,
     rff_feature_matrix,
     sample_rff_basis,
@@ -31,8 +38,6 @@ from dpkl.trainer import (
     TrainData,
     fit,
     functional_gradient_step,
-    objective_value,
-    per_particle_loss_grads,
     predict_regression,
     _rff_basis_for,
 )

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from helpers import backward_params, fd_gradient, forward, rel_err
+from helpers import (
+    backward_params,
+    batch_objective,
+    fd_gradient,
+    forward,
+    rel_err,
+    unflatten_params,
+)
 
 from dpkl import net
 from dpkl.classify import (
     SoftmaxHead,
     batch_grads,
-    batch_objective,
     cross_entropy,
     fit_classifier,
     init_head,
@@ -237,7 +243,7 @@ class TestFitClassifier:
             for start in range(0, len(X_tr), bs):
                 idx = order[start : start + bs]
                 Xb, yb = X_tr[idx], y_tr[idx]
-                p = net.unflatten_params(arch, w[:p_net])
+                p = unflatten_params(arch, w[:p_net])
                 th = w[p_net:].reshape(2, cfg.latent_dim)
                 Z = forward(p, Xb)
                 probs = softmax_probs(Z @ th.T)

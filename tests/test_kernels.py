@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from helpers import fd_gradient, kernel_cotangents_loop, kernel_quad_loop, rel_err
+from helpers import base_kernel, cross_kernel, kernel_cotangents_loop, kernel_quad_loop
 
 import dpkl.kernels as kernels_mod
 from dpkl.errors import DimensionMismatch
 from dpkl.kernels import (
     LatentKernelSpec,
     RffBasis,
-    base_kernel,
-    base_kernel_grad,
-    cross_kernel,
     cross_kernel_batch,
     empirical_cross_block,
     empirical_kernel_exact,
@@ -49,26 +46,6 @@ class TestBaseKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             base_kernel(SPEC, np.zeros(2), np.zeros(3))
-
-
-class TestBaseKernelGrad:
-    def test_stationary_at_equal_points(self):
-        z = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(base_kernel_grad(SPEC, z, z), np.zeros(2))
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            z, z2 = rng.normal(size=2), rng.normal(size=2)
-            np.testing.assert_allclose(
-                base_kernel_grad(SPEC, z, z2), -base_kernel_grad(SPEC, z2, z), atol=1e-15
-            )
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        z, z2 = rng.normal(size=3), rng.normal(size=3)
-        numeric = fd_gradient(lambda w: base_kernel(SPEC, w, z2), z.copy(), step=1e-6)
-        assert rel_err(base_kernel_grad(SPEC, z, z2), numeric) < 1e-7
 
 
 class TestEmpiricalKernel:

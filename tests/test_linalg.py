@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from helpers import det_cofactor
+from helpers import det_cofactor, inv_chol
 
 from dpkl.errors import DimensionMismatch, NotPositiveDefinite
-from dpkl.linalg import CholFactor, cholesky, inv_chol, logdet_chol, solve_chol
+from dpkl.linalg import CholFactor, cholesky, logdet_chol, solve_chol
 
 
 def random_spd(n, rng, scale=1.0):

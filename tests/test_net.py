@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from helpers import backward_params, fd_gradient, forward, rel_err
+from helpers import MlpParams, backward_params, fd_gradient, forward, rel_err, unflatten_params
 
 from dpkl import net
 from dpkl.errors import DimensionMismatch
 from dpkl.net import (
     MlpArchitecture,
-    MlpParams,
     ParticleEnsemble,
     ensemble_embeddings,
     ensemble_vjp,
     init_ensemble,
-    unflatten_params,
 )
 
 
@@ -22,20 +20,15 @@ def small_arch(activation="tanh"):
 class TestParticleMatrix:
     def test_particles_are_views_of_the_matrix_rows(self):
         ens = init_ensemble(small_arch(), 3, 0)
-        X = np.random.default_rng(1).normal(size=(5, 3))
         ens.flat()[1] += 0.5
-        for p, row in zip(ens.particles, ens.flat()):
-            assert all(np.shares_memory(W, row) for W in p.weights + p.biases)
-            np.testing.assert_array_equal(p.flatten(), row)
-        np.testing.assert_array_equal(
-            forward(ens.particles[1], X), forward(unflatten_params(ens.arch, ens.flat()[1]), X)
-        )
+        assert np.shares_memory(ens.particles, ens.flat())
+        np.testing.assert_array_equal(ens.particles, ens.flat())
 
     def test_particles_cannot_be_reassigned(self):
         ens = init_ensemble(small_arch(), 3, 0)
         with pytest.raises(AttributeError):
-            ens.particles = list(ens.particles)
-        with pytest.raises(TypeError):
+            ens.particles = ens.flat()
+        with pytest.raises(ValueError):
             ens.particles[0] = ens.particles[1]
 
     def test_copy_shares_no_memory(self):
@@ -44,7 +37,7 @@ class TestParticleMatrix:
         np.testing.assert_array_equal(dup.flat(), ens.flat())
         assert not np.shares_memory(dup.flat(), ens.flat())
         ens.flat()[:] = 0.0
-        assert np.any(dup.particles[0].weights[0] != 0.0)
+        assert np.any(dup.particles[0] != 0.0)
 
     def test_matrix_shape_checked(self):
         arch = small_arch()
@@ -67,12 +60,26 @@ class TestInit:
     def test_default_ensemble_size(self):
         ens = init_ensemble(small_arch(), 50, 0)
         assert ens.m == 50
-        assert len({id(p) for p in ens.particles}) == 50
+        assert ens.flat().shape == (50, ens.arch.num_params)
+
+    def test_draws_follow_particle_then_layer_order(self):
+        # one generator, particle by particle and layer by layer, bit for bit
+        arch = MlpArchitecture(1, (100, 50, 50), 2)
+        rng = np.random.default_rng(13)
+        rows = [
+            MlpParams(
+                arch,
+                [rng.normal(0.0, np.sqrt(2.0 / fin), size=(out, fin)) for out, fin in arch.layer_shapes],
+                [np.zeros(out) for out, _ in arch.layer_shapes],
+            ).flatten()
+            for _ in range(50)
+        ]
+        np.testing.assert_array_equal(init_ensemble(arch, 50, 13).flat(), np.stack(rows))
 
     def test_biases_zero_weights_he_scaled(self):
         arch = MlpArchitecture(100, (50,), 2)
         ens = init_ensemble(arch, 1, 3)
-        p = ens.particles[0]
+        p = unflatten_params(arch, ens.flat()[0])
         assert all(np.all(b == 0) for b in p.biases)
         # std of the first-layer weights should be near sqrt(2/100)
         observed = p.weights[0].std()
@@ -96,7 +103,7 @@ class TestFlatten:
 
     def test_round_trip_preserves_forward(self):
         arch = small_arch()
-        p = init_ensemble(arch, 1, 6).particles[0]
+        p = unflatten_params(arch, init_ensemble(arch, 1, 6).flat()[0])
         X = np.random.default_rng(0).normal(size=(5, 3))
         q = unflatten_params(arch, p.flatten())
         np.testing.assert_array_equal(forward(p, X), forward(q, X))
@@ -134,10 +141,9 @@ class TestForward:
         np.testing.assert_allclose(forward(p, X), np.tile(b1, (5, 1)), atol=1e-15)
 
     def test_repeated_calls_bitwise_identical(self):
-        arch = small_arch()
-        p = init_ensemble(arch, 1, 7).particles[0]
+        ens = init_ensemble(small_arch(), 1, 7)
         X = np.random.default_rng(5).normal(size=(8, 3))
-        np.testing.assert_array_equal(forward(p, X), forward(p, X))
+        np.testing.assert_array_equal(ensemble_embeddings(ens, X), ensemble_embeddings(ens, X))
 
     def test_wrong_input_dim(self):
         ens = init_ensemble(small_arch(), 1, 0)
@@ -148,10 +154,10 @@ class TestForward:
 class TestBackward:
     def test_zero_cotangent(self):
         arch = small_arch()
-        p = init_ensemble(arch, 1, 8).particles[0]
+        ens = init_ensemble(arch, 1, 8)
         X = np.random.default_rng(6).normal(size=(5, 3))
-        g = backward_params(p, X, np.zeros((5, 2)))
-        np.testing.assert_array_equal(g, np.zeros(arch.num_params))
+        g = ensemble_vjp(ens, X, np.zeros((1, 5, 2)))
+        np.testing.assert_array_equal(g, np.zeros((1, arch.num_params)))
 
     def test_linear_layer_closed_form(self):
         arch = MlpArchitecture(3, (), 2)
@@ -171,7 +177,7 @@ class TestBackward:
     def test_matches_finite_differences(self, activation):
         arch = small_arch(activation)
         rng = np.random.default_rng(9)
-        p0 = init_ensemble(arch, 1, 10).particles[0]
+        p0 = unflatten_params(arch, init_ensemble(arch, 1, 10).flat()[0])
         X = rng.normal(size=(5, 3))
         G = rng.normal(size=(5, 2))
         analytic = backward_params(p0, X, G)
@@ -185,7 +191,7 @@ class TestBackward:
     def test_deep_net_matches_finite_differences(self):
         arch = MlpArchitecture(2, (5, 4, 3), 2, activation="tanh")
         rng = np.random.default_rng(11)
-        p0 = init_ensemble(arch, 1, 12).particles[0]
+        p0 = unflatten_params(arch, init_ensemble(arch, 1, 12).flat()[0])
         X = rng.normal(size=(4, 2))
         G = rng.normal(size=(4, 2))
 
@@ -209,8 +215,9 @@ def random_ensemble(arch, m, seed):
 
 def per_particle(ens, X, G):
     """The per-particle oracles stacked: embeddings (m, n, d) and VJPs (m, P)."""
-    Z = np.stack([forward(p, X) for p in ens.particles])
-    grads = np.stack([backward_params(p, X, G_l) for p, G_l in zip(ens.particles, G)])
+    particles = [unflatten_params(ens.arch, w) for w in ens.flat()]
+    Z = np.stack([forward(p, X) for p in particles])
+    grads = np.stack([backward_params(p, X, G_l) for p, G_l in zip(particles, G)])
     return Z, grads
 
 

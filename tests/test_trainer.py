@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import functional_gradient_step_unblocked, particle_fd_gradient, rel_err
+from helpers import (
+    functional_gradient_step_unblocked,
+    objective_value,
+    particle_fd_gradient,
+    per_particle_loss_grads,
+    rel_err,
+)
 
 from dpkl import classify, net, trainer
 from dpkl.data import synth_blobs, synth_regression
@@ -20,8 +26,6 @@ from dpkl.trainer import (
     fit,
     functional_gradient_step,
     median_heuristic,
-    objective_value,
-    per_particle_loss_grads,
     _kappa_matrix,
     _pairwise_sq_dists,
     _validation_split,
