@@ -21,10 +21,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__, classify, trainer
+from . import __version__, classify, threads, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Dataset, SplitSpec, load_csv, normalize, split
+from .data import Dataset, SplitSpec, _is_float, load_csv, normalize, split
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -75,9 +76,16 @@ def write_csv(path, header, rows) -> None:
             w.writerow([_fmt_cell(v) for v in row])
 
 
+def environment() -> dict:
+    """Package versions, whether BLAS pinning can take effect, and the kernel worker count."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "threadpoolctl_importable": threads.threadpool_limits is not None,
+            "kernel_workers": threads._WORKERS}
+
+
 def write_meta(csv_path: Path, config: dict, extra: dict | None = None) -> None:
-    """Sidecar with the resolved config and version, so CSVs stay tidy."""
-    meta = {"version": build_version(), "config": config}
+    """Sidecar with the resolved config, version and environment, so CSVs stay tidy."""
+    meta = {"version": build_version(), "config": config, "environment": environment()}
     if extra:
         meta.update(extra)
     meta_path = csv_path.with_suffix(".meta.json")
@@ -334,6 +342,7 @@ def cmd_train(args) -> int:
     report_doc = {
         "version": version,
         "config": resolved,
+        "environment": environment(),
         "run": report.to_dict(),
         "test": metrics,
         "latent_mean_embeddings": latent.tolist(),
@@ -360,17 +369,7 @@ def cmd_predict(args) -> int:
     has_header = not bool(args.no_header)
     target = args.target if args.target is not None else ckpt.target_column
     D = ckpt.ensemble.arch.input_dim
-
-    # the query file may or may not still carry the target column; a file
-    # that load_csv rejects is read whole, so a bad cell is named as in the file
-    try:
-        X = load_csv(args.data, target, delimiter=args.delimiter, has_header=has_header).X
-    except (DpklError, ValueError):
-        X = _load_featureonly_csv(args.data, args.delimiter, has_header)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        row, col = int(bad[0, 0]) + 1 + has_header, int(bad[0, 1]) + 1
-        raise ParseError(row, col, f"query cell at row {row}, column {col} is not finite")
+    X = _load_query_csv(args.data, args.delimiter, has_header, str(target))
     if X.shape[1] != D:
         raise CheckpointError(
             f"query has {X.shape[1]} feature columns, checkpoint expects {D}"
@@ -400,17 +399,32 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_featureonly_csv(path, delimiter, has_header) -> np.ndarray:
-    """Query files without the training target column: every column is a feature."""
+def _load_query_csv(path, delimiter, has_header, target: str) -> np.ndarray:
+    """Every column of the query file but the target's, which a header cell (or,
+    without a header, a 0-based index) equal to ``target`` marks; its cells may
+    be blank. Any other cell that is not a finite number raises ParseError
+    naming its row and column in the file."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
     body = rows[1:] if has_header else rows
     if not body:
         raise InsufficientRows(f"query file {path} has no data rows")
-    try:
-        return np.asarray([[float(c) for c in r] for r in body])
-    except ValueError as exc:
-        raise CheckpointError(f"query file is not numeric: {exc}")
+    ncols = len(body[0])
+    names = [c.strip() for c in rows[0]] if has_header else [str(j) for j in range(ncols)]
+    keep = [j for j in range(ncols) if j >= len(names) or names[j] != target]
+    feats = []
+    for r, row in enumerate(body, start=1 + has_header):
+        if len(row) != ncols:
+            raise ParseError(r, len(row) + 1, f"row {r} has {len(row)} cells, expected {ncols}")
+        try:
+            vals = [float(row[j]) for j in keep]
+        except ValueError:
+            vals = [float(row[j]) if _is_float(row[j]) else math.nan for j in keep]
+        if not all(map(math.isfinite, vals)):
+            j = next(j for j, v in zip(keep, vals) if not math.isfinite(v))
+            raise ParseError(r, j + 1, f"query cell at row {r}, column {j + 1} is not finite: {row[j]!r}")
+        feats.append(vals)
+    return np.asarray(feats)
 
 
 _BENCH_HEADER = ["dataset", "mode", "n", "trial", "seed", "rmse", "nll"]

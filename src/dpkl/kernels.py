@@ -8,10 +8,15 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
   one route built from cache-sized blocks (``_particle_blocks``). A pair costs
   one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction); the
   backward chain rebuilds the blocks, at one exp and 4d+8 FLOPs a pair.
-  Working memory is O(_BLOCK_ENTRIES + m n d), never an (m n)^2 array;
+  Working memory is O(workers _BLOCK_ENTRIES + m n d), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
+
+Exp and trig loops split over the kernel workers of ``threads`` so that each
+output entry keeps its one-worker operations: by row blocks; by rows with every
+GEMM run whole in ``rff_feature_matrix`` (OpenBLAS can round a row differently
+in a product of fewer rows); by particles in both cotangent chains.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .threads import _split
 
 # Entries in one exact-kernel block: 2^17 float64 values (1 MB) stay in a
 # core's L2 cache while the block is built and consumed.
@@ -79,6 +85,10 @@ def _exp_nonpositive(blk: np.ndarray) -> np.ndarray:
     return np.exp(blk, out=blk)
 
 
+def _block_rows(n_b: int) -> int:  # a-side rows of a block against n_b b-side images
+    return max(1, _BLOCK_ENTRIES // max(n_b, 1))
+
+
 def _particle_blocks(spec: LatentKernelSpec, embeddings_a: np.ndarray, B: np.ndarray):
     """Yield (l, rows, E): E[i, c] = k(za_i^(l), B[c]) / amplitude for i in rows.
 
@@ -88,7 +98,7 @@ def _particle_blocks(spec: LatentKernelSpec, embeddings_a: np.ndarray, B: np.nda
     """
     na = embeddings_a.shape[1]
     right_T = np.ascontiguousarray(_augment(spec, B)[1].T)
-    step = max(1, _BLOCK_ENTRIES // max(B.shape[0], 1))
+    step = _block_rows(B.shape[0])
     buf = np.empty((min(step, na), B.shape[0]))
     for l, Za in enumerate(embeddings_a):
         left = _augment(spec, Za)[0]
@@ -128,8 +138,12 @@ def empirical_cross_block(
     nb = embeddings_b.shape[1]
     ones = np.ones(m)
     out = np.zeros((na, nb))
-    for _, rows, E in _particle_blocks(spec, embeddings_a, embeddings_b.reshape(-1, d)):
-        out[rows] += ones @ E.reshape(-1, m, nb)
+    step = _block_rows(m * nb)
+    def fill(b0, b1):  # row blocks b0..b1-1, cut where one worker cuts them
+        rows = slice(b0 * step, b1 * step)
+        for _, r, E in _particle_blocks(spec, embeddings_a[:, rows], embeddings_b.reshape(-1, d)):
+            out[rows][r] += ones @ E.reshape(-1, m, nb)
+    _split(-(-na // step), step * m * m * nb, fill)
     return out * (spec.amplitude / m**2)
 
 
@@ -158,9 +172,11 @@ def cross_kernel_batch(
     right_T = right.transpose(0, 2, 1)
     step = max(1, _BLOCK_ENTRIES // m**2)
     k_ss = np.empty(nq)
-    for r0 in range(0, nq, step):
-        rows = slice(r0, r0 + step)
-        k_ss[rows] = _exp_nonpositive(left[rows] @ right_T[rows]).sum(axis=(1, 2))
+    def fill(b0, b1):
+        for r0 in range(b0 * step, b1 * step, step):
+            rows = slice(r0, r0 + step)
+            k_ss[rows] = _exp_nonpositive(left[rows] @ right_T[rows]).sum(axis=(1, 2))
+    _split(-(-nq // step), step * m * m, fill)
     return K_star, k_ss * (spec.amplitude / m**2)
 
 
@@ -197,8 +213,13 @@ def rff_feature_matrix(
         )
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
-    for Z in embeddings:
-        R += np.cos(Z @ basis.V.T + basis.b)
+    def fill(r0, r1):  # R += cos(Z V^T + b) on rows r0..r1-1
+        P = np.empty((n, basis.q))
+        for Z in embeddings:
+            np.matmul(Z, basis.V.T, out=P)  # every row: a row-split product can round differently
+            C = P[r0:r1]
+            R[r0:r1] += np.cos(np.add(C, basis.b, out=C), out=C)
+    _split(n, m * basis.q, fill)
     return scale * R
 
 
@@ -220,8 +241,14 @@ def rff_embedding_cotangents(
         raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, basis.q)}")
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     G = np.empty((m, n, d))
-    for l, Z in enumerate(embeddings):  # one (n, q) temporary at a time
-        G[l] = scale * ((T * np.sin(Z @ basis.V.T + basis.b)) @ basis.V)
+    def fill(l0, l1):  # one (n, q) buffer per range
+        S = np.empty((n, basis.q))
+        for l in range(l0, l1):
+            np.matmul(embeddings[l], basis.V.T, out=S)
+            S += basis.b
+            np.multiply(np.sin(S, out=S), T, out=S)
+            G[l] = scale * (S @ basis.V)
+    _split(m, n * basis.q, fill)
     return G
 
 
@@ -247,10 +274,12 @@ def kernel_embedding_cotangents(
     B = embeddings.reshape(-1, d)
     B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
     G = np.empty((m, n, d))
-    for l, rows, E in _particle_blocks(spec, embeddings, B):
-        M = E.reshape(-1, m, n)
-        M *= Csym[rows, None, :]
-        P = E @ B1  # [sum_c M_ic B_c, sum_c M_ic]
-        G[l, rows] = P[:, d:] * embeddings[l][rows] - P[:, :d]
+    def fill(l0, l1):
+        for l, rows, E in _particle_blocks(spec, embeddings[l0:l1], B):
+            M = E.reshape(-1, m, n)
+            M *= Csym[rows, None, :]
+            P = E @ B1  # [sum_c M_ic B_c, sum_c M_ic]
+            G[l0 + l, rows] = P[:, d:] * embeddings[l0 + l][rows] - P[:, :d]
+    _split(m, n * m * n, fill)
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
     return G

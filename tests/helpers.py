@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpkl import classify, linalg, trainer
+from dpkl import classify, kernels, linalg, trainer
 from dpkl.errors import DimensionMismatch, EmptyUnlabeledSet, NotPositiveDefinite
 from dpkl.gp import GpState, _clamp_variance, nll_grad_kernel
 from dpkl.kernels import LatentKernelSpec, empirical_cross_block
@@ -79,6 +79,92 @@ def kernel_cotangents_loop(spec, embeddings, C) -> list[np.ndarray]:
             G += M.sum(axis=1)[:, None] * Zl - M @ Zl2
         out.append(-G / (m**2 * spec.bandwidth**2))
     return out
+
+
+# One-thread forms of the kernels that split their loops over workers: every
+# output entry must come out bitwise equal to these at any worker count.
+
+
+def _serial_particle_blocks(spec, embeddings_a, B):
+    """All (l, rows, E) blocks of kernels._particle_blocks, in one loop."""
+    na = embeddings_a.shape[1]
+    right_T = np.ascontiguousarray(kernels._augment(spec, B)[1].T)
+    step = max(1, kernels._BLOCK_ENTRIES // max(B.shape[0], 1))
+    buf = np.empty((min(step, na), B.shape[0]))
+    for l, Za in enumerate(embeddings_a):
+        left = kernels._augment(spec, Za)[0]
+        for r0 in range(0, na, step):
+            rows = slice(r0, min(r0 + step, na))
+            E = buf[: rows.stop - r0]
+            np.matmul(left[rows], right_T, out=E)
+            yield l, rows, kernels._exp_nonpositive(E)
+
+
+def empirical_cross_block_serial(spec, embeddings_a, embeddings_b) -> np.ndarray:
+    """One-thread kernels.empirical_cross_block."""
+    embeddings_a = np.asarray(embeddings_a, dtype=np.float64)
+    embeddings_b = np.asarray(embeddings_b, dtype=np.float64)
+    m, na, d = embeddings_a.shape
+    nb = embeddings_b.shape[1]
+    ones = np.ones(m)
+    out = np.zeros((na, nb))
+    for _, rows, E in _serial_particle_blocks(spec, embeddings_a, embeddings_b.reshape(-1, d)):
+        out[rows] += ones @ E.reshape(-1, m, nb)
+    return out * (spec.amplitude / m**2)
+
+
+def cross_kernel_batch_serial(spec, train_embeddings, query_embeddings):
+    """One-thread kernels.cross_kernel_batch."""
+    query_embeddings = np.asarray(query_embeddings, dtype=np.float64)
+    K_star = empirical_cross_block_serial(spec, query_embeddings, train_embeddings)
+    m, nq, _ = query_embeddings.shape
+    left, right = kernels._augment(spec, query_embeddings.transpose(1, 0, 2))
+    right_T = right.transpose(0, 2, 1)
+    step = max(1, kernels._BLOCK_ENTRIES // m**2)
+    k_ss = np.empty(nq)
+    for r0 in range(0, nq, step):
+        rows = slice(r0, r0 + step)
+        k_ss[rows] = kernels._exp_nonpositive(left[rows] @ right_T[rows]).sum(axis=(1, 2))
+    return K_star, k_ss * (spec.amplitude / m**2)
+
+
+def rff_feature_matrix_serial(basis, embeddings, spec) -> np.ndarray:
+    """One-thread kernels.rff_feature_matrix, one whole (n, q) phase matrix a particle."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    m, n, _ = embeddings.shape
+    scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
+    R = np.zeros((n, basis.q))
+    for Z in embeddings:
+        R += np.cos(Z @ basis.V.T + basis.b)
+    return scale * R
+
+
+def rff_embedding_cotangents_serial(basis, embeddings, spec, T) -> np.ndarray:
+    """One-thread kernels.rff_embedding_cotangents."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    m, n, d = embeddings.shape
+    scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
+    G = np.empty((m, n, d))
+    for l, Z in enumerate(embeddings):
+        G[l] = scale * ((T * np.sin(Z @ basis.V.T + basis.b)) @ basis.V)
+    return G
+
+
+def kernel_embedding_cotangents_serial(spec, embeddings, C) -> np.ndarray:
+    """One-thread kernels.kernel_embedding_cotangents."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    m, n, d = embeddings.shape
+    Csym = C + C.T
+    B = embeddings.reshape(-1, d)
+    B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
+    G = np.empty((m, n, d))
+    for l, rows, E in _serial_particle_blocks(spec, embeddings, B):
+        M = E.reshape(-1, m, n)
+        M *= Csym[rows, None, :]
+        P = E @ B1
+        G[l, rows] = P[:, d:] * embeddings[l][rows] - P[:, :d]
+    G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
+    return G
 
 
 def fd_gradient(f, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:

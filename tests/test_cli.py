@@ -42,6 +42,19 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def expected_environment():
+    import scipy
+
+    from dpkl import threads
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threadpoolctl_importable": threads.threadpool_limits is not None,
+        "kernel_workers": threads._WORKERS,
+    }
+
+
 class TestTrain:
     def test_regression_run_writes_artifacts(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")
@@ -68,6 +81,15 @@ class TestTrain:
         for rec in epochs:
             assert rec["grad_norm"] > 0.0 and rec["mixed_grad_norm"] > 0.0
             assert rec["chol_min_diag"] > 0.0
+
+    def test_report_records_environment(self, tmp_path):
+        data = write_regression_csv(tmp_path / "sine.csv")
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                    "--out", out, *FAST]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["environment"] == expected_environment()
+        assert report["environment"]["kernel_workers"] in (1, 2)
 
     def test_ssdpkl_without_pool_fails(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")
@@ -167,6 +189,25 @@ class TestPredict:
                 w.writerow(row[:-1])
         out_csv = tmp_path / "pred2.csv"
         assert run(["predict", "--checkpoint", ckpt, "--data", query, "--out", out_csv]) == 0
+
+    def test_meta_records_environment(self, trained, tmp_path):
+        data, ckpt = trained
+        assert run(["predict", "--checkpoint", ckpt, "--data", data,
+                    "--out", tmp_path / "pred.csv"]) == 0
+        meta = json.loads((tmp_path / "pred.meta.json").read_text())
+        assert meta["environment"] == expected_environment()
+
+    @pytest.mark.parametrize("body", ["x0,y\n0.5,\n0.7,\n", "y,x0\n,0.5\n,0.7\n"])
+    def test_blank_target_cells_are_not_read(self, trained, tmp_path, body):
+        _, ckpt = trained
+        (tmp_path / "with_target.csv").write_text(body)
+        (tmp_path / "features.csv").write_text("x0\n0.5\n0.7\n")
+        for name in ("with_target", "features"):
+            assert run(["predict", "--checkpoint", ckpt, "--data", tmp_path / f"{name}.csv",
+                        "--out", tmp_path / f"{name}_pred.csv"]) == 0
+        predictions = (tmp_path / "with_target_pred.csv").read_bytes()
+        assert predictions == (tmp_path / "features_pred.csv").read_bytes()
+        assert len(predictions.splitlines()) == 3
 
     def test_dimension_mismatch_fails(self, trained, tmp_path, capsys):
         _, ckpt = trained
@@ -353,6 +394,27 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ParseError"
         assert "row 3, column 1" in record["message"]
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("x0\n0.5\nabc\n", "row 3, column 1"),
+            ("x0,y\n0.5,\nabc,\n", "row 3, column 1"),
+            ("y,x0\n,0.5\n,abc\n", "row 3, column 2"),
+            ("y,x0\n,0.5\n,nan\n", "row 3, column 2"),
+            ("y,x0\n,0.5\n,\n", "row 3, column 2"),
+        ],
+    )
+    def test_bad_query_feature_cell_is_exit_one(self, trained, tmp_path, capsys, body, where):
+        _, ckpt = trained
+        query = tmp_path / "query.csv"
+        query.write_text(body)
+        code = run(["predict", "--checkpoint", ckpt, "--data", query, "--out", tmp_path / "p.csv"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+        assert where in record["message"]
         assert not (tmp_path / "p.csv").exists()
 
 

@@ -1,8 +1,26 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import base_kernel, cross_kernel, kernel_cotangents_loop, kernel_quad_loop
+from helpers import (
+    base_kernel,
+    cross_kernel,
+    cross_kernel_batch_serial,
+    empirical_cross_block_serial,
+    kernel_cotangents_loop,
+    kernel_embedding_cotangents_serial,
+    kernel_quad_loop,
+    rff_embedding_cotangents_serial,
+    rff_feature_matrix_serial,
+)
 
 import dpkl.kernels as kernels_mod
+from dpkl import threads
 from dpkl.errors import DimensionMismatch
 from dpkl.kernels import (
     LatentKernelSpec,
@@ -282,3 +300,161 @@ class TestCotangentChains:
         v0 = embeddings[l][i, axis]
         numeric = (f(v0 + 1e-6) - f(v0 - 1e-6)) / 2e-6
         np.testing.assert_allclose(G[l][i, axis], numeric, rtol=1e-6, atol=1e-10)
+
+
+class TestKernelWorkers:
+    """Every kernel that splits its loops over workers is bitwise equal to its
+    one-thread form at any worker count."""
+
+    CASES = {  # m, n_a, n_b, d, q, _BLOCK_ENTRIES
+        "ragged-blocks": (3, 7, 5, 2, 7, 31),  # 2-row blocks of 7 rows
+        "one-row": (4, 1, 1, 2, 5, 1 << 17),  # fewer rows than workers
+        "one-particle": (1, 6, 4, 2, 5, 7),  # fewer particles than workers
+        "ragged-last-block": (2, 7, 3, 3, 4, 12),  # 2-row blocks: 2, 2, 2, 1
+        "many-blocks": (5, 40, 30, 3, 16, 300),
+        # a one-row product takes OpenBLAS's GEMV route and rounds differently,
+        # so a row split of the rff GEMM would show here
+        "one-row-a-worker": (2, 3, 2, 2, 100, 1 << 17),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_equal_to_one_thread(self, monkeypatch, workers, case):
+        m, na, nb, d, q, entries = self.CASES[case]
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        ranges = []
+
+        def recording_split(n, unit_entries, fn):
+            ranges.append([])
+            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        rng = np.random.default_rng(60)
+        a, b = rng.normal(size=(m, na, d)), rng.normal(size=(m, nb, d))
+        basis = sample_rff_basis(SPEC, d, q, seed=61)
+        T, C = rng.normal(size=(na, q)), rng.normal(size=(na, na))
+        K_star, k_ss = cross_kernel_batch(SPEC, b, a)
+        K_star_ref, k_ss_ref = cross_kernel_batch_serial(SPEC, b, a)
+        pairs = [
+            (empirical_cross_block(SPEC, a, b), empirical_cross_block_serial(SPEC, a, b)),
+            (K_star, K_star_ref),
+            (k_ss, k_ss_ref),
+            (rff_feature_matrix(basis, a, SPEC), rff_feature_matrix_serial(basis, a, SPEC)),
+            (
+                rff_embedding_cotangents(basis, a, SPEC, T),
+                rff_embedding_cotangents_serial(basis, a, SPEC, T),
+            ),
+            (
+                kernel_embedding_cotangents(SPEC, a, C),
+                kernel_embedding_cotangents_serial(SPEC, a, C),
+            ),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+        assert max(len(r) for r in ranges) == workers  # some call did split
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # more workers than cores, and thread switches as often as possible:
+        # a lost or torn write to a shared output would show as a mismatch
+        monkeypatch.setattr(threads, "_WORKERS", 8)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 40)
+        rng = np.random.default_rng(62)
+        a, b = rng.normal(size=(4, 30, 2)), rng.normal(size=(4, 9, 2))
+        basis = sample_rff_basis(SPEC, 2, 10, seed=63)
+        K_ref = empirical_cross_block_serial(SPEC, a, b)
+        R_ref = rff_feature_matrix_serial(basis, a, SPEC)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            for _ in range(20):
+                assert np.array_equal(empirical_cross_block(SPEC, a, b), K_ref)
+                assert np.array_equal(rff_feature_matrix(basis, a, SPEC), R_ref)
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestSplit:
+    """threads._split: contiguous ranges, exceptions after every range, and
+    serial runs where a second worker cannot help."""
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(threads, "_WORKERS", 3)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+    def test_ranges_cover_range_n_in_order(self, n):
+        seen = []
+        threads._split(n, 1, lambda a, b: seen.append((a, b)))
+        seen.sort()
+        assert len(seen) == max(1, min(3, n))
+        assert seen[0][0] == 0 and seen[-1][1] == n
+        assert all(prev[1] == nxt[0] < nxt[1] for prev, nxt in zip(seen, seen[1:]))
+
+    def test_first_range_runs_on_the_caller(self):
+        seen = {}
+        threads._split(3, 1, lambda a, b: seen.setdefault(a, threading.current_thread()))
+        assert seen[0] is threading.main_thread()
+        assert seen[1] is not threading.main_thread() and seen[2] is not threading.main_thread()
+
+    def test_small_work_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 100)
+        seen = []
+        threads._split(10, 19, lambda a, b: seen.append((a, b)))  # one worker's worth
+        assert seen == [(0, 10)]
+        seen.clear()
+        threads._split(10, 20, lambda a, b: seen.append((a, b)))  # two workers' worth
+        assert sorted(seen) == [(0, 5), (5, 10)]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_exception_is_raised_after_every_range(self, failing):
+        finished = []
+
+        def fn(a, b):
+            if a == failing:
+                raise ValueError(a)
+            time.sleep(0.05)
+            finished.append(a)
+
+        with pytest.raises(ValueError):
+            threads._split(3, 1, fn)
+        assert sorted(finished) == [a for a in range(3) if a != failing]
+
+    def test_first_exception_in_range_order_wins(self):
+        def fn(a, b):
+            if a == 1:
+                time.sleep(0.05)  # range 2 fails first
+            if a:
+                raise ValueError(a)
+
+        with pytest.raises(ValueError, match="^1$"):
+            threads._split(3, 1, fn)
+
+    def test_serial_off_the_main_thread(self):
+        seen = []
+        t = threading.Thread(
+            target=threads._split,
+            args=(10, 1, lambda a, b: seen.append((a, b, threading.current_thread()))),
+        )
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [(0, 10, t)]
+
+
+def test_import_starts_no_thread():
+    import dpkl
+
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import threading, sys; n = threading.active_count(); "
+        "import dpkl, dpkl.cli; sys.exit(threading.active_count() != n)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
