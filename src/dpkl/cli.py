@@ -77,9 +77,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def environment() -> dict:
-    """Package versions, whether BLAS pinning can take effect, and the kernel worker count."""
+    """Package versions, BLAS threads under the pinning, and the kernel worker count."""
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "threadpoolctl_importable": threads.threadpool_limits is not None,
+            "blas_threads": threads.pinned_blas_threads(),
             "kernel_workers": threads._WORKERS}
 
 

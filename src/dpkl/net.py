@@ -12,9 +12,15 @@ one stacked GEMM per layer for the whole group (``forward_group``), and the
 vector-Jacobian product writes each layer's gradient straight into the same
 views of an (m, P) output. Groups are sized so that a group's activations hold
 about ``_GROUP_ENTRIES`` values, which keeps the working memory at
-O(_GROUP_ENTRIES + m n d) for any input size; a large input goes one particle
-at a time. Per slice, the stacked GEMMs and reductions make the same calls as
-a per-particle loop, so the results are bitwise equal to it.
+O(workers _GROUP_ENTRIES + m n d) for any input size; a large input goes one
+particle at a time. Per slice, the stacked GEMMs and reductions make the same
+calls as a per-particle loop, so the results are bitwise equal to it.
+
+Whole groups split over the kernel workers of ``threads`` (a split GEMM is not
+bitwise on OpenBLAS), so each row of the embeddings and of the gradient keeps
+its one-worker operations at any worker count. Workers write disjoint rows and
+never write the cotangent. The backward chain works in place and drops each
+activation once it has been read.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .threads import _split
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -126,10 +133,35 @@ def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(pre, out=pre)
 
 
+def _chain_activation(delta: np.ndarray, a: np.ndarray, activation: str) -> None:
+    """Multiply delta by the activation's derivative at its output a; a is spent."""
+    if activation == "relu":
+        delta *= a > 0.0
+    else:
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        delta *= a
+
+
+def _width(arch: MlpArchitecture) -> int:
+    """Activation entries a row and particle: D + sum(hidden) + d."""
+    return arch.input_dim + sum(arch.hidden_dims) + arch.latent_dim
+
+
 def _group_size(arch: MlpArchitecture, n: int) -> int:
     """Particles per group, so that a group's activations fill about _GROUP_ENTRIES."""
-    width = arch.input_dim + sum(arch.hidden_dims) + arch.latent_dim
-    return max(1, _GROUP_ENTRIES // (max(n, 1) * width))
+    return max(1, _GROUP_ENTRIES // (max(n, 1) * _width(arch)))
+
+
+def _over_groups(arch: MlpArchitecture, m: int, n: int, fn) -> None:
+    """Run ``fn(rows)`` on every particle group, whole groups on the kernel workers."""
+    g = _group_size(arch, n)
+
+    def run(start, stop):
+        for s in range(start * g, min(stop * g, m), g):
+            fn(slice(s, s + g))
+
+    _split(-(-m // g), g * n * _width(arch), run)
 
 
 def _layer_views(arch: MlpArchitecture, W: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -175,9 +207,11 @@ def ensemble_embeddings(ensemble: ParticleEnsemble, X: np.ndarray) -> np.ndarray
     arch, W = ensemble.arch, ensemble.flat()
     X = _check_input(arch, X)
     Z = np.empty((W.shape[0], X.shape[0], arch.latent_dim))
-    g = _group_size(arch, X.shape[0])
-    for s in range(0, W.shape[0], g):
-        Z[s : s + g] = forward_group(arch, W[s : s + g], X)[-1]
+
+    def group(rows):
+        Z[rows] = forward_group(arch, W[rows], X)[-1]
+
+    _over_groups(arch, W.shape[0], X.shape[0], group)
     return Z
 
 
@@ -207,23 +241,23 @@ def ensemble_vjp(
         raise DimensionMismatch(
             f"gradient output {out.shape} must be {W.shape} with unit-stride rows"
         )
-    g = _group_size(arch, n)
-    for s in range(0, m, g):
-        rows = slice(s, s + g)
+    last = len(arch.layer_shapes) - 1
+
+    def group(rows):
         acts = forward_group(arch, W[rows], X)
+        acts.pop()  # Z: the backward chain never reads it
         delta = G[rows]
         layers = list(zip(_layer_views(arch, W[rows]), _layer_views(arch, out[rows])))
-        for i in range(len(layers) - 1, -1, -1):
+        for i in range(last, -1, -1):
             (Wl, _), (gW, gb) = layers[i]
-            if i < len(layers) - 1:
-                # chain through the activation applied at layer i's output
-                a = acts[i + 1]
-                if arch.activation == "relu":
-                    delta = delta * (a > 0.0)
-                else:
-                    delta = delta * (1.0 - a * a)
-            np.matmul(delta.transpose(0, 2, 1), acts[i], out=gW)
+            if i < last:
+                # delta is the previous step's fresh product, so it is written in place
+                _chain_activation(delta, acts.pop(), arch.activation)
+            np.matmul(delta.transpose(0, 2, 1), acts[-1], out=gW)
             np.sum(delta, axis=1, out=gb)
             if i > 0:
                 delta = delta @ Wl
+
+    _over_groups(arch, m, n, group)
     return out
+

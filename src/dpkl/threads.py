@@ -6,9 +6,12 @@ dispatch overhead there and can reorder reductions. Training paths therefore
 pin BLAS to one thread, which also keeps repeated runs bitwise identical
 regardless of the host's core count.
 
-Kernel loops bound by exp and trig are not GEMMs and release the GIL, so
-``_split`` runs their index ranges on a pool made on first use, with one worker
-per CPU of the affinity mask, at most 2 (``taskset`` restricts them; no option).
+Kernel loops bound by exp and trig, and the particle groups of the MLP pass,
+release the GIL, so ``_split`` runs their index ranges on a pool made on first
+use, with one worker per CPU of the affinity mask, at most 2 (``taskset``
+restricts them; no option). A split keeps every output entry's one-worker
+operations, so results are bitwise identical at any worker count; the gain
+assumes one BLAS thread a worker, which the pinning gives.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 
 try:
-    from threadpoolctl import threadpool_limits
+    from threadpoolctl import threadpool_info, threadpool_limits
 except ImportError:  # pragma: no cover - optional dependency
-    threadpool_limits = None
+    threadpool_info = threadpool_limits = None
 
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-_MIN_ENTRIES = 1 << 22  # kernel pairs or trig entries that pay for a hand-off
+_MIN_ENTRIES = 1 << 22  # kernel pairs, trig or MLP activation entries that pay for a hand-off
 _pools: dict[int, ThreadPoolExecutor] = {}  # by process: a fork has no parent threads
 
 
@@ -35,14 +38,25 @@ def single_threaded_blas():
     return threadpool_limits(limits=1, user_api="blas")
 
 
+def pinned_blas_threads() -> int | None:
+    """BLAS threads inside ``single_threaded_blas``; None without threadpoolctl."""
+    if threadpool_info is None:
+        return None
+    with single_threaded_blas():
+        counts = [p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas"]
+    return max(counts, default=None)
+
+
 def _split(n: int, unit_entries: int, fn) -> None:
     """Run ``fn(start, stop)`` over contiguous ranges that cover range(n).
 
     An index is ``unit_entries`` of work. One range runs off the main thread
     (callers' own threads stay serial), at one worker, or when a worker would
     get under ``_MIN_ENTRIES``; else the caller runs the first range and the
-    pool the rest. ``fn`` calls only numpy and private helpers. All ranges
-    finish before the first exception, in range order, is re-raised.
+    pool the rest. ``fn`` writes only its own ranges of the outputs, and calls
+    only numpy, private helpers and ``net.forward_group``, none of which keeps
+    shared state. All ranges finish before the first exception, in range
+    order, is re-raised.
     """
     k = min(_WORKERS, n, n * unit_entries // _MIN_ENTRIES if _MIN_ENTRIES else n)
     if k < 2 or threading.current_thread() is not threading.main_thread():

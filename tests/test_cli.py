@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -51,6 +52,8 @@ def expected_environment():
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "threadpoolctl_importable": threads.threadpool_limits is not None,
+        # the pinning holds BLAS to one thread; unknown without threadpoolctl
+        "blas_threads": None if threads.threadpool_info is None else 1,
         "kernel_workers": threads._WORKERS,
     }
 
@@ -90,6 +93,31 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["environment"] == expected_environment()
         assert report["environment"]["kernel_workers"] in (1, 2)
+
+    def test_blas_threads_read_inside_the_pinning(self, monkeypatch):
+        from dpkl import cli, threads
+
+        pinned = []
+
+        @contextlib.contextmanager
+        def limits(limits, user_api):
+            pinned.append(limits)
+            try:
+                yield
+            finally:
+                pinned.pop()
+
+        def info():
+            blas = {"user_api": "blas", "num_threads": pinned[-1] if pinned else 4}
+            return [blas, {"user_api": "openmp", "num_threads": 8}]
+
+        monkeypatch.setattr(threads, "threadpool_limits", limits)
+        monkeypatch.setattr(threads, "threadpool_info", info)
+        assert cli.environment()["blas_threads"] == 1
+        monkeypatch.setattr(threads, "threadpool_info", lambda: [])
+        assert cli.environment()["blas_threads"] is None  # no BLAS library found
+        monkeypatch.setattr(threads, "threadpool_info", None)
+        assert cli.environment()["blas_threads"] is None
 
     def test_ssdpkl_without_pool_fails(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")

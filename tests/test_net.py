@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import MlpParams, backward_params, fd_gradient, forward, rel_err, unflatten_params
 
-from dpkl import net
+from dpkl import net, threads
 from dpkl.errors import DimensionMismatch
 from dpkl.net import (
     MlpArchitecture,
@@ -301,3 +308,112 @@ class TestBatchedPass:
         X = np.random.default_rng(10).normal(size=(self.N, 3))
         ensemble_vjp(ens, X, ensemble_embeddings(ens, X))
         assert stacks and max(stacks) <= max(net._GROUP_ENTRIES, self.N * self.WIDTH)
+
+
+def record_splits(monkeypatch):
+    """Patch net's _split to record, per call, the start of every range it runs."""
+    ranges = []
+    split = threads._split
+
+    def recording(n, unit_entries, fn):
+        ranges.append([])
+        split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+    monkeypatch.setattr(net, "_split", recording)
+    return ranges
+
+
+class TestMlpWorkers:
+    """The particle pass with whole groups on the kernel workers, against the
+    per-particle oracles, bit for bit at any worker count."""
+
+    ARCH_DIMS, N, WIDTH = TestBatchedPass.ARCH_DIMS, TestBatchedPass.N, TestBatchedPass.WIDTH
+
+    # budget 1: one particle per group; 2 * N * WIDTH: groups 2, 2, 1 of m = 5
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, 2 * N * WIDTH, None])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_particle_oracle(self, monkeypatch, workers, budget, activation, m):
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        if budget is not None:
+            monkeypatch.setattr(net, "_GROUP_ENTRIES", budget)
+        ranges = record_splits(monkeypatch)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, 3)
+        P = ens.arch.num_params
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(self.N, 3))
+        G = rng.normal(size=(m, self.N, 2))
+        G.flags.writeable = False  # a worker that wrote the cotangent would raise
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        assert np.array_equal(ensemble_embeddings(ens, X), Z_ref)
+        assert np.array_equal(ensemble_vjp(ens, X, G), grads_ref)
+        # one cotangent shared by every particle, as a (read-only) broadcast view
+        shared = np.broadcast_to(G[0], G.shape)
+        assert np.array_equal(ensemble_vjp(ens, X, shared), per_particle(ens, X, [G[0]] * m)[1])
+        # gradients written into a column block of a wider matrix, and only there
+        wide = np.full((m, P + 9), 7.5)
+        ensemble_vjp(ens, X, G, out=wide[:, 3 : 3 + P])
+        assert np.array_equal(wide[:, 3 : 3 + P], grads_ref)
+        assert np.all(wide[:, :3] == 7.5) and np.all(wide[:, 3 + P :] == 7.5)
+        groups = -(-m // net._group_size(ens.arch, self.N))
+        assert max(len(r) for r in ranges) == min(workers, groups)  # some call did split
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # more workers than cores, and thread switches as often as possible:
+        # a lost or torn write to a shared output would show as a mismatch
+        monkeypatch.setattr(threads, "_WORKERS", 8)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 1)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS), 11, 5)
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(200, 3))
+        G = rng.normal(size=(11, 200, 2))
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                assert np.array_equal(ensemble_embeddings(ens, X), Z_ref)
+                assert np.array_equal(ensemble_vjp(ens, X, G), grads_ref)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_paper_passes_split_only_at_large_n():
+    # the paper MLP (m = 50): the n = 45 and n = 16 passes stay serial and
+    # start no thread, even with two workers; the n = 2000 pass splits
+    code = textwrap.dedent(
+        """
+        import threading
+        import numpy as np
+        from dpkl import net, threads
+
+        threads._WORKERS = 2
+        ranges = []
+        split = threads._split
+
+        def recording(n, unit_entries, fn):
+            ranges.append([])
+            split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        net._split = recording
+        ens = net.init_ensemble(net.MlpArchitecture(1, (100, 50, 50), 2), 50, 0)
+        rng = np.random.default_rng(0)
+        for n in (45, 16):
+            X = rng.uniform(-3, 3, size=(n, 1))
+            net.ensemble_vjp(ens, X, net.ensemble_embeddings(ens, X))
+        assert threading.active_count() == 1, threading.enumerate()
+        assert [len(r) for r in ranges] == [1, 1, 1, 1], ranges
+        ranges.clear()
+        X = rng.uniform(-3, 3, size=(2000, 1))
+        net.ensemble_vjp(ens, X, net.ensemble_embeddings(ens, X))
+        assert [len(r) for r in ranges] == [2, 2], ranges
+        """
+    )
+    src = str(Path(net.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
