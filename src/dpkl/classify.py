@@ -10,10 +10,14 @@ and the ensemble and the head are views into it. A minibatch's gradient is
 one grouped forward pass and one grouped backward pass over all particles
 (``net.ensemble_vjp``), written straight into the network block of the
 (m, P + C d) joint gradient; the class-weight block follows in closed form.
+The epoch loop is the regression trainer's too (``trainer._train_epochs``):
+this module supplies only the minibatch epoch and the validation accuracy,
+and the best snapshot is one copy of the joint matrix.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -24,12 +28,12 @@ from .errors import ConfigError, DimensionMismatch, InsufficientData
 from .threads import single_threaded_blas
 from .trainer import (
     AdamState,
-    EpochRecord,
     RunReport,
     TrainConfig,
     TrainData,
     _kappa_matrix,  # noqa: F401 -- perfbench's tracer test reads classify._kappa_matrix
     _require_finite,
+    _train_epochs,
     _validation_split,
     derive_seeds,
     functional_gradient_step,
@@ -185,6 +189,13 @@ def fit_classifier(
         return _fit_classifier_loop(data, config, trajectory_hook)
 
 
+def _joint_views(arch: net.MlpArchitecture, C: int, W: np.ndarray, seed: int):
+    """The ensemble and the head whose parameters are the columns of joint matrix W."""
+    p_net = arch.num_params
+    head = SoftmaxHead(C, W[:, p_net:].reshape(W.shape[0], C, -1))
+    return net.ParticleEnsemble(arch, W[:, :p_net], seed), head
+
+
 def _fit_classifier_loop(data, config, trajectory_hook):
     t_start = time.perf_counter()
     X = np.asarray(data.X, dtype=np.float64)
@@ -202,65 +213,34 @@ def _fit_classifier_loop(data, config, trajectory_hook):
     X_val, y_val = X[val_idx], labels[val_idx]
 
     arch = config.architecture(X.shape[1])
-    ensemble = net.init_ensemble(arch, config.m, seeds["init"])
-    head = init_head(C, config.latent_dim, config.m, seeds["rff"])
-    # one joint particle matrix; the ensemble and the head are views into it
-    W = np.hstack([ensemble.flat(), head.flat()])
-    p_net = arch.num_params
-    ensemble = net.ParticleEnsemble(arch, W[:, :p_net], ensemble.seed)
-    head = SoftmaxHead(C, W[:, p_net:].reshape(head.thetas.shape))
+    init = net.init_ensemble(arch, config.m, seeds["init"])
+    W = np.hstack([init.flat(), init_head(C, config.latent_dim, config.m, seeds["rff"]).flat()])
+    ensemble, head = _joint_views(arch, C, W, init.seed)
     opt = AdamState.zeros(*W.shape)
-
-    def val_accuracy(ens, hd) -> float:
-        probs = predict_probs(ens, hd, X_val)
-        return float(np.mean(probs.argmax(axis=1) == y_val))
-
-    report = RunReport(task="classification")
-    best_metric = val_accuracy(ensemble, head)
-    best_ens, best_head = ensemble.copy(), head.copy()
-    best_epoch = 0
-    if trajectory_hook is not None:
-        trajectory_hook(0, ensemble, head)
-
     n_tr = X_tr.shape[0]
     bs = min(config.batch_size, n_tr)
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
+
+    def run_epoch(epoch):
         order = np.random.default_rng([seeds["batches"], epoch]).permutation(n_tr)
-        epoch_losses = []
+        losses = []
         for start in range(0, n_tr, bs):
             idx = order[start : start + bs]
             G, loss = batch_grads(ensemble, head, X_tr[idx], y_tr[idx], config.classifier_l2)
             _require_finite(loss, "minibatch loss", opt.t + 1)
             functional_gradient_step(W, G, opt, config)
-            epoch_losses.append(loss)
-        checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
-        metric = val_accuracy(ensemble, head) if checked else None
-        if metric is not None and metric > best_metric:
-            best_metric = metric
-            best_ens, best_head = ensemble.copy(), head.copy()
-            best_epoch = epoch
-        report.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_nll=float(np.mean(epoch_losses)),
-                objective=float(np.mean(epoch_losses)),
-                val_metric=metric,
-                h_kappa=opt.last_bandwidth,
-                kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
-                grad_norm=opt.last_grad_norm,
-                mixed_grad_norm=opt.last_mixed_grad_norm,
-                jitter=0.0,
-                chol_min_diag=None,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        if trajectory_hook is not None:
-            trajectory_hook(epoch, ensemble, head)
+            losses.append(loss)
+        loss = float(np.mean(losses))
+        return loss, loss, 0.0, None
 
-    report.best_epoch = best_epoch
-    report.best_val_metric = best_metric
+    def val_accuracy() -> float:
+        probs = predict_probs(ensemble, head, X_val)
+        return float(np.mean(probs.argmax(axis=1) == y_val))
+
+    hook = None if trajectory_hook is None else (lambda e: trajectory_hook(e, ensemble, head))
+    best, report = _train_epochs(
+        "classification", config, W, opt, run_epoch, val_accuracy, operator.gt, hook
+    )
     if report.epochs:
         report.final_train_nll = report.final_objective = report.epochs[-1].train_nll
     report.total_seconds = time.perf_counter() - t_start
-    return best_ens, best_head, report
+    return (*_joint_views(arch, C, best, init.seed), report)

@@ -213,14 +213,10 @@ def _evaluate_regression(ensemble, cfg: TrainConfig, labeled, test, stats):
     pred_var = stats.invert_variance(vars_n + cfg.noise_var)
     y_true = stats.invert_y(test.y)
     sq_err = (means - y_true) ** 2
-    rmse = float(np.sqrt(np.mean(sq_err)))
-    test_nll = float(
-        np.mean(0.5 * (np.log(2.0 * np.pi * pred_var) + sq_err / pred_var))
-    )
     return {
         "n_test": int(test.n),
-        "rmse": rmse,
-        "test_nll": test_nll,
+        "rmse": float(np.sqrt(np.mean(sq_err))),
+        "test_nll": trainer.predictive_nll(means, pred_var, y_true, 0.0),
         "spearman_variance_error": _spearman(pred_var, sq_err),
         "per_point": {
             "variance": pred_var.tolist(),
@@ -685,9 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "_file_config"):
-        args._file_config = read_config_file(args.config) if getattr(args, "config", None) else {}
     try:
+        if not hasattr(args, "_file_config"):
+            args._file_config = read_config_file(args.config) if args.config else {}
+            for key in args._file_config:
+                # a misspelt key would otherwise go unused without a word
+                if key not in vars(args) and key not in _TRAIN_CONFIG_KEYS:
+                    raise ConfigError(f"{args.config}: unknown config key {key!r}")
         with single_threaded_blas():
             return args.func(args)
     except InternalConsistencyError as exc:

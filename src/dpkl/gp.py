@@ -1,9 +1,9 @@
 """GP marginal likelihood, its kernel gradient, and batched posterior prediction.
 
-A GpState freezes everything prediction needs: the kernel representation
-(dense matrix or RFF factor), the Cholesky factor of K + sigma^2 I, and the
-solve vector alpha. States are immutable once assembled; posterior queries
-may share one state freely.
+A GpState freezes what prediction needs: the Cholesky factor of
+K + sigma^2 I and the solve vector alpha; an RFF state also keeps its feature
+factor R. States are immutable once assembled; posterior queries may share
+one state freely.
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ _VARIANCE_SLACK = -1e-8
 class GpState:
     """Assembled GP over n training points.
 
-    mode is "exact" (K is the dense kernel) or "rff" (R is the feature factor
-    and the effective kernel is R R^T). noise_var may be 0 for oracle checks
-    on strictly positive-definite kernels.
+    chol factors K + sigma^2 I, where K is the dense kernel or, for an RFF
+    state, R R^T with R the feature factor (None for a dense state).
     """
 
-    mode: str
-    K: np.ndarray | None
     R: np.ndarray | None
-    noise_var: float
     chol: linalg.CholFactor
     alpha: np.ndarray
     y: np.ndarray
@@ -42,24 +38,25 @@ class GpState:
         return self.y.shape[0]
 
 
-def _assemble(mode, K, R, A, y, noise_var, base_jitter) -> GpState:
+def _assemble(A, y, base_jitter, R=None) -> GpState:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if A.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"kernel dim {A.shape[0]} != target dim {y.shape[0]}")
     f = linalg.cholesky(A, base_jitter)
-    alpha = linalg.solve_chol(f, y)
-    return GpState(mode=mode, K=K, R=R, noise_var=noise_var, chol=f, alpha=alpha, y=y)
+    return GpState(R=R, chol=f, alpha=linalg.solve_chol(f, y), y=y)
 
 
 def gp_state_exact(
     K: np.ndarray, y: np.ndarray, noise_var: float = 0.1, base_jitter: float = 1e-8
 ) -> GpState:
-    """Build a state from a dense distributional kernel matrix."""
+    """Build a state from a dense distributional kernel matrix.
+
+    noise_var may be 0 for oracle checks on strictly positive-definite kernels.
+    """
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     K = linalg.check_symmetric(K)
-    A = K + noise_var * np.eye(K.shape[0])
-    return _assemble("exact", K, None, A, y, noise_var, base_jitter)
+    return _assemble(K + noise_var * np.eye(K.shape[0]), y, base_jitter)
 
 
 def gp_state_rff(
@@ -69,8 +66,7 @@ def gp_state_rff(
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     R = np.asarray(R, dtype=np.float64)
-    A = R @ R.T + noise_var * np.eye(R.shape[0])
-    return _assemble("rff", None, R, A, y, noise_var, base_jitter)
+    return _assemble(R @ R.T + noise_var * np.eye(R.shape[0]), y, base_jitter, R)
 
 
 def nll(state: GpState) -> float:

@@ -18,6 +18,13 @@ The objective's gradient is one grouped pass over the ensemble: embeddings
 and kernel cotangents are stacked (m, n, d) arrays, and ``net.ensemble_vjp``
 writes the (m, P) gradient in place.
 
+``_train_epochs`` is the one epoch loop, shared with ``classify``: the
+validation schedule, the non-finite metric guard, the best snapshot (a copy
+of the particle matrix, replaced only by a strictly better metric), the
+per-epoch ``EpochRecord`` and the trajectory hook. ``fit`` supplies its
+full-batch epoch and validation NLL, then scores the final particles once
+more for ``final_train_nll``.
+
 Three training modes:
   dpkl   — minimize the GP negative log likelihood over labeled data;
   ssdpkl — minimize (1/n_l) nll + (alpha/n_u) * sum of posterior variances
@@ -28,8 +35,9 @@ Three training modes:
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -197,7 +205,9 @@ def _objective_core(
     config: TrainConfig,
     basis: kernels.RffBasis | None,
     want_grads: bool,
+    out: np.ndarray | None = None,
 ) -> _ObjectiveResult:
+    """The objective and, when want_grads, its (m, P) gradient, written into out if given."""
     spec = config.kernel_spec()
     ssdpkl = config.mode == "ssdpkl"
     X_lab = np.asarray(data.X, dtype=np.float64)
@@ -271,7 +281,7 @@ def _objective_core(
             C[n_l:, n_l:] = w_reg * np.eye(n_u)
         G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
 
-    grads = net.ensemble_vjp(ensemble, X_all, G)
+    grads = net.ensemble_vjp(ensemble, X_all, G, out=out)
     return _ObjectiveResult(
         objective, nll_value, reg_value, grads, state.chol.jitter_used, chol_min_diag
     )
@@ -440,28 +450,23 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
-    """Everything a run produced besides the ensemble itself."""
+    """Everything a run produced besides the ensemble itself.
+
+    A value the run never measured stays None (null in JSON): the final loss
+    of a classification run with no epochs, for one.
+    """
 
     task: str
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
-    best_val_metric: float = math.nan
-    final_train_nll: float = math.nan
-    final_objective: float = math.nan
+    best_val_metric: float | None = None
+    final_train_nll: float | None = None
+    final_objective: float | None = None
     total_seconds: float = 0.0
     final_metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "epochs": [vars(e) for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "best_val_metric": self.best_val_metric,
-            "final_train_nll": self.final_train_nll,
-            "final_objective": self.final_objective,
-            "total_seconds": self.total_seconds,
-            "final_metrics": self.final_metrics,
-        }
+        return asdict(self)
 
 
 def _validation_split(n: int, val_fraction: float, seed: int):
@@ -475,12 +480,45 @@ def _validation_split(n: int, val_fraction: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
-def _subsample_unlabeled(X_u, cap, seed, epoch):
-    if X_u is None or X_u.shape[0] <= cap:
-        return X_u
-    rng = np.random.default_rng([seed, epoch])
-    idx = rng.choice(X_u.shape[0], size=cap, replace=False)
-    return X_u[idx]
+def _train_epochs(task, config, W, opt, run_epoch, val_metric, better, hook):
+    """The epoch loop of ``fit`` and ``fit_classifier``; returns (best copy of W, report).
+
+    ``run_epoch(epoch)`` steps the live particle matrix W and returns that
+    epoch's (train_nll, objective, jitter, chol_min_diag); ``val_metric()``
+    scores the live model. The metric is checked at epoch 0, every
+    early_stop_check_every epochs and at the last epoch, and must be finite. A
+    check takes a snapshot only when ``better(metric, best)`` holds, so a tie
+    keeps the earlier one. ``hook(epoch)``, when given, runs after epoch 0's
+    check and after every epoch.
+    """
+    report = RunReport(task=task)
+    best_metric, best, best_epoch = val_metric(), W.copy(), 0
+    if hook is not None:
+        hook(0)
+    for epoch in range(1, config.max_epochs + 1):
+        t0 = time.perf_counter()
+        train_nll, objective, jitter, chol_min_diag = run_epoch(epoch)
+        checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
+        metric = val_metric() if checked else None
+        if metric is not None:
+            _require_finite(metric, "validation metric", opt.t)
+            if better(metric, best_metric):
+                best_metric, best, best_epoch = metric, W.copy(), epoch
+        report.epochs.append(
+            EpochRecord(
+                epoch, train_nll, objective, metric, opt.last_bandwidth,
+                opt.last_kappa_offdiag_mean, opt.last_grad_norm, opt.last_mixed_grad_norm,
+                jitter, chol_min_diag, time.perf_counter() - t0,
+            )
+        )
+        if hook is not None:
+            hook(epoch)
+    # Epoch 0's metric is checked only now, so that a non-finite objective at
+    # step 1 is reported as such; a NaN never compares better than it, so it
+    # would otherwise stay "best".
+    _require_finite(best_metric, "validation metric", 0)
+    report.best_epoch, report.best_val_metric = best_epoch, best_metric
+    return best, report
 
 
 def fit(
@@ -496,10 +534,6 @@ def fit(
     returned, never one worse than epoch 0. Deterministic given config.seed.
     """
     config.validate()
-    if config.mode == "ssdpkl" and (
-        data.X_unlabeled is None or len(data.X_unlabeled) == 0
-    ):
-        raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
     with single_threaded_blas():
         return _fit_loop(data, config, trajectory_hook)
 
@@ -516,76 +550,44 @@ def _fit_loop(data, config, trajectory_hook):
     spec = config.kernel_spec()
     arch = config.architecture(X.shape[1])
     ensemble = net.init_ensemble(arch, config.m, seeds["init"])
+    W = ensemble.flat()
     basis = _rff_basis_for(config, seeds["rff"]) if config.kernel_mode == "rff" else None
     opt = AdamState.zeros(config.m, arch.num_params)
+    # One gradient buffer for every epoch. A fresh one, freed at each epoch's
+    # end next to the step's phi, let glibc trim the heap top and fault about
+    # 6 MB back in every epoch at the paper sizes.
+    grads = np.empty_like(W)
 
-    def val_metric(ens) -> float:
+    def epoch_data(epoch) -> TrainData:
+        # a pool over unlabeled_cap rows is subsampled afresh each epoch
+        X_u = data.X_unlabeled
+        if X_u is not None and X_u.shape[0] > config.unlabeled_cap:
+            rng = np.random.default_rng([seeds["unlabeled"], epoch])
+            X_u = X_u[rng.choice(X_u.shape[0], size=config.unlabeled_cap, replace=False)]
+        return TrainData(X_tr, y_tr, X_u)
+
+    def run_epoch(epoch):
+        result = _objective_core(
+            ensemble, epoch_data(epoch), config, basis, want_grads=True, out=grads
+        )
+        _require_finite(result.objective, "objective", opt.t + 1)
+        functional_gradient_step(W, result.grads, opt, config)
+        return result.nll, result.objective, result.jitter, result.chol_min_diag
+
+    def val_metric() -> float:
         means, variances = predict_regression(
-            ens, spec, X_tr, y_tr, X_val, config.noise_var, config.base_jitter
+            ensemble, spec, X_tr, y_tr, X_val, config.noise_var, config.base_jitter
         )
         return predictive_nll(means, variances, y_val, config.noise_var)
 
-    report = RunReport(task="regression")
-    best_metric = val_metric(ensemble)
-    best_snapshot = ensemble.copy()
-    best_epoch = 0
-    if trajectory_hook is not None:
-        trajectory_hook(0, ensemble)
-
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
-        X_u = _subsample_unlabeled(
-            data.X_unlabeled, config.unlabeled_cap, seeds["unlabeled"], epoch
-        )
-        epoch_data = TrainData(X_tr, y_tr, X_u)
-        result = _objective_core(ensemble, epoch_data, config, basis, want_grads=True)
-        _require_finite(result.objective, "objective", opt.t + 1)
-        functional_gradient_step(ensemble.flat(), result.grads, opt, config)
-        checked = epoch % config.early_stop_check_every == 0 or epoch == config.max_epochs
-        metric = val_metric(ensemble) if checked else None
-        if metric is not None:
-            _require_finite(metric, "validation metric", opt.t)
-        if metric is not None and metric < best_metric:
-            best_metric = metric
-            best_snapshot = ensemble.copy()
-            best_epoch = epoch
-        report.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_nll=result.nll,
-                objective=result.objective,
-                val_metric=metric,
-                h_kappa=opt.last_bandwidth,
-                kappa_offdiag_mean=opt.last_kappa_offdiag_mean,
-                grad_norm=opt.last_grad_norm,
-                mixed_grad_norm=opt.last_mixed_grad_norm,
-                jitter=result.jitter,
-                chol_min_diag=result.chol_min_diag,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        if trajectory_hook is not None:
-            trajectory_hook(epoch, ensemble)
-
-    # Epoch 0's metric is checked only now, so that a non-finite objective at
-    # step 1 is reported as such; a NaN never compares below it, so it would
-    # otherwise stay "best".
-    _require_finite(best_metric, "validation metric", 0)
-
+    hook = None if trajectory_hook is None else (lambda e: trajectory_hook(e, ensemble))
+    best, report = _train_epochs(
+        "regression", config, W, opt, run_epoch, val_metric, operator.lt, hook
+    )
     # the last epoch's capped pool, so the cap also bounds this pass
-    X_u = _subsample_unlabeled(
-        data.X_unlabeled, config.unlabeled_cap, seeds["unlabeled"], config.max_epochs
-    )
     final = _objective_core(
-        ensemble,
-        TrainData(X_tr, y_tr, X_u),
-        config,
-        basis,
-        want_grads=False,
+        ensemble, epoch_data(config.max_epochs), config, basis, want_grads=False
     )
-    report.final_train_nll = final.nll
-    report.final_objective = final.objective
-    report.best_epoch = best_epoch
-    report.best_val_metric = best_metric
+    report.final_train_nll, report.final_objective = final.nll, final.objective
     report.total_seconds = time.perf_counter() - t_start
-    return best_snapshot, report
+    return net.ParticleEnsemble(arch, best, ensemble.seed), report

@@ -296,6 +296,33 @@ class TestFitClassifier:
         assert not np.shares_memory(ens.flat(), live_ens.flat())
         assert not np.shares_memory(head.thetas, live_head.thetas)
 
+    def test_zero_epochs_returns_initialized_model(self):
+        cfg = self.small_config(max_epochs=0)
+        ensemble, head, report = fit_classifier(self.blobs(), cfg)
+        seeds = derive_seeds(cfg.seed)
+        fresh = net.init_ensemble(cfg.architecture(2), cfg.m, seeds["init"])
+        fresh_head = init_head(2, cfg.latent_dim, cfg.m, seeds["rff"])
+        np.testing.assert_array_equal(ensemble.flat(), fresh.flat())
+        np.testing.assert_array_equal(head.thetas, fresh_head.thetas)
+        assert report.epochs == []
+        assert report.final_train_nll is None and report.final_objective is None
+
+    def test_ties_keep_the_earlier_snapshot(self):
+        # separable blobs: validation accuracy reaches 1.0 at one check and
+        # stays there, so every later check ties the best one
+        cfg = self.small_config(max_epochs=6, seed=0, early_stop_check_every=1)
+        snaps = []
+
+        def hook(epoch, ens, hd):
+            snaps.append(np.hstack([ens.flat(), hd.flat()]))
+
+        ens, head, report = fit_classifier(self.blobs(seed=0), cfg, trajectory_hook=hook)
+        tied = [e.epoch for e in report.epochs if e.val_metric == report.best_val_metric]
+        assert len(tied) >= 2 and tied[0] > 0
+        assert report.best_epoch == tied[0]
+        np.testing.assert_array_equal(np.hstack([ens.flat(), head.flat()]), snaps[tied[0]])
+        assert not np.array_equal(snaps[tied[0]], snaps[tied[-1]])
+
     def test_ssdpkl_mode_rejected(self):
         with pytest.raises(ConfigError):
             fit_classifier(self.blobs(), self.small_config(mode="ssdpkl"))

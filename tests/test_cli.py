@@ -163,6 +163,24 @@ class TestTrain:
         assert "accuracy" in report["test"]
         assert "entropy" in report["test"]["per_point"]
 
+    def test_zero_epoch_classification_writes_strict_json(self, tmp_path):
+        data = write_blobs_csv(tmp_path / "blobs.csv")
+        out = tmp_path / "run"
+        code = run(["train", "--task", "classification", "--data", data,
+                    "--target", "label", "--n-labeled", "40", "--out", out,
+                    *FAST, "--max-epochs", "0"])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                for p in out.glob("*.json")}
+        assert set(docs) == {"checkpoint.json", "report.json"}
+        run_doc = docs["report.json"]["run"]
+        assert run_doc["epochs"] == []
+        assert run_doc["final_train_nll"] is None and run_doc["final_objective"] is None
+
     def test_missing_file_is_user_error(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.csv", "--target", "y",
                     "--n-labeled", "5"])
@@ -181,6 +199,18 @@ class TestTrain:
         assert report["config"]["m"] == 2        # flag beats file
         assert report["config"]["max_epochs"] == 2  # file beats default
         assert report["config"]["seed"] == 3
+
+
+    def test_config_file_sets_fields_without_flags(self, tmp_path):
+        data = write_regression_csv(tmp_path / "sine.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adam_eps = 1e-7\nn_labeled = 20\n")
+        out = tmp_path / "run"
+        code = run(["train", "--data", data, "--target", "y", "--config", cfg,
+                    "--out", out, *FAST])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["adam_eps"] == 1e-7
 
 
 @pytest.fixture
@@ -390,6 +420,18 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "InternalConsistencyError",
                           "message": "non-finite label normalization mean or std"}
+
+    def test_unknown_config_key_is_exit_one(self, tmp_path, capsys):
+        data = write_regression_csv(tmp_path / "sine.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rat = 0.5\nmax_epoch = 3\n")
+        code = run(["train", "--data", data, "--target", "y", "--n-labeled", "20",
+                    "--config", cfg, "--out", tmp_path / "run"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "'learning_rat'" in record["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_unexpected_exception_is_exit_two(self, tmp_path, capsys, monkeypatch):
         from dpkl import cli
