@@ -25,14 +25,13 @@ import scipy
 
 from . import __version__, classify, threads, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Dataset, SplitSpec, _is_float, load_csv, normalize, split
+from .data import Dataset, SplitSpec, _parse_rows, _read_rows, load_csv, normalize, split
 from .errors import (
     CheckpointError,
     ConfigError,
     DpklError,
     InsufficientRows,
     InternalConsistencyError,
-    ParseError,
 )
 from .threads import single_threaded_blas
 from .trainer import TrainConfig, TrainData
@@ -99,42 +98,42 @@ def _error_record(kind: str, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config resolution: flags > config file > TrainConfig defaults
+# config resolution: flags > config file > the flags' defaults
+#
+# Each subcommand's parser is the one place that knows a key's type, default
+# and allowed values. A --config file's values are converted and checked by
+# the matching flag's action and become that parser's defaults, so the flags
+# given on the command line still win. Flags that map onto TrainConfig fields
+# default to None, leaving the default to the field itself.
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {
-    "m", "q", "max_epochs", "early_stop_check_every", "seed", "latent_dim",
-    "batch_size", "unlabeled_cap", "n_labeled", "n_unlabeled", "n_test",
-    "trials", "workers",
-}
-_FLOAT_KEYS = {
-    "learning_rate", "noise_var", "ssdpkl_alpha", "val_fraction", "adam_beta1",
-    "adam_beta2", "adam_eps", "amplitude", "bandwidth", "base_jitter",
-    "classifier_l2", "kappa_bandwidth",
-}
-_BOOL_KEYS = {"no_header", "no_normalize_features", "skip_bad_rows"}
-_TUPLE_KEYS = {"hidden_dims"}
+_TRAIN_CONFIG_KEYS = [f.name for f in TrainConfig.__dataclass_fields__.values()]
 
 
-def _convert(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in _TUPLE_KEYS:
-        return tuple(int(x) for x in raw.split(",") if x.strip())
-    return raw
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    """'100,50,50' -> (100, 50, 50)."""
+    return tuple(int(x) for x in raw.split(",") if x.strip())
 
 
-def read_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment; keys match flag names."""
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def read_config_file(path, parser: argparse.ArgumentParser) -> dict:
+    """Flat key=value file; '#' starts a comment.
+
+    A key is the dest of one of ``parser``'s flags and converts as that flag
+    does (a boolean for the on/off flags), with the flag's choices enforced;
+    or it is a TrainConfig field without a flag, read as a float. Anything
+    else raises ConfigError.
+    """
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -143,41 +142,33 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            values[key] = _convert(key, raw.strip())
+            key, raw = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            action = actions.get(key)
+            # a misspelt key would otherwise go unused without a word
+            if action is None and key not in _TRAIN_CONFIG_KEYS:
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            convert = float if action is None else (
+                _parse_bool if action.nargs == 0 else action.type or str)
+            try:
+                value = convert(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from None
+            if action is not None and action.choices and value not in action.choices:
+                raise ConfigError(f"{path}:{lineno}: config key {key} must be one of "
+                                  f"{list(action.choices)}, got {value!r}")
+            values[key] = value
     return values
 
 
-def _resolve(args, key, default=None):
-    """Flag value if given, else config-file value, else the default."""
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if key in args._file_config:
-        return args._file_config[key]
-    return default
-
-
-_TRAIN_CONFIG_KEYS = [f.name for f in TrainConfig.__dataclass_fields__.values()]
-
-
-def _train_config_kwargs(args) -> dict:
-    kwargs = {}
-    for key in _TRAIN_CONFIG_KEYS:
-        v = _resolve(args, key)
-        if v is not None:
-            kwargs[key] = v
-    if isinstance(kwargs.get("hidden_dims"), str):
-        kwargs["hidden_dims"] = _convert("hidden_dims", kwargs["hidden_dims"])
-    return kwargs
-
-
-def resolve_train_config(args) -> TrainConfig:
-    kwargs = _train_config_kwargs(args)
+def resolve_train_config(args, **overrides) -> TrainConfig:
+    """TrainConfig from the parsed flags; ``overrides`` win over them and a
+    None value leaves the field's default."""
+    given = {key: getattr(args, key, None) for key in _TRAIN_CONFIG_KEYS}
+    kwargs = {k: v for k, v in {**given, **overrides}.items() if v is not None}
     # dkl means a single deterministic network unless m was forced explicitly
-    if kwargs.get("mode") == "dkl" and "m" not in kwargs:
-        kwargs["m"] = 1
+    if kwargs.get("mode") == "dkl":
+        kwargs.setdefault("m", 1)
     cfg = TrainConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -290,31 +281,18 @@ def _run_training(
 
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
-    task = _resolve(args, "task", "regression")
-    if task not in ("regression", "classification"):
-        raise ConfigError(f"unknown task {task!r}")
-    data_path = _resolve(args, "data")
-    target = _resolve(args, "target")
+    task, data_path, target = args.task, args.data, args.target
     if data_path is None or target is None:
         raise ConfigError("--data and --target are required")
-    out_dir = Path(_resolve(args, "out", "run"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    ds = load_csv(
-        data_path,
-        target,
-        delimiter=_resolve(args, "delimiter", ","),
-        has_header=not bool(_resolve(args, "no_header", False)),
-        skip_bad_rows=bool(_resolve(args, "skip_bad_rows", False)),
-    )
-    if cfg.mode == "ssdpkl" and _resolve(args, "n_unlabeled", 0) == 0:
+    ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
+                  skip_bad_rows=args.skip_bad_rows)
+    if cfg.mode == "ssdpkl" and args.n_unlabeled == 0:
         raise ConfigError("ssdpkl mode needs --n-unlabeled > 0")
 
     ensemble, head, report, metrics, labeled_n, test_n, stats, latent = _run_training(
-        ds, cfg, task, cfg.seed,
-        n_labeled=_resolve(args, "n_labeled"), n_unlabeled=_resolve(args, "n_unlabeled", 0),
-        n_test=_resolve(args, "n_test"),
-        normalize_features=not _resolve(args, "no_normalize_features", False),
+        ds, cfg, task, cfg.seed, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
+        n_test=args.n_test, normalize_features=not args.no_normalize_features,
     )
 
     resolved = dict(asdict(cfg), task=task, data=str(data_path), target=str(target))
@@ -333,6 +311,8 @@ def cmd_train(args) -> int:
         config=resolved,
         version=version,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.json"
     save_checkpoint(ckpt_path, ckpt)
 
@@ -363,17 +343,16 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    has_header = not bool(args.no_header)
     target = args.target if args.target is not None else ckpt.target_column
     D = ckpt.ensemble.arch.input_dim
-    X = _load_query_csv(args.data, args.delimiter, has_header, str(target))
+    X = _load_query_csv(args.data, args.delimiter, not args.no_header, str(target))
     if X.shape[1] != D:
         raise CheckpointError(
             f"query has {X.shape[1]} feature columns, checkpoint expects {D}"
         )
 
     X_n = ckpt.stats.apply_x(X)
-    out_path = Path(args.out) if args.out else Path("predictions.csv")
+    out_path = Path(args.out)
     if ckpt.task == "regression":
         means_n, vars_n = trainer.predict_regression(
             ckpt.ensemble, ckpt.kernel_spec, ckpt.X_train, ckpt.y_train, X_n,
@@ -401,27 +380,14 @@ def _load_query_csv(path, delimiter, has_header, target: str) -> np.ndarray:
     without a header, a 0-based index) equal to ``target`` marks; its cells may
     be blank. Any other cell that is not a finite number raises ParseError
     naming its row and column in the file."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    rows = _read_rows(path, delimiter)
     body = rows[1:] if has_header else rows
     if not body:
         raise InsufficientRows(f"query file {path} has no data rows")
     ncols = len(body[0])
     names = [c.strip() for c in rows[0]] if has_header else [str(j) for j in range(ncols)]
     keep = [j for j in range(ncols) if j >= len(names) or names[j] != target]
-    feats = []
-    for r, row in enumerate(body, start=1 + has_header):
-        if len(row) != ncols:
-            raise ParseError(r, len(row) + 1, f"row {r} has {len(row)} cells, expected {ncols}")
-        try:
-            vals = [float(row[j]) for j in keep]
-        except ValueError:
-            vals = [float(row[j]) if _is_float(row[j]) else math.nan for j in keep]
-        if not all(map(math.isfinite, vals)):
-            j = next(j for j, v in zip(keep, vals) if not math.isfinite(v))
-            raise ParseError(r, j + 1, f"query cell at row {r}, column {j + 1} is not finite: {row[j]!r}")
-        feats.append(vals)
-    return np.asarray(feats)
+    return np.asarray(_parse_rows(body, 1 + has_header, keep)[0])
 
 
 _BENCH_HEADER = ["dataset", "mode", "n", "trial", "seed", "rmse", "nll"]
@@ -438,49 +404,35 @@ def _existing_bench_keys(path: Path) -> set[tuple]:
 
 
 def cmd_benchmark(args) -> int:
-    data_path = _resolve(args, "data")
-    target = _resolve(args, "target")
+    data_path, target = args.data, args.target
     if data_path is None or target is None:
         raise ConfigError("--data and --target are required")
-    sizes = [int(s) for s in str(_resolve(args, "sizes", "50,100")).split(",") if s.strip()]
-    modes = [s.strip() for s in str(_resolve(args, "modes", "dpkl,dkl")).split(",") if s.strip()]
-    trials = int(_resolve(args, "trials", 10))
-    base_seed = int(_resolve(args, "seed", 0))
-    n_unlabeled = int(_resolve(args, "n_unlabeled", 0))
-    workers = int(_resolve(args, "workers", 1))
-    out_dir = Path(_resolve(args, "out", "benchmark"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sizes, trials, n_unlabeled, workers = args.sizes, args.trials, args.n_unlabeled, args.workers
+    modes = [s.strip() for s in args.modes.split(",") if s.strip()]
+    base_seed = TrainConfig.seed if args.seed is None else args.seed
 
-    ds = load_csv(
-        data_path,
-        target,
-        delimiter=_resolve(args, "delimiter", ","),
-        has_header=not bool(_resolve(args, "no_header", False)),
-    )
+    ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
+                  skip_bad_rows=args.skip_bad_rows)
     dataset_name = Path(str(data_path)).stem
-    n_test = _resolve(args, "n_test")
+    n_test = args.n_test
     if n_test is None:
         n_test = ds.n - max(sizes) - n_unlabeled
         if n_test < 1:
             raise ConfigError("dataset too small for the requested sizes; set --n-test")
-    normalize_features = not _resolve(args, "no_normalize_features", False)
 
     def run_cell(mode: str, n: int, trial: int):
         seed = base_seed + trial
-        kwargs = _train_config_kwargs(args)
-        kwargs.update(mode=mode, seed=seed)
-        if mode == "dkl":
-            kwargs["m"] = 1
-        cfg = TrainConfig(**kwargs)
-        cfg.validate()
+        # the grid's dkl cells are single networks even when --m sizes the others
+        cfg = resolve_train_config(args, mode=mode, seed=seed, m=1 if mode == "dkl" else args.m)
         _, _, _, metrics, *_ = _run_training(
             ds, cfg, "regression", seed, n_labeled=n,
             n_unlabeled=n_unlabeled if mode == "ssdpkl" else 0, n_test=n_test,
-            normalize_features=normalize_features,
+            normalize_features=not args.no_normalize_features,
         )
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]
 
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]
+    out_dir = Path(args.out)
     results_path = out_dir / "results.csv"
     existing = _existing_bench_keys(results_path)
     todo = [c for c in cells if (c[0], c[1], c[2], base_seed + c[2]) not in existing]
@@ -502,6 +454,7 @@ def cmd_benchmark(args) -> int:
                 failures.append({"cell": list(cell), "error": type(exc).__name__, "message": str(exc)})
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    out_dir.mkdir(parents=True, exist_ok=True)
     new_file = not results_path.exists()
     with open(results_path, "a", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -603,18 +556,20 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", choices=["regression", "classification"])
+def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
+    p.add_argument("--config", help="key=value config file (flags override)")
+    p.add_argument("--out", "-o", default=out, help=f"output directory (default: {out})")
+    p.add_argument("--task", choices=["regression", "classification"], default="regression")
     p.add_argument("--data")
     p.add_argument("--target")
-    p.add_argument("--delimiter")
-    p.add_argument("--no-header", action="store_const", const=True, dest="no_header")
-    p.add_argument("--skip-bad-rows", action="store_const", const=True, dest="skip_bad_rows")
+    p.add_argument("--delimiter", default=",")
+    p.add_argument("--no-header", action="store_true", dest="no_header")
+    p.add_argument("--skip-bad-rows", action="store_true", dest="skip_bad_rows")
     p.add_argument("--n-labeled", type=int, dest="n_labeled")
-    p.add_argument("--n-unlabeled", type=int, dest="n_unlabeled")
+    p.add_argument("--n-unlabeled", type=int, dest="n_unlabeled", default=0)
     p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--no-normalize-features", action="store_const", const=True,
-                   dest="no_normalize_features")
+    p.add_argument("--no-normalize-features", action="store_true", dest="no_normalize_features")
+    # TrainConfig fields: None keeps the field's own default
     p.add_argument("--mode", choices=["dpkl", "ssdpkl", "dkl"])
     p.add_argument("--kernel-mode", choices=["exact", "rff"], dest="kernel_mode")
     p.add_argument("--m", type=int)
@@ -626,7 +581,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-fraction", type=float, dest="val_fraction")
     p.add_argument("--check-every", type=int, dest="early_stop_check_every")
     p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-dims", dest="hidden_dims")
+    p.add_argument("--hidden-dims", type=_int_tuple, dest="hidden_dims")
     p.add_argument("--latent-dim", type=int, dest="latent_dim")
     p.add_argument("--activation", choices=["relu", "tanh"])
     p.add_argument("--amplitude", type=float)
@@ -646,48 +601,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit a model and write checkpoint + report")
-    _add_train_flags(p_train)
-    p_train.add_argument("--config", help="key=value config file (flags override)")
-    p_train.add_argument("--out", "-o", help="output directory (default: run)")
-    p_train.set_defaults(func=cmd_train)
+    _add_train_flags(p_train, out="run")
+    p_train.set_defaults(func=cmd_train, parser=p_train)
 
     p_pred = sub.add_parser("predict", help="posterior predictions from a checkpoint")
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--target", help="column to drop from the query file")
     p_pred.add_argument("--delimiter", default=",")
-    p_pred.add_argument("--no-header", action="store_const", const=True, dest="no_header")
-    p_pred.add_argument("--out", "-o", help="output CSV path")
-    p_pred.set_defaults(func=cmd_predict, _file_config={})
+    p_pred.add_argument("--no-header", action="store_true", dest="no_header")
+    p_pred.add_argument("--out", "-o", default="predictions.csv", help="output CSV path")
+    p_pred.set_defaults(func=cmd_predict)
 
     p_bench = sub.add_parser("benchmark", help="trials x sizes x modes RMSE/NLL grid")
-    _add_train_flags(p_bench)
-    p_bench.add_argument("--config", help="key=value config file (flags override)")
-    p_bench.add_argument("--sizes", help="comma list of labeled-set sizes (default 50,100)")
-    p_bench.add_argument("--trials", type=int)
-    p_bench.add_argument("--modes", help="comma list from dpkl,ssdpkl,dkl (default dpkl,dkl)")
-    p_bench.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
-    p_bench.add_argument("--out", "-o", help="output directory (default: benchmark)")
-    p_bench.set_defaults(func=cmd_benchmark)
+    _add_train_flags(p_bench, out="benchmark")
+    p_bench.add_argument("--sizes", type=_int_tuple, default=(50, 100),
+                         help="comma list of labeled-set sizes (default 50,100)")
+    p_bench.add_argument("--trials", type=int, default=10)
+    p_bench.add_argument("--modes", default="dpkl,dkl",
+                         help="comma list from dpkl,ssdpkl,dkl (default dpkl,dkl)")
+    p_bench.add_argument("--workers", type=int, default=1, help="parallel trial workers (default 1)")
+    p_bench.set_defaults(func=cmd_benchmark, parser=p_bench)
 
     p_rep = sub.add_parser("report", help="calibration/latent/entropy tables from a run")
     p_rep.add_argument("--run-dir", required=True, dest="run_dir")
     p_rep.add_argument("--out", "-o", help="output directory (default: run dir)")
-    p_rep.set_defaults(func=cmd_report, _file_config={})
+    p_rep.set_defaults(func=cmd_report)
 
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Flags beat the --config file, which beats the flags' defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        args.parser.set_defaults(**read_config_file(args.config, args.parser))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        if not hasattr(args, "_file_config"):
-            args._file_config = read_config_file(args.config) if args.config else {}
-            for key in args._file_config:
-                # a misspelt key would otherwise go unused without a word
-                if key not in vars(args) and key not in _TRAIN_CONFIG_KEYS:
-                    raise ConfigError(f"{args.config}: unknown config key {key!r}")
+        args = parse_args(argv)
         with single_threaded_blas():
             return args.func(args)
     except InternalConsistencyError as exc:

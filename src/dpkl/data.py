@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -116,13 +117,12 @@ def load_csv(
     """Load a numeric CSV into a Dataset.
 
     ``target_column`` is a header name, or a 0-based column index when the
-    file has no header. By default a non-numeric cell raises ParseError naming
-    its (1-based) row and column; with skip_bad_rows=True offending rows are
-    dropped and reported in a warning, never silently.
+    file has no header. By default a ragged row, or a cell that is not a
+    finite number, raises ParseError naming its (1-based) row and column;
+    with skip_bad_rows=True offending rows are dropped and reported in a
+    warning, never silently.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]
+    rows = _read_rows(path, delimiter)
     if not rows:
         raise InsufficientRows(f"{path} has no data rows")
 
@@ -145,34 +145,56 @@ def load_csv(
     if t_idx < 0 or t_idx >= ncols:
         raise MissingTarget(f"target column index {t_idx} out of range for {ncols} columns")
 
-    feats, targets, bad_rows = [], [], []
-    for r, row in enumerate(body, start=first_row):
-        if len(row) != ncols:
-            if skip_bad_rows:
-                bad_rows.append(r)
-                continue
-            raise ParseError(r, len(row) + 1, f"row {r} has {len(row)} cells, expected {ncols}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError:
-            c_idx = next(i for i, c in enumerate(row) if not _is_float(c))
-            if skip_bad_rows:
-                bad_rows.append(r)
-                continue
-            raise ParseError(
-                r, c_idx + 1, f"cell at row {r}, column {c_idx + 1} is not numeric: {row[c_idx]!r}"
-            )
-        targets.append(vals.pop(t_idx))
-        feats.append(vals)
+    values, bad_rows = _parse_rows(body, first_row, range(ncols), skip_bad_rows)
     if bad_rows:
         warnings.warn(f"dropped {len(bad_rows)} unparseable rows: {bad_rows}", stacklevel=2)
-    if not feats:
+    if not values:
         raise InsufficientRows(f"{path}: every row was rejected")
 
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != t_idx]
-    return Dataset(X=np.asarray(feats), y=np.asarray(targets), feature_names=names)
+    values = np.asarray(values)
+    return Dataset(X=np.delete(values, t_idx, axis=1), y=values[:, t_idx].copy(),
+                   feature_names=names)
+
+
+def _read_rows(path, delimiter: str) -> list[list[str]]:
+    """Every non-empty row of a delimited text file, as strings."""
+    with open(path, newline="") as fh:
+        return [r for r in csv.reader(fh, delimiter=delimiter) if r]
+
+
+def _parse_rows(body, first_row: int, keep, skip_bad_rows: bool = False):
+    """Floats from columns ``keep`` of each row of ``body``, whose first row is
+    file row ``first_row``; cells outside ``keep`` are never read.
+
+    A row whose length differs from the first row's, or a kept cell that is
+    not a finite number, raises ParseError naming its row and column. With
+    skip_bad_rows the row is dropped instead. Returns (values, dropped rows).
+    """
+    ncols = len(body[0])
+    values, bad_rows = [], []
+    for r, row in enumerate(body, start=first_row):
+        try:
+            if len(row) != ncols:
+                raise ParseError(r, len(row) + 1, f"row {r} has {len(row)} cells, expected {ncols}")
+            try:
+                vals = [float(row[j]) for j in keep]
+            except ValueError:
+                vals = [float(row[j]) if _is_float(row[j]) else math.nan for j in keep]
+            if not all(map(math.isfinite, vals)):
+                j = next(j for j, v in zip(keep, vals) if not math.isfinite(v))
+                raise ParseError(
+                    r, j + 1, f"cell at row {r}, column {j + 1} is not a finite number: {row[j]!r}"
+                )
+        except ParseError:
+            if not skip_bad_rows:
+                raise
+            bad_rows.append(r)
+            continue
+        values.append(vals)
+    return values, bad_rows
 
 
 def _is_float(s: str) -> bool:

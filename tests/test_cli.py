@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpkl import cli
 from dpkl.cli import main
 from dpkl.data import synth_blobs, synth_regression
+from dpkl.trainer import TrainConfig
 
 FAST = [
     "--m", "2", "--q", "8", "--max-epochs", "3", "--hidden-dims", "8",
@@ -183,9 +185,10 @@ class TestTrain:
 
     def test_missing_file_is_user_error(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.csv", "--target", "y",
-                    "--n-labeled", "5"])
+                    "--n-labeled", "5", "--out", tmp_path / "run"])
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().err.strip())
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv")
@@ -311,6 +314,74 @@ class TestBenchmark:
         assert run(self.bench_args(data, out1, workers=1)) == 0
         assert run(self.bench_args(data, out3, workers=3)) == 0
         assert (out1 / "results.csv").read_bytes() == (out3 / "results.csv").read_bytes()
+
+
+def _typed_flag_cases():
+    """(command, dest, flag argv, config value) for every typed or on/off flag
+    of the train and benchmark parsers, each with a sample of its type."""
+    samples = {int: "3", float: "0.25", cli._int_tuple: "4,2"}
+    cases = []
+    for command in ("train", "benchmark"):
+        parser = cli.build_parser().parse_args([command]).parser
+        for a in parser._actions:
+            if not a.option_strings or a.dest == "help":
+                continue
+            if a.nargs == 0:
+                cases.append(pytest.param(command, a.dest, [a.option_strings[0]], "true",
+                                          id=f"{command}-{a.dest}"))
+            elif a.type is not None:
+                raw = samples[a.type]
+                cases.append(pytest.param(command, a.dest, [a.option_strings[0], raw], raw,
+                                          id=f"{command}-{a.dest}"))
+    return cases
+
+
+def _flagless_train_config_fields():
+    dests = {a.dest for a in cli.build_parser().parse_args(["train"]).parser._actions}
+    return [f for f in TrainConfig.__dataclass_fields__ if f not in dests]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command, dest, flag, raw", _typed_flag_cases())
+    def test_config_value_resolves_as_its_flag(self, tmp_path, command, dest, flag, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest} = {raw}\n")
+        from_flag = getattr(cli.parse_args([command, *flag]), dest)
+        from_file = getattr(cli.parse_args([command, "--config", str(cfg)]), dest)
+        assert (type(from_file), from_file) == (type(from_flag), from_flag)
+        assert from_file != getattr(cli.parse_args([command]), dest)  # not the default
+
+    @pytest.mark.parametrize("field", _flagless_train_config_fields())
+    def test_flagless_train_config_field_reads_as_float(self, tmp_path, field):
+        assert TrainConfig.__dataclass_fields__[field].type in ("float", "float | None")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = 0.25\n")
+        resolved = cli.resolve_train_config(cli.parse_args(["train", "--config", str(cfg)]))
+        assert getattr(resolved, field) == 0.25
+
+    def test_value_outside_choices_is_exit_one_before_reading_data(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("activation = swish\n")
+        code = run(["train", "--data", tmp_path / "nope.csv", "--target", "y",
+                    "--n-labeled", "20", "--config", cfg, "--out", tmp_path / "run"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "activation" in record["message"] and "'swish'" in record["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_benchmark_config_sets_the_grid(self, tmp_path):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("sizes = 14\nmodes = dkl\ntrials = 3\n")
+        out = tmp_path / "bench"
+        assert run(["benchmark", "--data", data, "--target", "y", "--n-test", "20",
+                    "--config", cfg, "--out", out, *FAST]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            cells = [(r["mode"], r["n"], r["trial"]) for r in csv.DictReader(fh)]
+        assert cells == [("dkl", "14", "0"), ("dkl", "14", "1"), ("dkl", "14", "2")]
+        config = json.loads((out / "results.meta.json").read_text())["config"]
+        assert (config["sizes"], config["modes"], config["trials"]) == ([14], ["dkl"], 3)
 
 
 class TestReport:

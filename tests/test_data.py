@@ -56,6 +56,26 @@ class TestLoadCsv:
             ds = load_csv(p, "y", skip_bad_rows=True)
         assert ds.n == 2
 
+    @pytest.mark.parametrize("body, row, col", [("a,y\n1,2\n{},4\n", 3, 1),
+                                                ("a,y\n1,2\n5,6\n3,{}\n", 4, 2)],
+                             ids=["feature", "target"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, body, row, col, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(body.format(cell))
+        with pytest.raises(ParseError) as err:
+            load_csv(p, "y")
+        assert (err.value.row, err.value.col) == (row, col)
+        assert f"row {row}, column {col}" in str(err.value)
+
+    def test_skip_bad_rows_drops_non_finite_rows(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("a,y\n1,2\n0.2,nan\ninf,4\n5,6\n")
+        with pytest.warns(UserWarning, match=r"\[3, 4\]"):
+            ds = load_csv(p, "y", skip_bad_rows=True)
+        np.testing.assert_array_equal(ds.X[:, 0], [1, 5])
+        np.testing.assert_array_equal(ds.y, [2, 6])
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("a,y\n")
