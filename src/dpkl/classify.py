@@ -240,7 +240,5 @@ def _fit_classifier_loop(data, config, trajectory_hook):
     best, report = _train_epochs(
         "classification", config, W, opt, run_epoch, val_accuracy, operator.gt, hook
     )
-    if report.epochs:
-        report.final_train_nll = report.final_objective = report.epochs[-1].train_nll
     report.total_seconds = time.perf_counter() - t_start
     return (*_joint_views(arch, C, best, init.seed), report)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -41,7 +42,9 @@ from .trainer import TrainConfig, TrainData
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_version() -> str:
+    """Package version plus the git commit in a checkout; cached, as it spawns git."""
     base = __version__
     try:
         out = subprocess.run(
@@ -559,13 +562,11 @@ def cmd_report(args) -> int:
 def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--config", help="key=value config file (flags override)")
     p.add_argument("--out", "-o", default=out, help=f"output directory (default: {out})")
-    p.add_argument("--task", choices=["regression", "classification"], default="regression")
     p.add_argument("--data")
     p.add_argument("--target")
     p.add_argument("--delimiter", default=",")
     p.add_argument("--no-header", action="store_true", dest="no_header")
     p.add_argument("--skip-bad-rows", action="store_true", dest="skip_bad_rows")
-    p.add_argument("--n-labeled", type=int, dest="n_labeled")
     p.add_argument("--n-unlabeled", type=int, dest="n_unlabeled", default=0)
     p.add_argument("--n-test", type=int, dest="n_test")
     p.add_argument("--no-normalize-features", action="store_true", dest="no_normalize_features")
@@ -602,6 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a model and write checkpoint + report")
     _add_train_flags(p_train, out="run")
+    p_train.add_argument("--task", choices=["regression", "classification"], default="regression")
+    p_train.add_argument("--n-labeled", type=int, dest="n_labeled")
     p_train.set_defaults(func=cmd_train, parser=p_train)
 
     p_pred = sub.add_parser("predict", help="posterior predictions from a checkpoint")

@@ -1,9 +1,9 @@
 """GP marginal likelihood, its kernel gradient, and batched posterior prediction.
 
 A GpState freezes what prediction needs: the Cholesky factor of
-K + sigma^2 I and the solve vector alpha; an RFF state also keeps its feature
-factor R. States are immutable once assembled; posterior queries may share
-one state freely.
+K + sigma^2 I and the solve vector alpha. An RFF state is assembled from
+R R^T and keeps nothing of R. States are immutable once assembled; posterior
+queries may share one state freely.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ class GpState:
     """Assembled GP over n training points.
 
     chol factors K + sigma^2 I, where K is the dense kernel or, for an RFF
-    state, R R^T with R the feature factor (None for a dense state).
+    state, R R^T with R the feature factor.
     """
 
-    R: np.ndarray | None
     chol: linalg.CholFactor
     alpha: np.ndarray
     y: np.ndarray
@@ -38,12 +37,12 @@ class GpState:
         return self.y.shape[0]
 
 
-def _assemble(A, y, base_jitter, R=None) -> GpState:
+def _assemble(A, y, base_jitter) -> GpState:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if A.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"kernel dim {A.shape[0]} != target dim {y.shape[0]}")
     f = linalg.cholesky(A, base_jitter)
-    return GpState(R=R, chol=f, alpha=linalg.solve_chol(f, y), y=y)
+    return GpState(chol=f, alpha=linalg.solve_chol(f, y), y=y)
 
 
 def gp_state_exact(
@@ -66,7 +65,7 @@ def gp_state_rff(
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     R = np.asarray(R, dtype=np.float64)
-    return _assemble(R @ R.T + noise_var * np.eye(R.shape[0]), y, base_jitter, R)
+    return _assemble(R @ R.T + noise_var * np.eye(R.shape[0]), y, base_jitter)
 
 
 def nll(state: GpState) -> float:

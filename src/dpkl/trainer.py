@@ -21,9 +21,9 @@ writes the (m, P) gradient in place.
 ``_train_epochs`` is the one epoch loop, shared with ``classify``: the
 validation schedule, the non-finite metric guard, the best snapshot (a copy
 of the particle matrix, replaced only by a strictly better metric), the
-per-epoch ``EpochRecord`` and the trajectory hook. ``fit`` supplies its
-full-batch epoch and validation NLL, then scores the final particles once
-more for ``final_train_nll``.
+per-epoch ``EpochRecord``, the trajectory hook and the final loss, read
+from the last record. ``fit`` supplies its full-batch epoch and validation
+NLL; no pass runs after the last epoch.
 
 Three training modes:
   dpkl   — minimize the GP negative log likelihood over labeled data;
@@ -215,8 +215,6 @@ def _objective_core(
     n_l = X_lab.shape[0]
 
     if ssdpkl:
-        if data.X_unlabeled is None or len(data.X_unlabeled) == 0:
-            raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
         X_all = np.vstack([X_lab, data.X_unlabeled])
         n_u = X_all.shape[0] - n_l
     else:
@@ -453,7 +451,8 @@ class RunReport:
     """Everything a run produced besides the ensemble itself.
 
     A value the run never measured stays None (null in JSON): the final loss
-    of a classification run with no epochs, for one.
+    of a run with no epochs, for one. Otherwise the final loss is the last
+    epoch's ``train_nll`` and ``objective``, taken before its update.
     """
 
     task: str
@@ -518,6 +517,9 @@ def _train_epochs(task, config, W, opt, run_epoch, val_metric, better, hook):
     # would otherwise stay "best".
     _require_finite(best_metric, "validation metric", 0)
     report.best_epoch, report.best_val_metric = best_epoch, best_metric
+    if report.epochs:
+        report.final_train_nll = report.epochs[-1].train_nll
+        report.final_objective = report.epochs[-1].objective
     return best, report
 
 
@@ -532,8 +534,11 @@ def fit(
     shuffle of the labeled data. Validation NLL is checked at epoch 0, every
     early_stop_check_every epochs, and at the last epoch; the best snapshot is
     returned, never one worse than epoch 0. Deterministic given config.seed.
+    Raises EmptyUnlabeledSet for ssdpkl without a pool, even at zero epochs.
     """
     config.validate()
+    if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
+        raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
     with single_threaded_blas():
         return _fit_loop(data, config, trajectory_hook)
 
@@ -558,17 +563,14 @@ def _fit_loop(data, config, trajectory_hook):
     # 6 MB back in every epoch at the paper sizes.
     grads = np.empty_like(W)
 
-    def epoch_data(epoch) -> TrainData:
+    def run_epoch(epoch):
         # a pool over unlabeled_cap rows is subsampled afresh each epoch
         X_u = data.X_unlabeled
         if X_u is not None and X_u.shape[0] > config.unlabeled_cap:
             rng = np.random.default_rng([seeds["unlabeled"], epoch])
             X_u = X_u[rng.choice(X_u.shape[0], size=config.unlabeled_cap, replace=False)]
-        return TrainData(X_tr, y_tr, X_u)
-
-    def run_epoch(epoch):
         result = _objective_core(
-            ensemble, epoch_data(epoch), config, basis, want_grads=True, out=grads
+            ensemble, TrainData(X_tr, y_tr, X_u), config, basis, want_grads=True, out=grads
         )
         _require_finite(result.objective, "objective", opt.t + 1)
         functional_gradient_step(W, result.grads, opt, config)
@@ -584,10 +586,5 @@ def _fit_loop(data, config, trajectory_hook):
     best, report = _train_epochs(
         "regression", config, W, opt, run_epoch, val_metric, operator.lt, hook
     )
-    # the last epoch's capped pool, so the cap also bounds this pass
-    final = _objective_core(
-        ensemble, epoch_data(config.max_epochs), config, basis, want_grads=False
-    )
-    report.final_train_nll, report.final_objective = final.nll, final.objective
     report.total_seconds = time.perf_counter() - t_start
     return net.ParticleEnsemble(arch, best, ensemble.seed), report

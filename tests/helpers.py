@@ -322,9 +322,9 @@ def inv_chol(f: linalg.CholFactor) -> np.ndarray:
     return linalg.solve_chol(f, np.eye(f.n))
 
 
-def nll_grad_rff(state: GpState) -> np.ndarray:
-    """d nll / d R = 2 (d nll / d K) R for K = R R^T, on an rff-mode state."""
-    return 2.0 * nll_grad_kernel(state) @ state.R
+def nll_grad_rff(state: GpState, R: np.ndarray) -> np.ndarray:
+    """d nll / d R = 2 (d nll / d K) R for K = R R^T, on the state built from R."""
+    return 2.0 * nll_grad_kernel(state) @ R
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,20 @@ class TestTrain:
         assert run_doc["epochs"] == []
         assert run_doc["final_train_nll"] is None and run_doc["final_objective"] is None
 
+    def test_build_version_spawns_git_once(self, monkeypatch):
+        calls, spawn = [], subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counted)
+        cli.build_version.cache_clear()
+        version = cli.build_version()
+        cli.build_parser()
+        assert cli.build_version() == version
+        assert len(calls) == 1
+
     def test_missing_file_is_user_error(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.csv", "--target", "y",
                     "--n-labeled", "5", "--out", tmp_path / "run"])
@@ -297,6 +311,31 @@ class TestBenchmark:
         assert len(summary) == 4
         assert all(float(r["rmse_std"]) >= 0.0 for r in summary)
         assert (out / "results.meta.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--task", "classification"], ["--n-labeled", "5"]],
+                             ids=["task", "n_labeled"])
+    def test_train_only_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # the grid always trains regression cells of the --sizes sizes
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            run([*self.bench_args(data, out), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["task = classification", "n_labeled = 5"],
+                             ids=["task", "n_labeled"])
+    def test_train_only_config_key_is_exit_one(self, tmp_path, capsys, line):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "bench"
+        assert run([*self.bench_args(data, out), "--config", cfg]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert repr(line.split(" = ")[0]) in record["message"]
+        assert not out.exists()
 
     def test_rerun_is_idempotent(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)

@@ -101,7 +101,7 @@ class TestNllGradRff:
         R = rng.normal(size=(5, 3))
         state = gp_state_rff(R, np.zeros(5), 0.1)
         A = R @ R.T + 0.1 * np.eye(5)
-        np.testing.assert_allclose(nll_grad_rff(state), np.linalg.inv(A) @ R, atol=1e-9)
+        np.testing.assert_allclose(nll_grad_rff(state, R), np.linalg.inv(A) @ R, atol=1e-9)
 
     def test_rank_one_chain(self):
         rng = np.random.default_rng(4)
@@ -109,13 +109,13 @@ class TestNllGradRff:
         y = rng.normal(size=4)
         state = gp_state_rff(R, y, 0.1)
         S = nll_grad_kernel(state)
-        np.testing.assert_allclose(nll_grad_rff(state), 2.0 * S @ R, atol=1e-12)
+        np.testing.assert_allclose(nll_grad_rff(state, R), 2.0 * S @ R, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         R = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
-        analytic = nll_grad_rff(gp_state_rff(R, y, 0.1, base_jitter=0.0))
+        analytic = nll_grad_rff(gp_state_rff(R, y, 0.1, base_jitter=0.0), R)
         step = 1e-6
         numeric = np.zeros_like(R)
         for i in range(4):

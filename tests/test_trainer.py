@@ -131,10 +131,9 @@ class TestPerParticleGrads:
             assert rel_err(grads[l], numeric) < 1e-6
 
     def test_ssdpkl_needs_unlabeled_pool(self):
-        cfg = tiny_config(mode="ssdpkl")
-        ens = net.init_ensemble(cfg.architecture(3), 3, 0)
+        # rejected up front, even when no epoch would run the objective
         with pytest.raises(EmptyUnlabeledSet):
-            per_particle_loss_grads(ens, tiny_data(), cfg)
+            fit(tiny_data(), tiny_config(mode="ssdpkl", max_epochs=0))
 
 
 class TestFunctionalGradientStep:
@@ -444,6 +443,41 @@ class TestNonFiniteValidation:
             fit(TrainData(ds.X * 1e200, ds.y), cfg)
 
 
+class TestFinalLoss:
+    """fit ends at its last epoch: one objective pass per epoch, none after, and
+    the final loss is the last epoch's record for both trainers."""
+
+    @pytest.mark.parametrize("mode, kernel_mode", [
+        ("dpkl", "rff"), ("dpkl", "exact"), ("ssdpkl", "rff"), ("ssdpkl", "exact"),
+    ])
+    def test_one_objective_pass_per_epoch(self, monkeypatch, mode, kernel_mode):
+        calls, core = [], trainer._objective_core
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("want_grads"))
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_objective_core", counted)
+        cfg = tiny_config(mode=mode, kernel_mode=kernel_mode, max_epochs=4)
+        fit(tiny_data(n_unlabeled=4 if mode == "ssdpkl" else 0), cfg)
+        assert calls == [True] * cfg.max_epochs
+
+    @pytest.mark.parametrize("mode", ["dpkl", "ssdpkl"])
+    def test_fit_reports_the_last_epoch(self, mode):
+        _, report = fit(tiny_data(n_unlabeled=4), tiny_config(mode=mode))
+        last = report.epochs[-1]
+        assert report.final_train_nll == last.train_nll
+        assert report.final_objective == last.objective
+        if mode == "ssdpkl":  # the two differ, so neither stands in for the other
+            assert report.final_objective != report.final_train_nll
+
+    def test_fit_classifier_reports_the_last_epoch(self):
+        ds = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
+        _, _, report = classify.fit_classifier(TrainData(ds.X, ds.y), tiny_config(max_epochs=2))
+        assert report.final_train_nll == report.epochs[-1].train_nll
+        assert report.final_objective == report.epochs[-1].objective
+
+
 class TestFit:
     def sine_data(self, seed=0, n=50):
         ds = synth_regression("sine", n=n, D=1, noise_std=0.1, seed=seed)
@@ -462,6 +496,7 @@ class TestFit:
         fresh = net.init_ensemble(cfg.architecture(1), 3, seeds["init"])
         np.testing.assert_array_equal(ensemble.flat(), fresh.flat())
         assert report.epochs == []
+        assert report.final_train_nll is None and report.final_objective is None
 
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(m=3, q=20, max_epochs=8, seed=5, hidden_dims=(8,))
