@@ -8,7 +8,7 @@ O(m^2) double sum). Training calls the regression trainer's update rule,
 each particle is a row of one joint matrix [network weights | class weights],
 and the ensemble and the head are views into it. A minibatch's gradient is
 one grouped forward pass and one grouped backward pass over all particles
-(``net.ensemble_vjp``), written straight into the network block of the
+(``net.forward_vjp``), written straight into the network block of the
 (m, P + C d) joint gradient; the class-weight block follows in closed form.
 The epoch loop is the regression trainer's too (``trainer._train_epochs``):
 this module supplies only the minibatch epoch and the validation accuracy,
@@ -149,7 +149,7 @@ def batch_grads(
     objective's value at the current parameters, read off the same forward
     pass.
     """
-    Z = net.ensemble_embeddings(ensemble, X)
+    Z, vjp = net.forward_vjp(ensemble, X)
     Z_bar = Z.mean(axis=0)
     theta_bar = head.mean_theta()
     probs = softmax_probs(Z_bar @ theta_bar.T)
@@ -162,7 +162,7 @@ def batch_grads(
     g_theta_common = (E.T @ Z_bar) / head.m
     p_net = ensemble.arch.num_params
     grads = np.empty((head.m, p_net + head.C * head.d))
-    net.ensemble_vjp(ensemble, X, np.broadcast_to(G_z, Z.shape), out=grads[:, :p_net])
+    vjp(np.broadcast_to(G_z, Z.shape), out=grads[:, :p_net])
     g_theta = g_theta_common + (2.0 * l2 * head.thetas if l2 > 0 else 0.0)
     grads[:, p_net:] = g_theta.reshape(-1, head.C * head.d)  # broadcasts when l2 == 0
     return grads, loss

@@ -16,7 +16,10 @@ Every function takes the particle images of a point set stacked (m, n, d).
 Exp and trig loops split over the kernel workers of ``threads`` so that each
 output entry keeps its one-worker operations: by row blocks; by rows with every
 GEMM run whole in ``rff_feature_matrix`` (OpenBLAS can round a row differently
-in a product of fewer rows); by particles in both cotangent chains.
+in a product of fewer rows); by particles in both cotangent chains. The rff
+loops take their particles in groups: one stacked ``np.matmul`` (one GEMM a
+particle, as a per-particle loop makes) and one cos or sin over the group's
+phases, summed into R in particle order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from .threads import _split
 # Entries in one exact-kernel block: 2^17 float64 values (1 MB) stay in a
 # core's L2 cache while the block is built and consumed.
 _BLOCK_ENTRIES = 1 << 17
+# Phase entries a trig call of the rff loops takes at most: a group of
+# particles' (g, n, q) phases, 2^20 float64 values (8 MB). One long call per
+# worker range holds the GIL off for its whole length, where a call a particle
+# made the workers take turns.
+_TRIG_ENTRIES = 1 << 20
+# A trig entry against threads._MIN_ENTRIES: cos and sin take about 26 ns an
+# entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
+_TRIG_COST = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,10 @@ def _particle_blocks(spec: LatentKernelSpec, embeddings_a: np.ndarray, B: np.nda
             E = buf[: rows.stop - r0]
             np.matmul(left[rows], right_T, out=E)
             yield l, rows, _exp_nonpositive(E)
+
+
+def _trig_group(n: int, q: int) -> int:  # particles per trig call
+    return max(1, _TRIG_ENTRIES // max(n * q, 1))
 
 
 def _check_embeddings(embeddings) -> np.ndarray:
@@ -213,13 +228,17 @@ def rff_feature_matrix(
         )
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
-    def fill(r0, r1):  # R += cos(Z V^T + b) on rows r0..r1-1
-        P = np.empty((n, basis.q))
-        for Z in embeddings:
-            np.matmul(Z, basis.V.T, out=P)  # every row: a row-split product can round differently
-            C = P[r0:r1]
-            R[r0:r1] += np.cos(np.add(C, basis.b, out=C), out=C)
-    _split(n, m * basis.q, fill)
+    g = _trig_group(n, basis.q)
+    def fill(r0, r1):  # R += cos(Z V^T + b) on rows r0..r1-1, one cos a particle group
+        buf = np.empty((min(g, m), n, basis.q))
+        for l0 in range(0, m, g):
+            P = buf[: min(g, m - l0)]
+            np.matmul(embeddings[l0 : l0 + g], basis.V.T, out=P)  # every row, see the module doc
+            C = P[:, r0:r1]
+            np.cos(np.add(C, basis.b, out=C), out=C)
+            for c in C:  # particle order, as one particle at a time
+                R[r0:r1] += c
+    _split(n, m * basis.q * _TRIG_COST, fill)
     return scale * R
 
 
@@ -241,14 +260,16 @@ def rff_embedding_cotangents(
         raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, basis.q)}")
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     G = np.empty((m, n, d))
-    def fill(l0, l1):  # one (n, q) buffer per range
-        S = np.empty((n, basis.q))
-        for l in range(l0, l1):
-            np.matmul(embeddings[l], basis.V.T, out=S)
+    g = _trig_group(n, basis.q)
+    def fill(l0, l1):  # G[l] for l in l0..l1-1, one sin a particle group
+        buf = np.empty((min(g, l1 - l0), n, basis.q))
+        for s0 in range(l0, l1, g):
+            S = buf[: min(g, l1 - s0)]
+            np.matmul(embeddings[s0 : s0 + len(S)], basis.V.T, out=S)
             S += basis.b
             np.multiply(np.sin(S, out=S), T, out=S)
-            G[l] = scale * (S @ basis.V)
-    _split(m, n * basis.q, fill)
+            G[s0 : s0 + len(S)] = scale * (S @ basis.V)
+    _split(m, n * basis.q * _TRIG_COST, fill)
     return G
 
 

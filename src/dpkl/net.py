@@ -13,8 +13,11 @@ vector-Jacobian product writes each layer's gradient straight into the same
 views of an (m, P) output. Groups are sized so that a group's activations hold
 about ``_GROUP_ENTRIES`` values, which keeps the working memory at
 O(workers _GROUP_ENTRIES + m n d) for any input size; a large input goes one
-particle at a time. Per slice, the stacked GEMMs and reductions make the same
-calls as a per-particle loop, so the results are bitwise equal to it.
+particle at a time. ``forward_vjp`` is the forward pass that a VJP follows: at
+the paper sizes it keeps the groups' activations (at most ``_TRACE_ENTRIES``)
+for its one backward pass, and above that the backward pass recomputes them.
+Per slice, the stacked GEMMs and reductions make the same calls as a
+per-particle loop, so the results are bitwise equal to it.
 
 Whole groups split over the kernel workers of ``threads`` (a split GEMM is not
 bitwise on OpenBLAS), so each row of the embeddings and of the gradient keeps
@@ -39,6 +42,10 @@ ACTIVATIONS = ("relu", "tanh")
 # float64 values (1 MB), so a group's stacked GEMMs and activations stay in
 # a core's L2 while large inputs still go one particle at a time.
 _GROUP_ENTRIES = 1 << 17
+# Entries of a whole forward trace that ``forward_vjp`` keeps for its VJP:
+# 2^20 float64 values (8 MB) hold the paper-size passes (457k entries at
+# n=45, m=50), not a pool of thousands of rows.
+_TRACE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -204,60 +211,80 @@ def forward_group(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray) -> list[n
 
 def ensemble_embeddings(ensemble: ParticleEnsemble, X: np.ndarray) -> np.ndarray:
     """Latent embeddings of X under every particle, stacked (m, n, d)."""
-    arch, W = ensemble.arch, ensemble.flat()
-    X = _check_input(arch, X)
+    return _forward(ensemble.arch, ensemble.flat(), _check_input(ensemble.arch, X), None)
+
+
+def _forward(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray, traces: dict | None):
+    """The stacked embeddings; each group's other activations go to traces[first row] if given."""
     Z = np.empty((W.shape[0], X.shape[0], arch.latent_dim))
 
     def group(rows):
-        Z[rows] = forward_group(arch, W[rows], X)[-1]
+        acts = forward_group(arch, W[rows], X)
+        Z[rows] = acts.pop()  # the backward chain never reads Z
+        if traces is not None:
+            traces[rows.start] = acts
 
     _over_groups(arch, W.shape[0], X.shape[0], group)
     return Z
 
 
-def ensemble_vjp(
-    ensemble: ParticleEnsemble, X: np.ndarray, G: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vector-Jacobian products of every particle's forward map, one row each.
+def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
+    """(Z, vjp): Z = ensemble_embeddings(ensemble, X) and the VJP of the forward map at X.
 
-    Row l is d(sum_ij G[l]_ij Z^(l)_ij)/dw^(l) for Z = ensemble_embeddings(
-    ensemble, X), in the layout of the particle rows. G is (m, n, d); a broadcast
-    view serves when every particle gets the same cotangent. Each layer's
-    gradient is written straight into the layer views of ``out``, an (m, P)
-    matrix with unit-stride rows (a column block of a wider matrix will do),
-    allocated when None. Returns ``out``.
+    ``vjp(G, out=None)`` returns the vector-Jacobian products of every
+    particle's forward map, one row each: row l is d(sum_ij G[l]_ij
+    Z^(l)_ij)/dw^(l), in the layout of the particle rows. G is (m, n, d); a
+    broadcast view serves when every particle gets the same cotangent. Each
+    layer's gradient is written straight into the layer views of ``out``, an
+    (m, P) matrix with unit-stride rows (a column block of a wider matrix will
+    do), allocated when None; returns ``out``.
+
+    The forward pass keeps every group's activations when they total at most
+    ``_TRACE_ENTRIES`` (m n (D + sum(hidden) + d) values), so ``vjp`` runs no
+    second forward pass; above that it recomputes each group's. Either way
+    the results are bitwise equal. ``vjp`` spends the activations, so it may
+    be called once; the particles must not change in between.
     """
     arch, W = ensemble.arch, ensemble.flat()
     X = _check_input(arch, X)
     m, n = W.shape[0], X.shape[0]
-    G = np.asarray(G, dtype=np.float64)
-    if G.shape != (m, n, arch.latent_dim):
-        raise DimensionMismatch(
-            f"cotangent has shape {G.shape}, forward output is {(m, n, arch.latent_dim)}"
-        )
-    if out is None:
-        out = np.empty(W.shape)
-    elif out.shape != W.shape or out.strides[1] != out.itemsize:
-        raise DimensionMismatch(
-            f"gradient output {out.shape} must be {W.shape} with unit-stride rows"
-        )
+    traces = {} if m * n * _width(arch) <= _TRACE_ENTRIES else None
+    Z = _forward(arch, W, X, traces)
+    spent = []
     last = len(arch.layer_shapes) - 1
 
-    def group(rows):
-        acts = forward_group(arch, W[rows], X)
-        acts.pop()  # Z: the backward chain never reads it
-        delta = G[rows]
-        layers = list(zip(_layer_views(arch, W[rows]), _layer_views(arch, out[rows])))
-        for i in range(last, -1, -1):
-            (Wl, _), (gW, gb) = layers[i]
-            if i < last:
-                # delta is the previous step's fresh product, so it is written in place
-                _chain_activation(delta, acts.pop(), arch.activation)
-            np.matmul(delta.transpose(0, 2, 1), acts[-1], out=gW)
-            np.sum(delta, axis=1, out=gb)
-            if i > 0:
-                delta = delta @ Wl
+    def vjp(G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if spent:
+            raise RuntimeError("a forward_vjp product can be taken once")
+        G = np.asarray(G, dtype=np.float64)
+        if G.shape != Z.shape:
+            raise DimensionMismatch(f"cotangent has shape {G.shape}, forward output is {Z.shape}")
+        if out is None:
+            out = np.empty(W.shape)
+        elif out.shape != W.shape or out.strides[1] != out.itemsize:
+            raise DimensionMismatch(
+                f"gradient output {out.shape} must be {W.shape} with unit-stride rows"
+            )
+        spent.append(True)
 
-    _over_groups(arch, m, n, group)
-    return out
+        def group(rows):
+            if traces is None:
+                acts = forward_group(arch, W[rows], X)[:-1]
+            else:
+                acts = traces.pop(rows.start)
+            delta = G[rows]
+            layers = list(zip(_layer_views(arch, W[rows]), _layer_views(arch, out[rows])))
+            for i in range(last, -1, -1):
+                (Wl, _), (gW, gb) = layers[i]
+                if i < last:
+                    # delta is the previous step's fresh product, so it is written in place
+                    _chain_activation(delta, acts.pop(), arch.activation)
+                np.matmul(delta.transpose(0, 2, 1), acts[-1], out=gW)
+                np.sum(delta, axis=1, out=gb)
+                if i > 0:
+                    delta = delta @ Wl
 
+        _over_groups(arch, m, n, group)
+        return out
+
+    return Z, vjp

@@ -1,25 +1,34 @@
-"""Threading: BLAS pinning for the training loops, and the kernel workers.
+"""Threading: BLAS pinning and thread placement for the training loops, and the kernel workers.
 
 The workload is many small matrix products (latent dims of 2, feature counts
 of ~100, particle blocks of ~50 rows); threaded BLAS loses badly to its own
 dispatch overhead there and can reorder reductions. Training paths therefore
 pin BLAS to one thread, which also keeps repeated runs bitwise identical
-regardless of the host's core count.
+regardless of the host's core count. The pin goes through threadpoolctl when
+it is importable, and otherwise through the thread-count calls of every
+OpenBLAS loaded in the process.
 
 Kernel loops bound by exp and trig, and the particle groups of the MLP pass,
 release the GIL, so ``_split`` runs their index ranges on a pool made on first
 use, with one worker per CPU of the affinity mask, at most 2 (``taskset``
 restricts them; no option). A split keeps every output entry's one-worker
 operations, so results are bitwise identical at any worker count; the gain
-assumes one BLAS thread a worker, which the pinning gives.
+assumes one BLAS thread a worker, which the pinning gives. Each worker is
+pinned at its start to a CPU of the mask after the first, and inside
+``single_threaded_blas`` the main thread runs on the first: left to the
+scheduler, a worker woken for a few milliseconds of work was often placed on
+the caller's CPU, and the split of a 45-row epoch then lost to no split.
 """
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 try:
     from threadpoolctl import threadpool_info, threadpool_limits
@@ -31,19 +40,112 @@ _MIN_ENTRIES = 1 << 22  # kernel pairs, trig or MLP activation entries that pay 
 _pools: dict[int, ThreadPoolExecutor] = {}  # by process: a fork has no parent threads
 
 
+# Thread-count calls of numpy's libscipy_openblas64_, scipy's libscipy_openblas
+# and a system OpenBLAS, "{}" being get or set.
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads")
+
+
+def _openblas() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_CALLS:
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1, user_api="blas"):
+            yield
+        return
+    libs = _openblas()
+    if not libs:
+        # one place and one text: the default filter shows it once per process
+        warnings.warn("no OpenBLAS found and threadpoolctl missing: BLAS threads stay as they are",
+                      RuntimeWarning)
+    saved = [get() for get, _ in libs]
+    try:
+        for _, set_ in libs:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(libs, saved):
+            set_(n)
+
+
+def _pin_worker(cpus: list[int], order) -> None:
+    """Pool initializer: the i-th worker started runs on cpus[i mod len(cpus)], i from 1."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, {cpus[next(order) % len(cpus)]})
+        except OSError:  # the mask shrank since: placement is only a hint, a failed
+            pass  # initializer would break the pool
+
+
+def _pool() -> ThreadPoolExecutor:
+    """This process's kernel pool; its workers start on first use."""
+    pool = _pools.get(os.getpid())
+    if pool is None:
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        pool = _pools[os.getpid()] = ThreadPoolExecutor(
+            _WORKERS, thread_name_prefix="dpkl-kernel",
+            initializer=_pin_worker, initargs=(cpus, itertools.count(1)),
+        )
+    return pool
+
+
+@contextmanager
+def _placed_caller():
+    """Run the main thread on the first CPU of its mask; restore its mask on exit.
+
+    Acts only on the main thread (the one that splits) with two workers or
+    more. The pool is made first, so its workers take their CPUs from the
+    caller's whole mask.
+    """
+    if (_WORKERS < 2 or not hasattr(os, "sched_setaffinity")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    _pool()
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+@contextmanager
 def single_threaded_blas():
-    """Context manager limiting BLAS pools to one thread (no-op if unavailable)."""
-    if threadpool_limits is None:
-        return nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
+    """One BLAS thread, and the main thread placed for the kernel workers, inside the block."""
+    with _one_blas_thread(), _placed_caller():
+        yield
 
 
 def pinned_blas_threads() -> int | None:
-    """BLAS threads inside ``single_threaded_blas``; None without threadpoolctl."""
-    if threadpool_info is None:
-        return None
-    with single_threaded_blas():
-        counts = [p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas"]
+    """BLAS threads inside ``single_threaded_blas``; None when no BLAS can be pinned."""
+    with _one_blas_thread():
+        if threadpool_info is not None:
+            counts = [p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas"]
+        else:
+            counts = [get() for get, _ in _openblas()]
     return max(counts, default=None)
 
 
@@ -62,9 +164,7 @@ def _split(n: int, unit_entries: int, fn) -> None:
     if k < 2 or threading.current_thread() is not threading.main_thread():
         fn(0, n)
         return
-    pool = _pools.get(os.getpid())
-    if pool is None:
-        pool = _pools[os.getpid()] = ThreadPoolExecutor(_WORKERS, thread_name_prefix="dpkl-kernel")
+    pool = _pool()
     cuts = [n * i // k for i in range(k + 1)]
     futures = [pool.submit(fn, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
     try:

@@ -15,8 +15,9 @@ to it. The step also records the mean off-diagonal particle kernel, a
 particle-collapse signal, and the norms of the raw and mixed gradients.
 
 The objective's gradient is one grouped pass over the ensemble: embeddings
-and kernel cotangents are stacked (m, n, d) arrays, and ``net.ensemble_vjp``
-writes the (m, P) gradient in place.
+and kernel cotangents are stacked (m, n, d) arrays, and the VJP of
+``net.forward_vjp``, which reuses the forward pass's activations at the paper
+sizes, writes the (m, P) gradient in place.
 
 ``_train_epochs`` is the one epoch loop, shared with ``classify``: the
 validation schedule, the non-finite metric guard, the best snapshot (a copy
@@ -188,7 +189,7 @@ class _ObjectiveResult:
     objective: float
     nll: float
     regularizer: float
-    grads: np.ndarray | None  # (m, P), one row per particle
+    grads: np.ndarray  # (m, P), one row per particle
     jitter: float
     chol_min_diag: float  # smallest pivot of the GP Cholesky factor
 
@@ -204,10 +205,9 @@ def _objective_core(
     data: TrainData,
     config: TrainConfig,
     basis: kernels.RffBasis | None,
-    want_grads: bool,
     out: np.ndarray | None = None,
 ) -> _ObjectiveResult:
-    """The objective and, when want_grads, its (m, P) gradient, written into out if given."""
+    """The objective and its (m, P) gradient, written into out if given."""
     spec = config.kernel_spec()
     ssdpkl = config.mode == "ssdpkl"
     X_lab = np.asarray(data.X, dtype=np.float64)
@@ -220,7 +220,7 @@ def _objective_core(
     else:
         X_all, n_u = X_lab, 0
 
-    Z_all = net.ensemble_embeddings(ensemble, X_all)
+    Z_all, vjp = net.forward_vjp(ensemble, X_all)
     rff = config.kernel_mode == "rff"
 
     if rff:
@@ -255,11 +255,6 @@ def _objective_core(
         c_nll, w_reg = 1.0, 0.0
         objective = nll_value
 
-    if not want_grads:
-        return _ObjectiveResult(
-            objective, nll_value, reg_value, None, state.chol.jitter_used, chol_min_diag
-        )
-
     S = gp.nll_grad_kernel(state)
     if rff:
         if ssdpkl:
@@ -279,7 +274,7 @@ def _objective_core(
             C[n_l:, n_l:] = w_reg * np.eye(n_u)
         G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
 
-    grads = net.ensemble_vjp(ensemble, X_all, G, out=out)
+    grads = vjp(G, out=out)
     return _ObjectiveResult(
         objective, nll_value, reg_value, grads, state.chol.jitter_used, chol_min_diag
     )
@@ -570,7 +565,7 @@ def _fit_loop(data, config, trajectory_hook):
             rng = np.random.default_rng([seeds["unlabeled"], epoch])
             X_u = X_u[rng.choice(X_u.shape[0], size=config.unlabeled_cap, replace=False)]
         result = _objective_core(
-            ensemble, TrainData(X_tr, y_tr, X_u), config, basis, want_grads=True, out=grads
+            ensemble, TrainData(X_tr, y_tr, X_u), config, basis, out=grads
         )
         _require_finite(result.objective, "objective", opt.t + 1)
         functional_gradient_step(W, result.grads, opt, config)

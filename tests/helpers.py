@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpkl import classify, kernels, linalg, trainer
+from dpkl import classify, kernels, linalg, net, trainer
 from dpkl.errors import DimensionMismatch, EmptyUnlabeledSet, NotPositiveDefinite
 from dpkl.gp import GpState, _clamp_variance, nll_grad_kernel
 from dpkl.kernels import LatentKernelSpec, empirical_cross_block
@@ -283,8 +283,13 @@ def _forward_trace(p: MlpParams, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def ensemble_vjp(ensemble, X, G, out=None) -> np.ndarray:
+    """net.forward_vjp's product as one call: the (m, P) VJP of every particle at X."""
+    return net.forward_vjp(ensemble, X)[1](G, out)
+
+
 def backward_params(p: MlpParams, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Reference for net.ensemble_vjp: one particle's vector-Jacobian product.
+    """Reference for net.forward_vjp's product: one particle's vector-Jacobian product.
 
     Returns d(sum_ij G_ij * Z_ij)/dw for Z = forward(p, X), in the
     MlpParams.flatten layout. G must match the forward output shape (n, d).
@@ -385,12 +390,12 @@ def projection_residual_oracle(K: np.ndarray, k_star: np.ndarray, k_ss: float) -
 
 def per_particle_loss_grads(ensemble, data, config, basis=None) -> np.ndarray:
     """(m, P) gradient of the scalar training objective, one row per particle."""
-    return trainer._objective_core(ensemble, data, config, basis, want_grads=True).grads
+    return trainer._objective_core(ensemble, data, config, basis).grads
 
 
 def objective_value(ensemble, data, config, basis=None) -> float:
     """The scalar objective the trainer descends, at the current particles."""
-    return trainer._objective_core(ensemble, data, config, basis, want_grads=False).objective
+    return trainer._objective_core(ensemble, data, config, basis).objective
 
 
 def batch_objective(ensemble, head, X, labels, l2: float = 0.0) -> float:

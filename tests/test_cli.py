@@ -54,8 +54,9 @@ def expected_environment():
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "threadpoolctl_importable": threads.threadpool_limits is not None,
-        # the pinning holds BLAS to one thread; unknown without threadpoolctl
-        "blas_threads": None if threads.threadpool_info is None else 1,
+        # the pinning holds BLAS to one thread, through threadpoolctl or the
+        # loaded OpenBLAS; unknown when neither is there
+        "blas_threads": 1 if threads.threadpool_info is not None or threads._openblas() else None,
         "kernel_workers": threads._WORKERS,
     }
 
@@ -118,8 +119,17 @@ class TestTrain:
         assert cli.environment()["blas_threads"] == 1
         monkeypatch.setattr(threads, "threadpool_info", lambda: [])
         assert cli.environment()["blas_threads"] is None  # no BLAS library found
+        # without threadpoolctl, the loaded OpenBLAS libraries are pinned and read
+        counts = [4, 3]
+        libs = [(lambda i=i: counts[i], lambda n, i=i: counts.__setitem__(i, n)) for i in (0, 1)]
+        monkeypatch.setattr(threads, "threadpool_limits", None)
         monkeypatch.setattr(threads, "threadpool_info", None)
-        assert cli.environment()["blas_threads"] is None
+        monkeypatch.setattr(threads, "_openblas", lambda: libs)
+        assert cli.environment()["blas_threads"] == 1
+        assert counts == [4, 3]
+        monkeypatch.setattr(threads, "_openblas", lambda: [])
+        with pytest.warns(RuntimeWarning, match="no OpenBLAS found"):
+            assert cli.environment()["blas_threads"] is None
 
     def test_ssdpkl_without_pool_fails(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")

@@ -379,6 +379,46 @@ class TestKernelWorkers:
             sys.setswitchinterval(interval)
 
 
+class TestRffWorkers:
+    """The rff loops at the paper sizes, one trig call a particle group, against
+    their per-particle one-thread forms, bit for bit at any worker count."""
+
+    M, Q = 50, 100
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("min_entries", [0, None])  # every split, the default's
+    @pytest.mark.parametrize("n", [16, 45])
+    @pytest.mark.parametrize("trig_entries", [1, 3 * 45 * 100, None])  # g = 1, ragged, one group
+    def test_bitwise_equal_to_per_particle_loop(
+        self, monkeypatch, workers, min_entries, n, trig_entries
+    ):
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        if min_entries is not None:
+            monkeypatch.setattr(threads, "_MIN_ENTRIES", min_entries)
+        if trig_entries is not None:
+            monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", trig_entries)
+        ranges = []
+
+        def recording_split(n, unit_entries, fn):
+            ranges.append([])
+            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        rng = np.random.default_rng(64)
+        Z = rng.normal(size=(self.M, n, 2))
+        T = rng.normal(size=(n, self.Q))
+        basis = sample_rff_basis(SPEC, 2, self.Q, seed=65)
+        assert np.array_equal(
+            rff_feature_matrix(basis, Z, SPEC), rff_feature_matrix_serial(basis, Z, SPEC)
+        )
+        assert np.array_equal(
+            rff_embedding_cotangents(basis, Z, SPEC, T),
+            rff_embedding_cotangents_serial(basis, Z, SPEC, T),
+        )
+        # the default threshold splits the paper-size calls too
+        assert [len(r) for r in ranges] == [workers, workers]
+
+
 class TestSplit:
     """threads._split: contiguous ranges, exceptions after every range, and
     serial runs where a second worker cannot help."""

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import MlpParams, backward_params, fd_gradient, forward, rel_err, unflatten_params
+from helpers import (
+    MlpParams,
+    backward_params,
+    ensemble_vjp,
+    fd_gradient,
+    forward,
+    rel_err,
+    unflatten_params,
+)
 
 from dpkl import net, threads
 from dpkl.errors import DimensionMismatch
@@ -15,7 +23,6 @@ from dpkl.net import (
     MlpArchitecture,
     ParticleEnsemble,
     ensemble_embeddings,
-    ensemble_vjp,
     init_ensemble,
 )
 
@@ -310,6 +317,67 @@ class TestBatchedPass:
         assert stacks and max(stacks) <= max(net._GROUP_ENTRIES, self.N * self.WIDTH)
 
 
+class TestForwardVjp:
+    """forward_vjp keeps the forward trace for its one VJP at the paper sizes and
+    recomputes it above the budget; both are bitwise equal to the oracles."""
+
+    ARCH_DIMS, N = TestBatchedPass.ARCH_DIMS, TestBatchedPass.N
+
+    @pytest.mark.parametrize("trace_entries", [0, None])  # recomputed, kept
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_particle_oracle(self, monkeypatch, trace_entries, activation, m):
+        if trace_entries is not None:
+            monkeypatch.setattr(net, "_TRACE_ENTRIES", trace_entries)
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 2 * self.N * TestBatchedPass.WIDTH)
+        passes = []  # particles of every forward_group call
+        forward_group = net.forward_group
+
+        def counted(arch, W, X):
+            passes.append(W.shape[0])
+            return forward_group(arch, W, X)
+
+        monkeypatch.setattr(net, "forward_group", counted)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, 3)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(self.N, 3))
+        G = rng.normal(size=(m, self.N, 2))
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        shared_ref = per_particle(ens, X, [G[0]] * m)[1]
+        for cotangent, want in [(G, grads_ref), (np.broadcast_to(G[0], G.shape), shared_ref)]:
+            passes.clear()
+            Z, vjp = net.forward_vjp(ens, X)
+            np.testing.assert_array_equal(Z, Z_ref)
+            np.testing.assert_array_equal(vjp(cotangent), want)
+            # each particle goes forward once when the trace is kept, twice when not
+            assert sum(passes) == m * (2 if trace_entries == 0 else 1)
+
+    def test_paper_size_keeps_its_trace(self):
+        arch = MlpArchitecture(1, (100, 50, 50), 2)
+        assert 50 * 45 * net._width(arch) <= net._TRACE_ENTRIES  # the n = 45 rff epoch
+        assert 50 * 5400 * (8 + 200 + 2) > net._TRACE_ENTRIES  # the ssdpkl pool
+
+    @pytest.mark.parametrize("trace_entries", [0, None])
+    def test_second_product_raises(self, monkeypatch, trace_entries):
+        if trace_entries is not None:
+            monkeypatch.setattr(net, "_TRACE_ENTRIES", trace_entries)
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS), 3, 3)
+        X = np.random.default_rng(4).normal(size=(self.N, 3))
+        Z, vjp = net.forward_vjp(ens, X)
+        vjp(Z)
+        with pytest.raises(RuntimeError, match="once"):
+            vjp(Z)
+
+    def test_checks_input_and_cotangent(self):
+        ens = init_ensemble(small_arch(), 2, 0)
+        with pytest.raises(DimensionMismatch):
+            net.forward_vjp(ens, np.zeros((5, 4)))
+        Z, vjp = net.forward_vjp(ens, np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatch):
+            vjp(np.zeros((2, 4, 2)))
+        vjp(Z)  # a rejected cotangent does not spend the product
+
+
 def record_splits(monkeypatch):
     """Patch net's _split to record, per call, the start of every range it runs."""
     ranges = []
@@ -404,12 +472,14 @@ def test_paper_passes_split_only_at_large_n():
         rng = np.random.default_rng(0)
         for n in (45, 16):
             X = rng.uniform(-3, 3, size=(n, 1))
-            net.ensemble_vjp(ens, X, net.ensemble_embeddings(ens, X))
+            Z, vjp = net.forward_vjp(ens, X)
+            vjp(Z)
         assert threading.active_count() == 1, threading.enumerate()
         assert [len(r) for r in ranges] == [1, 1, 1, 1], ranges
         ranges.clear()
         X = rng.uniform(-3, 3, size=(2000, 1))
-        net.ensemble_vjp(ens, X, net.ensemble_embeddings(ens, X))
+        Z, vjp = net.forward_vjp(ens, X)  # above the trace budget: the VJP recomputes
+        vjp(Z)
         assert [len(r) for r in ranges] == [2, 2], ranges
         """
     )
