@@ -25,7 +25,7 @@ import numpy as np
 
 from . import net
 from .errors import ConfigError, DimensionMismatch, InsufficientData
-from .threads import single_threaded_blas
+from .threads import placed_caller, single_threaded_blas
 from .trainer import (
     AdamState,
     RunReport,
@@ -185,7 +185,7 @@ def fit_classifier(
     config.validate()
     if config.mode == "ssdpkl":
         raise ConfigError("ssdpkl applies to regression only")
-    with single_threaded_blas():
+    with single_threaded_blas(), placed_caller():
         return _fit_classifier_loop(data, config, trajectory_hook)
 
 

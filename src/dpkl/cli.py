@@ -34,7 +34,7 @@ from .errors import (
     InsufficientRows,
     InternalConsistencyError,
 )
-from .threads import single_threaded_blas
+from .threads import placed_caller, single_threaded_blas
 from .trainer import TrainConfig, TrainData
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,10 @@ def _run_training(
 # ---------------------------------------------------------------------------
 
 
+# train and predict compute on the main thread, which placed_caller moves next to
+# the kernel workers; benchmark is not placed, since its cell threads would
+# inherit the one-CPU mask
+@placed_caller()
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
     task, data_path, target = args.task, args.data, args.target
@@ -344,6 +348,7 @@ def cmd_train(args) -> int:
     return 0
 
 
+@placed_caller()
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     target = args.target if args.target is not None else ckpt.target_column

@@ -15,9 +15,10 @@ restricts them; no option). A split keeps every output entry's one-worker
 operations, so results are bitwise identical at any worker count; the gain
 assumes one BLAS thread a worker, which the pinning gives. Each worker is
 pinned at its start to a CPU of the mask after the first, and inside
-``single_threaded_blas`` the main thread runs on the first: left to the
-scheduler, a worker woken for a few milliseconds of work was often placed on
-the caller's CPU, and the split of a 45-row epoch then lost to no split.
+``placed_caller`` (``fit``, ``fit_classifier``, ``dpkl train`` and
+``predict``) the main thread runs on the first: left to the scheduler, a
+worker woken for a few milliseconds of work was often placed on the caller's
+CPU, and the 45-row epoch's split then gained little or nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _openblas() -> list[tuple]:
 
 
 @contextmanager
-def _one_blas_thread():
+def single_threaded_blas():
+    """BLAS limited to one thread inside the block: threadpoolctl, else every loaded OpenBLAS."""
     if threadpool_limits is not None:
         with threadpool_limits(limits=1, user_api="blas"):
             yield
@@ -112,12 +114,13 @@ def _pool() -> ThreadPoolExecutor:
 
 
 @contextmanager
-def _placed_caller():
+def placed_caller():
     """Run the main thread on the first CPU of its mask; restore its mask on exit.
 
     Acts only on the main thread (the one that splits) with two workers or
     more. The pool is made first, so its workers take their CPUs from the
-    caller's whole mask.
+    caller's whole mask. A thread started inside the block inherits the
+    one-CPU mask, so the block holds compute only, never a pool of callers.
     """
     if (_WORKERS < 2 or not hasattr(os, "sched_setaffinity")
             or threading.current_thread() is not threading.main_thread()):
@@ -132,16 +135,9 @@ def _placed_caller():
         os.sched_setaffinity(0, saved)
 
 
-@contextmanager
-def single_threaded_blas():
-    """One BLAS thread, and the main thread placed for the kernel workers, inside the block."""
-    with _one_blas_thread(), _placed_caller():
-        yield
-
-
 def pinned_blas_threads() -> int | None:
     """BLAS threads inside ``single_threaded_blas``; None when no BLAS can be pinned."""
-    with _one_blas_thread():
+    with single_threaded_blas():
         if threadpool_info is not None:
             counts = [p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas"]
         else:

@@ -45,7 +45,7 @@ import numpy as np
 from . import gp, kernels, net
 from .errors import ConfigError, EmptyUnlabeledSet, InsufficientData, InternalConsistencyError
 from .linalg import solve_chol
-from .threads import single_threaded_blas
+from .threads import placed_caller, single_threaded_blas
 
 MODES = ("dpkl", "ssdpkl", "dkl")
 KERNEL_MODES = ("exact", "rff")
@@ -534,7 +534,7 @@ def fit(
     config.validate()
     if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
         raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
-    with single_threaded_blas():
+    with single_threaded_blas(), placed_caller():
         return _fit_loop(data, config, trajectory_hook)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpkl
-from dpkl import classify, cli, threads
+from dpkl import classify, cli, threads, trainer
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.trainer import TrainConfig, TrainData, fit
 
@@ -173,14 +173,24 @@ class TestCallerPlacement:
         assert not t.is_alive()
         assert placements == []
 
-    def test_benchmark_cells_are_not_placed(self, placements, tmp_path):
+    def test_benchmark_cells_are_not_placed(self, placements, tmp_path, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        cells, fit = [], trainer.fit
+
+        def recording_fit(*args, **kwargs):
+            cells.append((threading.current_thread(), os.sched_getaffinity(0)))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
         data = write_sine_csv(tmp_path / "sine.csv", 40)
         assert cli.main(["benchmark", "--data", str(data), "--target", "y", "--sizes", "10,12",
                          "--trials", "1", "--workers", "2", "--m", "2", "--q", "8",
                          "--max-epochs", "1", "--hidden-dims", "4",
                          "--out", str(tmp_path / "bench")]) == 0
-        # only cli.main's own context, on the main thread, placed a thread
-        assert [t for t, _ in placements] == [threading.main_thread()] * 2
+        # the cells run on their own threads, with the whole mask
+        assert placements == []
+        assert cells and all(t is not threading.main_thread() for t, _ in cells)
+        assert all(cpus == mask for _, cpus in cells)
 
 
 class TestWorkerPlacement:
