@@ -119,8 +119,8 @@ def placed_caller():
 
     Acts only on the main thread (the one that splits) with two workers or
     more. The pool is made first, so its workers take their CPUs from the
-    caller's whole mask. A thread started inside the block inherits the
-    one-CPU mask, so the block holds compute only, never a pool of callers.
+    caller's whole mask. A thread started inside the block, by a training
+    hook too, inherits the one-CPU mask, so no pool of callers is made there.
     """
     if (_WORKERS < 2 or not hasattr(os, "sched_setaffinity")
             or threading.current_thread() is not threading.main_thread()):

@@ -530,6 +530,9 @@ def fit(
     early_stop_check_every epochs, and at the last epoch; the best snapshot is
     returned, never one worse than epoch 0. Deterministic given config.seed.
     Raises EmptyUnlabeledSet for ssdpkl without a pool, even at zero epochs.
+    BLAS runs one thread and, called from the main thread, the run stays on
+    one CPU of the affinity mask next to the kernel workers
+    (``threads.placed_caller``), trajectory_hook included.
     """
     config.validate()
     if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
