@@ -25,7 +25,7 @@ import numpy as np
 
 from . import net
 from .errors import ConfigError, DimensionMismatch, InsufficientData
-from .threads import placed_caller, single_threaded_blas
+from .threads import single_threaded_blas
 from .trainer import (
     AdamState,
     RunReport,
@@ -123,6 +123,7 @@ def prediction_entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(p * np.log(p), axis=1)
 
 
+@single_threaded_blas()
 def predict_probs(
     ensemble: net.ParticleEnsemble, head: SoftmaxHead, X: np.ndarray
 ) -> np.ndarray:
@@ -168,6 +169,14 @@ def batch_grads(
     return grads, loss
 
 
+def _joint_views(arch: net.MlpArchitecture, C: int, W: np.ndarray, seed: int):
+    """The ensemble and the head whose parameters are the columns of joint matrix W."""
+    p_net = arch.num_params
+    head = SoftmaxHead(C, W[:, p_net:].reshape(W.shape[0], C, -1))
+    return net.ParticleEnsemble(arch, W[:, :p_net], seed), head
+
+
+@single_threaded_blas()
 def fit_classifier(
     data: TrainData,
     config: TrainConfig,
@@ -185,18 +194,6 @@ def fit_classifier(
     config.validate()
     if config.mode == "ssdpkl":
         raise ConfigError("ssdpkl applies to regression only")
-    with single_threaded_blas(), placed_caller():
-        return _fit_classifier_loop(data, config, trajectory_hook)
-
-
-def _joint_views(arch: net.MlpArchitecture, C: int, W: np.ndarray, seed: int):
-    """The ensemble and the head whose parameters are the columns of joint matrix W."""
-    p_net = arch.num_params
-    head = SoftmaxHead(C, W[:, p_net:].reshape(W.shape[0], C, -1))
-    return net.ParticleEnsemble(arch, W[:, :p_net], seed), head
-
-
-def _fit_classifier_loop(data, config, trajectory_hook):
     t_start = time.perf_counter()
     X = np.asarray(data.X, dtype=np.float64)
     labels = np.asarray(data.y)

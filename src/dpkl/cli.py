@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, classify, threads, trainer
+from . import __version__, classify, net, threads, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import Dataset, SplitSpec, _parse_rows, _read_rows, load_csv, normalize, split
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     InsufficientRows,
     InternalConsistencyError,
 )
-from .threads import placed_caller, single_threaded_blas
+from .threads import single_threaded_blas
 from .trainer import TrainConfig, TrainData
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,6 @@ def _run_training(
 # ---------------------------------------------------------------------------
 
 
-# train and predict compute on the main thread, which placed_caller moves next to
-# the kernel workers; benchmark is not placed, since its cell threads would
-# inherit the one-CPU mask
-@placed_caller()
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
     task, data_path, target = args.task, args.data, args.target
@@ -348,7 +344,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-@placed_caller()
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     target = args.target if args.target is not None else ckpt.target_column
@@ -445,21 +440,20 @@ def cmd_benchmark(args) -> int:
     existing = _existing_bench_keys(results_path)
     todo = [c for c in cells if (c[0], c[1], c[2], base_seed + c[2]) not in existing]
 
-    rows, failures = [], []
+    def attempt(cell):
+        """The cell's results row (a list), or its failure record (a dict)."""
+        try:
+            return run_cell(*cell)
+        except Exception as exc:
+            return {"cell": list(cell), "error": type(exc).__name__, "message": str(exc)}
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_cell, *c): c for c in todo}
-            for fut, cell in futures.items():
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failures.append({"cell": list(cell), "error": type(exc).__name__, "message": str(exc)})
+            outcomes = list(pool.map(attempt, todo))
     else:
-        for cell in todo:
-            try:
-                rows.append(run_cell(*cell))
-            except Exception as exc:
-                failures.append({"cell": list(cell), "error": type(exc).__name__, "message": str(exc)})
+        outcomes = list(map(attempt, todo))
+    rows = [o for o in outcomes if isinstance(o, list)]
+    failures = [o for o in outcomes if isinstance(o, dict)]
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -576,8 +570,8 @@ def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--n-test", type=int, dest="n_test")
     p.add_argument("--no-normalize-features", action="store_true", dest="no_normalize_features")
     # TrainConfig fields: None keeps the field's own default
-    p.add_argument("--mode", choices=["dpkl", "ssdpkl", "dkl"])
-    p.add_argument("--kernel-mode", choices=["exact", "rff"], dest="kernel_mode")
+    p.add_argument("--mode", choices=trainer.MODES)
+    p.add_argument("--kernel-mode", choices=trainer.KERNEL_MODES, dest="kernel_mode")
     p.add_argument("--m", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--learning-rate", "--lr", type=float, dest="learning_rate")
@@ -589,7 +583,7 @@ def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--hidden-dims", type=_int_tuple, dest="hidden_dims")
     p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--activation", choices=["relu", "tanh"])
+    p.add_argument("--activation", choices=net.ACTIVATIONS)
     p.add_argument("--amplitude", type=float)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -1,24 +1,23 @@
-"""Threading: BLAS pinning and thread placement for the training loops, and the kernel workers.
+"""Threading: BLAS pinning for training and prediction, and the kernel workers.
 
 The workload is many small matrix products (latent dims of 2, feature counts
 of ~100, particle blocks of ~50 rows); threaded BLAS loses badly to its own
-dispatch overhead there and can reorder reductions. Training paths therefore
-pin BLAS to one thread, which also keeps repeated runs bitwise identical
-regardless of the host's core count. The pin goes through threadpoolctl when
-it is importable, and otherwise through the thread-count calls of every
-OpenBLAS loaded in the process.
+dispatch overhead there and can reorder reductions. Training and prediction
+therefore pin BLAS to one thread, which also keeps repeated runs bitwise
+identical regardless of the host's core count. The pin goes through
+threadpoolctl when it is importable, and otherwise through the thread-count
+calls of every OpenBLAS loaded in the process.
 
 Kernel loops bound by exp and trig, and the particle groups of the MLP pass,
-release the GIL, so ``_split`` runs their index ranges on a pool made on first
-use, with one worker per CPU of the affinity mask, at most 2 (``taskset``
-restricts them; no option). A split keeps every output entry's one-worker
-operations, so results are bitwise identical at any worker count; the gain
-assumes one BLAS thread a worker, which the pinning gives. Each worker is
-pinned at its start to a CPU of the mask after the first, and inside
-``placed_caller`` (``fit``, ``fit_classifier``, ``dpkl train`` and
-``predict``) the main thread runs on the first: left to the scheduler, a
-worker woken for a few milliseconds of work was often placed on the caller's
-CPU, and the 45-row epoch's split then gained little or nothing.
+release the GIL, so ``_split`` runs their index ranges, while the caller
+waits, on a pool made on first use with one worker per CPU of the affinity
+mask, at most 2 (``taskset`` restricts them; no option). A split keeps every
+output entry's one-worker operations, so results are bitwise identical at any
+worker count; the gain assumes one BLAS thread a worker, which the pinning
+gives. Each worker is pinned at its start to its own CPU of the mask: left to
+the scheduler, a worker woken for a few milliseconds of work was often placed
+on a busy CPU, and the 45-row epoch's split then gained little or nothing. No
+other thread is moved.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def single_threaded_blas():
 
 
 def _pin_worker(cpus: list[int], order) -> None:
-    """Pool initializer: the i-th worker started runs on cpus[i mod len(cpus)], i from 1."""
+    """Pool initializer: the i-th worker started runs on cpus[i mod len(cpus)], i from 0."""
     if cpus:
         try:
             os.sched_setaffinity(0, {cpus[next(order) % len(cpus)]})
@@ -108,31 +107,9 @@ def _pool() -> ThreadPoolExecutor:
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
         pool = _pools[os.getpid()] = ThreadPoolExecutor(
             _WORKERS, thread_name_prefix="dpkl-kernel",
-            initializer=_pin_worker, initargs=(cpus, itertools.count(1)),
+            initializer=_pin_worker, initargs=(cpus, itertools.count()),
         )
     return pool
-
-
-@contextmanager
-def placed_caller():
-    """Run the main thread on the first CPU of its mask; restore its mask on exit.
-
-    Acts only on the main thread (the one that splits) with two workers or
-    more. The pool is made first, so its workers take their CPUs from the
-    caller's whole mask. A thread started inside the block, by a training
-    hook too, inherits the one-CPU mask, so no pool of callers is made there.
-    """
-    if (_WORKERS < 2 or not hasattr(os, "sched_setaffinity")
-            or threading.current_thread() is not threading.main_thread()):
-        yield
-        return
-    saved = os.sched_getaffinity(0)
-    _pool()
-    os.sched_setaffinity(0, {min(saved)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, saved)
 
 
 def pinned_blas_threads() -> int | None:
@@ -148,13 +125,13 @@ def pinned_blas_threads() -> int | None:
 def _split(n: int, unit_entries: int, fn) -> None:
     """Run ``fn(start, stop)`` over contiguous ranges that cover range(n).
 
-    An index is ``unit_entries`` of work. One range runs off the main thread
-    (callers' own threads stay serial), at one worker, or when a worker would
-    get under ``_MIN_ENTRIES``; else the caller runs the first range and the
-    pool the rest. ``fn`` writes only its own ranges of the outputs, and calls
-    only numpy, private helpers and ``net.forward_group``, none of which keeps
-    shared state. All ranges finish before the first exception, in range
-    order, is re-raised.
+    An index is ``unit_entries`` of work. One range runs on the caller off the
+    main thread (callers' own threads stay serial), at one worker, or when a
+    worker would get under ``_MIN_ENTRIES``; else the pool runs every range
+    while the caller waits. ``fn`` writes only its own ranges of the outputs,
+    and calls only numpy, private helpers and ``net.forward_group``, none of
+    which keeps shared state. All ranges finish before the first exception,
+    in range order, is re-raised.
     """
     k = min(_WORKERS, n, n * unit_entries // _MIN_ENTRIES if _MIN_ENTRIES else n)
     if k < 2 or threading.current_thread() is not threading.main_thread():
@@ -162,10 +139,7 @@ def _split(n: int, unit_entries: int, fn) -> None:
         return
     pool = _pool()
     cuts = [n * i // k for i in range(k + 1)]
-    futures = [pool.submit(fn, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-    try:
-        fn(0, cuts[1])
-    finally:
-        wait(futures)
+    futures = [pool.submit(fn, a, b) for a, b in zip(cuts, cuts[1:])]
+    wait(futures)
     for f in futures:
         f.result()

@@ -45,7 +45,7 @@ import numpy as np
 from . import gp, kernels, net
 from .errors import ConfigError, EmptyUnlabeledSet, InsufficientData, InternalConsistencyError
 from .linalg import solve_chol
-from .threads import placed_caller, single_threaded_blas
+from .threads import single_threaded_blas
 
 MODES = ("dpkl", "ssdpkl", "dkl")
 KERNEL_MODES = ("exact", "rff")
@@ -111,6 +111,12 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.early_stop_check_every < 1:
             raise ConfigError("early_stop_check_every must be >= 1")
+        if self.unlabeled_cap < 1:
+            raise ConfigError("unlabeled_cap must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.kappa_bandwidth is not None and not 0.0 < self.kappa_bandwidth < math.inf:
+            raise ConfigError("kappa_bandwidth must be positive and finite")
 
     def kernel_spec(self) -> kernels.LatentKernelSpec:
         return kernels.LatentKernelSpec(self.amplitude, self.bandwidth)
@@ -390,6 +396,7 @@ def functional_gradient_step(
 # ---------------------------------------------------------------------------
 
 
+@single_threaded_blas()
 def predict_regression(
     ensemble: net.ParticleEnsemble,
     spec: kernels.LatentKernelSpec,
@@ -518,6 +525,7 @@ def _train_epochs(task, config, W, opt, run_epoch, val_metric, better, hook):
     return best, report
 
 
+@single_threaded_blas()
 def fit(
     data: TrainData,
     config: TrainConfig,
@@ -530,18 +538,11 @@ def fit(
     early_stop_check_every epochs, and at the last epoch; the best snapshot is
     returned, never one worse than epoch 0. Deterministic given config.seed.
     Raises EmptyUnlabeledSet for ssdpkl without a pool, even at zero epochs.
-    BLAS runs one thread and, called from the main thread, the run stays on
-    one CPU of the affinity mask next to the kernel workers
-    (``threads.placed_caller``), trajectory_hook included.
+    BLAS runs one thread.
     """
     config.validate()
     if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
         raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
-    with single_threaded_blas(), placed_caller():
-        return _fit_loop(data, config, trajectory_hook)
-
-
-def _fit_loop(data, config, trajectory_hook):
     t_start = time.perf_counter()
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64).reshape(-1)

@@ -541,6 +541,19 @@ class TestExitCodes:
         assert record == {"error": "InternalConsistencyError",
                           "message": "non-finite label normalization mean or std"}
 
+    @pytest.mark.parametrize("line", ["unlabeled_cap = 0", "batch_size = 0",
+                                      "kappa_bandwidth = 0.0"])
+    def test_invalid_config_value_is_exit_one_before_reading_data(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = run(["train", "--data", tmp_path / "nope.csv", "--target", "y",
+                    "--n-labeled", "20", "--config", cfg, "--out", tmp_path / "run"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert line.split()[0] in record["message"]
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_is_exit_one(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")
         cfg = tmp_path / "run.cfg"

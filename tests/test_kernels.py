@@ -437,11 +437,11 @@ class TestSplit:
         assert seen[0][0] == 0 and seen[-1][1] == n
         assert all(prev[1] == nxt[0] < nxt[1] for prev, nxt in zip(seen, seen[1:]))
 
-    def test_first_range_runs_on_the_caller(self):
+    def test_every_range_runs_on_a_kernel_worker(self):
         seen = {}
         threads._split(3, 1, lambda a, b: seen.setdefault(a, threading.current_thread()))
-        assert seen[0] is threading.main_thread()
-        assert seen[1] is not threading.main_thread() and seen[2] is not threading.main_thread()
+        assert sorted(seen) == [0, 1, 2]
+        assert all(t.name.startswith("dpkl-kernel") for t in seen.values())
 
     def test_small_work_runs_serially(self, monkeypatch):
         monkeypatch.setattr(threads, "_MIN_ENTRIES", 100)

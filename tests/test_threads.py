@@ -1,5 +1,6 @@
-"""dpkl.threads: BLAS pinning without threadpoolctl, and the placement of the
-main thread and the kernel workers on the CPUs of the affinity mask."""
+"""dpkl.threads: BLAS pinning without threadpoolctl, in training and in library
+prediction, and the placement of the kernel workers on the CPUs of the
+affinity mask; no other thread is moved."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpkl
-from dpkl import classify, cli, threads, trainer
+from dpkl import classify, cli, threads
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.trainer import TrainConfig, TrainData, fit
 
@@ -88,28 +89,49 @@ def test_openblas_fallback_pins_and_restores(monkeypatch):
     assert threads.pinned_blas_threads() == 1
 
 
-@pytest.fixture
-def placements(monkeypatch):
-    """Every sched_setaffinity call, as (thread, cpus), with two kernel workers."""
-    monkeypatch.setattr(threads, "_WORKERS", 2)
-    calls = []
-    setaffinity = os.sched_setaffinity
+# Library prediction, called outside any fit, with BLAS at two threads and
+# threadpoolctl hidden: prints the most OpenBLAS threads seen by the GP
+# posterior of predict_regression and by the logits of predict_probs.
+PREDICT_BLAS = textwrap.dedent(
+    """
+    import sys
+    sys.modules["threadpoolctl"] = None
+    import numpy as np
+    from dpkl import classify, gp, net, threads
+    from dpkl.kernels import LatentKernelSpec
+    from dpkl.trainer import predict_regression
 
-    def recording(pid, cpus):
-        calls.append((threading.current_thread(), set(cpus)))
-        setaffinity(pid, cpus)
+    seen = []
 
-    monkeypatch.setattr(os, "sched_setaffinity", recording)
-    return calls
+    def counting(f):
+        def wrapped(*args, **kwargs):
+            seen.append(max(get() for get, _ in threads._openblas()))
+            return f(*args, **kwargs)
+        return wrapped
+
+    gp.posterior_batch = counting(gp.posterior_batch)
+    classify.logits = counting(classify.logits)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+    ens = net.init_ensemble(net.MlpArchitecture(3, (8,), 2), 4, 0)
+    predict_regression(ens, LatentKernelSpec(0.5, 1.0), X, y, X[:5], 0.1)
+    classify.predict_probs(ens, classify.init_head(3, 2, 4, 0), X)
+    print(*seen)
+    """
+)
 
 
-def tiny_config(**overrides):
-    return TrainConfig(**dict(m=3, q=8, hidden_dims=(4,), max_epochs=2, seed=3, **overrides))
-
-
-def sine_data():
-    ds = synth_regression("sine", n=20, D=1, noise_std=0.1, seed=0)
-    return TrainData(ds.X, ds.y)
+def test_library_prediction_runs_one_blas_thread():
+    libs = threads._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", PREDICT_BLAS], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "1"]
 
 
 def write_sine_csv(path, n):
@@ -119,83 +141,50 @@ def write_sine_csv(path, n):
     return path
 
 
-class TestCallerPlacement:
-    def test_fit_runs_on_the_first_cpu_and_restores_the_mask(self, placements):
-        mask = os.sched_getaffinity(0)
-        inside = []
-        fit(sine_data(), tiny_config(), trajectory_hook=lambda e, ens: inside.append(
+def test_only_kernel_workers_are_moved(monkeypatch, tmp_path):
+    """fit, fit_classifier, dpkl train, predict and benchmark at one and two
+    cell workers leave the caller's mask, hooks included, as it was."""
+    monkeypatch.setattr(threads, "_WORKERS", 2)
+    monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)  # every loop splits
+    monkeypatch.setattr(threads, "_pools", {})  # a fresh pool, placed while recorded
+    calls, setaffinity = [], os.sched_setaffinity
+
+    def recording(pid, cpus):
+        calls.append(threading.current_thread())
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    mask, inside = os.sched_getaffinity(0), []
+    config = TrainConfig(m=3, q=8, hidden_dims=(4,), max_epochs=2, seed=3)
+    ds = synth_regression("sine", n=20, D=1, noise_std=0.1, seed=0)
+    blobs = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
+    data, run = write_sine_csv(tmp_path / "sine.csv", 40), tmp_path / "run"
+    small = ["--m", "2", "--q", "8", "--max-epochs", "1", "--hidden-dims", "4"]
+    try:
+        fit(TrainData(ds.X, ds.y), config, trajectory_hook=lambda e, ens: inside.append(
             os.sched_getaffinity(0)))
-        assert inside and all(cpus == {min(mask)} for cpus in inside)
-        assert os.sched_getaffinity(0) == mask
-        assert [cpus for _, cpus in placements] == [{min(mask)}, mask]
-
-    def test_fit_classifier_restores_the_mask(self, placements):
-        mask = os.sched_getaffinity(0)
-        ds = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
-        inside = []
-        classify.fit_classifier(TrainData(ds.X, ds.y), tiny_config(), trajectory_hook=(
+        classify.fit_classifier(TrainData(blobs.X, blobs.y), config, trajectory_hook=(
             lambda e, ens, head: inside.append(os.sched_getaffinity(0))))
-        assert inside and all(cpus == {min(mask)} for cpus in inside)
-        assert os.sched_getaffinity(0) == mask
-
-    def test_predict_restores_the_mask(self, placements, tmp_path):
-        data = write_sine_csv(tmp_path / "sine.csv", 30)
-        run = tmp_path / "run"
         assert cli.main(["train", "--data", str(data), "--target", "y", "--n-labeled", "20",
-                         "--m", "2", "--q", "8", "--max-epochs", "1", "--hidden-dims", "4",
-                         "--out", str(run)]) == 0
-        mask = os.sched_getaffinity(0)
-        placements.clear()
+                         *small, "--out", str(run)]) == 0
         assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.json"),
                          "--data", str(data), "--out", str(tmp_path / "pred.csv")]) == 0
-        assert [cpus for _, cpus in placements] == [{min(mask)}, mask]
-        assert os.sched_getaffinity(0) == mask
-
-    def test_a_fit_that_raises_restores_the_mask(self, placements):
-        mask = os.sched_getaffinity(0)
-
-        def fail(epoch, ensemble):
-            raise KeyError("stop")
-
-        with pytest.raises(KeyError):
-            fit(sine_data(), tiny_config(), trajectory_hook=fail)
-        assert placements and os.sched_getaffinity(0) == mask
-
-    def test_no_placement_at_one_worker(self, placements, monkeypatch):
-        monkeypatch.setattr(threads, "_WORKERS", 1)
-        fit(sine_data(), tiny_config())
-        assert placements == []
-
-    def test_no_placement_off_the_main_thread(self, placements):
-        t = threading.Thread(target=fit, args=(sine_data(), tiny_config()))
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
-        assert placements == []
-
-    def test_benchmark_cells_are_not_placed(self, placements, tmp_path, monkeypatch):
-        mask = os.sched_getaffinity(0)
-        cells, fit = [], trainer.fit
-
-        def recording_fit(*args, **kwargs):
-            cells.append((threading.current_thread(), os.sched_getaffinity(0)))
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "fit", recording_fit)
-        data = write_sine_csv(tmp_path / "sine.csv", 40)
-        assert cli.main(["benchmark", "--data", str(data), "--target", "y", "--sizes", "10,12",
-                         "--trials", "1", "--workers", "2", "--m", "2", "--q", "8",
-                         "--max-epochs", "1", "--hidden-dims", "4",
-                         "--out", str(tmp_path / "bench")]) == 0
-        # the cells run on their own threads, with the whole mask
-        assert placements == []
-        assert cells and all(t is not threading.main_thread() for t, _ in cells)
-        assert all(cpus == mask for _, cpus in cells)
+        for workers in ("1", "2"):
+            assert cli.main(["benchmark", "--data", str(data), "--target", "y",
+                             "--sizes", "10,12", "--trials", "1", "--workers", workers,
+                             *small, "--out", str(tmp_path / f"bench{workers}")]) == 0
+    finally:
+        pool = threads._pools.get(os.getpid())
+        if pool is not None:
+            pool.shutdown()
+    assert calls and all(t.name.startswith("dpkl-kernel") for t in calls)
+    assert inside and all(cpus == mask for cpus in inside)
+    assert os.sched_getaffinity(0) == mask
 
 
 class TestWorkerPlacement:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_worker_runs_on_a_cpu_after_the_callers(self, monkeypatch, workers):
+    def test_worker_i_runs_on_cpu_i_of_the_mask(self, monkeypatch, workers):
         monkeypatch.setattr(threads, "_WORKERS", workers)
         monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
         monkeypatch.setattr(threads, "_pools", {})
@@ -211,6 +200,8 @@ class TestWorkerPlacement:
             threads._split(workers, 1, record)
         finally:
             threads._pools[os.getpid()].shutdown()
-        assert seen[0] == (threading.main_thread(), set(cpus))
-        workers_cpus = sorted(min(c) for t, c in seen.values() if t is not threading.main_thread())
-        assert workers_cpus == sorted(cpus[i % len(cpus)] for i in range(1, workers))
+        assert len(seen) == workers
+        assert all(t is not threading.main_thread() for t, _ in seen.values())
+        assert all(len(c) == 1 for _, c in seen.values())
+        assert sorted(min(c) for _, c in seen.values()) == sorted(
+            cpus[i % len(cpus)] for i in range(workers))

@@ -610,3 +610,12 @@ class TestConfigValidation:
 
     def test_defaults_are_valid(self):
         TrainConfig().validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("unlabeled_cap", 0), ("batch_size", 0), ("kappa_bandwidth", 0.0),
+        ("kappa_bandwidth", -1.0), ("kappa_bandwidth", float("inf")),
+        ("kappa_bandwidth", float("nan")),
+    ])
+    def test_bad_size_or_kappa_bandwidth(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
