@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpkl
-from dpkl import classify, cli, threads
+from dpkl import classify, cli, threads, trainer
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.trainer import TrainConfig, TrainData, fit
 
@@ -141,45 +141,124 @@ def write_sine_csv(path, n):
     return path
 
 
-def test_only_kernel_workers_are_moved(monkeypatch, tmp_path):
-    """fit, fit_classifier, dpkl train, predict and benchmark at one and two
-    cell workers leave the caller's mask, hooks included, as it was."""
+@pytest.fixture
+def placements(monkeypatch):
+    """Every sched_setaffinity call, as (thread, cpus), with two kernel workers,
+    a fresh pool and every loop split."""
     monkeypatch.setattr(threads, "_WORKERS", 2)
-    monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)  # every loop splits
-    monkeypatch.setattr(threads, "_pools", {})  # a fresh pool, placed while recorded
-    calls, setaffinity = [], os.sched_setaffinity
+    monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+    monkeypatch.setattr(threads, "_pools", {})
+    calls = []
+    setaffinity = os.sched_setaffinity
 
     def recording(pid, cpus):
-        calls.append(threading.current_thread())
+        calls.append((threading.current_thread(), set(cpus)))
         setaffinity(pid, cpus)
 
     monkeypatch.setattr(os, "sched_setaffinity", recording)
-    mask, inside = os.sched_getaffinity(0), []
-    config = TrainConfig(m=3, q=8, hidden_dims=(4,), max_epochs=2, seed=3)
+    yield calls
+    pool = threads._pools.get(os.getpid())
+    if pool is not None:
+        pool.shutdown()
+
+
+def only_workers_moved(placements):
+    return all(t.name.startswith("dpkl-kernel") for t, _ in placements)
+
+
+def tiny_config(**overrides):
+    return TrainConfig(**dict(m=3, q=8, hidden_dims=(4,), max_epochs=2, seed=3, **overrides))
+
+
+def sine_data():
     ds = synth_regression("sine", n=20, D=1, noise_std=0.1, seed=0)
-    blobs = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
-    data, run = write_sine_csv(tmp_path / "sine.csv", 40), tmp_path / "run"
-    small = ["--m", "2", "--q", "8", "--max-epochs", "1", "--hidden-dims", "4"]
-    try:
-        fit(TrainData(ds.X, ds.y), config, trajectory_hook=lambda e, ens: inside.append(
+    return TrainData(ds.X, ds.y)
+
+
+SMALL = ["--m", "2", "--q", "8", "--max-epochs", "1", "--hidden-dims", "4"]
+
+
+class TestCallerPlacement:
+    """No dpkl call moves its caller: the caller's mask, and a hook's, stay as
+    the user set them, with nothing to restore; only kernel workers are pinned."""
+
+    def test_fit_runs_on_the_first_cpu_and_restores_the_mask(self, placements):
+        # fit's split ranges run on the workers, placed from the mask's first CPU
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        inside = []
+        fit(sine_data(), tiny_config(), trajectory_hook=lambda e, ens: inside.append(
             os.sched_getaffinity(0)))
-        classify.fit_classifier(TrainData(blobs.X, blobs.y), config, trajectory_hook=(
+        assert inside and all(c == mask for c in inside)
+        assert os.sched_getaffinity(0) == mask
+        assert only_workers_moved(placements)
+        assert sorted(min(c) for _, c in placements) == sorted(cpus[i % len(cpus)] for i in (0, 1))
+
+    def test_fit_classifier_restores_the_mask(self, placements):
+        mask = os.sched_getaffinity(0)
+        ds = synth_blobs(C=2, n_per_class=8, d_in=2, separation=4.0, seed=0)
+        inside = []
+        classify.fit_classifier(TrainData(ds.X, ds.y), tiny_config(), trajectory_hook=(
             lambda e, ens, head: inside.append(os.sched_getaffinity(0))))
+        assert inside and all(c == mask for c in inside)
+        assert os.sched_getaffinity(0) == mask
+        assert only_workers_moved(placements)
+
+    def test_predict_restores_the_mask(self, placements, tmp_path):
+        mask = os.sched_getaffinity(0)
+        data = write_sine_csv(tmp_path / "sine.csv", 30)
+        run = tmp_path / "run"
         assert cli.main(["train", "--data", str(data), "--target", "y", "--n-labeled", "20",
-                         *small, "--out", str(run)]) == 0
+                         *SMALL, "--out", str(run)]) == 0
+        assert os.sched_getaffinity(0) == mask
         assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.json"),
                          "--data", str(data), "--out", str(tmp_path / "pred.csv")]) == 0
+        assert os.sched_getaffinity(0) == mask
+        assert placements and only_workers_moved(placements)
+
+    def test_a_fit_that_raises_restores_the_mask(self, placements):
+        mask = os.sched_getaffinity(0)
+
+        def fail(epoch, ensemble):
+            raise KeyError("stop")
+
+        with pytest.raises(KeyError):
+            fit(sine_data(), tiny_config(), trajectory_hook=fail)
+        assert os.sched_getaffinity(0) == mask
+        assert only_workers_moved(placements)
+
+    def test_no_placement_at_one_worker(self, placements, monkeypatch):
+        monkeypatch.setattr(threads, "_WORKERS", 1)
+        fit(sine_data(), tiny_config())
+        assert placements == []
+
+    def test_no_placement_off_the_main_thread(self, placements):
+        t = threading.Thread(target=fit, args=(sine_data(), tiny_config()))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert placements == []
+
+    def test_benchmark_cells_are_not_placed(self, placements, tmp_path, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        cells, fit = [], trainer.fit
+
+        def recording_fit(*args, **kwargs):
+            cells.append((threading.current_thread(), os.sched_getaffinity(0)))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
+        data = write_sine_csv(tmp_path / "sine.csv", 40)
         for workers in ("1", "2"):
             assert cli.main(["benchmark", "--data", str(data), "--target", "y",
                              "--sizes", "10,12", "--trials", "1", "--workers", workers,
-                             *small, "--out", str(tmp_path / f"bench{workers}")]) == 0
-    finally:
-        pool = threads._pools.get(os.getpid())
-        if pool is not None:
-            pool.shutdown()
-    assert calls and all(t.name.startswith("dpkl-kernel") for t in calls)
-    assert inside and all(cpus == mask for cpus in inside)
-    assert os.sched_getaffinity(0) == mask
+                             *SMALL, "--out", str(tmp_path / f"bench{workers}")]) == 0
+        # one worker runs the cells on the main thread, two on their own threads;
+        # either way with the whole mask
+        assert cells and all(cpus == mask for _, cpus in cells)
+        assert any(t is not threading.main_thread() for t, _ in cells)
+        assert only_workers_moved(placements)
+        assert os.sched_getaffinity(0) == mask
 
 
 class TestWorkerPlacement:
