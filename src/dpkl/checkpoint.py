@@ -103,59 +103,58 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         json.dump(doc, fh)
 
 
+def _ensemble(doc: dict) -> net.ParticleEnsemble:
+    a = doc["architecture"]
+    arch = net.MlpArchitecture(a["input_dim"], tuple(a["hidden_dims"]), a["latent_dim"],
+                               a["activation"])
+    if len(doc["particles"]) != doc["m"]:
+        raise CheckpointError("particle count does not match m")
+    return net.ParticleEnsemble(
+        arch, np.asarray(doc["particles"], dtype=np.float64), seed=doc["seed"]
+    )
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; CheckpointError names a missing or malformed field."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path} is not valid JSON: {exc}")
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CheckpointError(f"{path} is not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
 
-    ens_doc = doc["ensemble"]
-    arch_doc = ens_doc["architecture"]
-    arch = net.MlpArchitecture(
-        input_dim=arch_doc["input_dim"],
-        hidden_dims=tuple(arch_doc["hidden_dims"]),
-        latent_dim=arch_doc["latent_dim"],
-        activation=arch_doc["activation"],
-    )
-    if len(ens_doc["particles"]) != ens_doc["m"]:
-        raise CheckpointError("particle count does not match m")
-    ensemble = net.ParticleEnsemble(
-        arch, np.asarray(ens_doc["particles"], dtype=np.float64), seed=ens_doc["seed"]
-    )
+    def field(name, parse=lambda v: v, optional=False):
+        try:
+            return parse(doc.get(name) if optional else doc[name])
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointError(
+                f"checkpoint field {name!r} is missing or malformed ({type(exc).__name__}: {exc})"
+            ) from None
 
-    head = None
-    if doc.get("head") is not None:
-        C = doc["head"]["C"]
-        thetas = np.asarray(doc["head"]["thetas"], dtype=np.float64)
-        head = classify.SoftmaxHead(C, thetas.reshape(-1, C, arch.latent_dim))
-
-    basis = None
-    if doc.get("rff_basis") is not None:
-        bd = doc["rff_basis"]
-        basis = kernels.RffBasis(
-            V=np.asarray(bd["V"], dtype=np.float64),
-            b=np.asarray(bd["b"], dtype=np.float64),
-            seed=bd["seed"],
-        )
-
+    ensemble = field("ensemble", _ensemble)
+    d = ensemble.arch.latent_dim
     return Checkpoint(
-        task=doc["task"],
-        target_column=doc["target_column"],
+        task=field("task"),
+        target_column=field("target_column"),
         ensemble=ensemble,
-        head=head,
-        kernel_spec=kernels.LatentKernelSpec(
-            amplitude=doc["kernel"]["amplitude"], bandwidth=doc["kernel"]["bandwidth"]
-        ),
-        rff_basis=basis,
-        noise_var=doc["noise_var"],
-        stats=NormalizationStats.from_dict(doc["normalization"]),
-        X_train=np.asarray(doc["train_data"]["X"], dtype=np.float64),
-        y_train=np.asarray(doc["train_data"]["y"], dtype=np.float64),
+        head=field("head", lambda h: None if h is None else classify.SoftmaxHead(
+            h["C"], np.asarray(h["thetas"], dtype=np.float64).reshape(-1, h["C"], d)
+        ), optional=True),
+        kernel_spec=field("kernel", lambda k: kernels.LatentKernelSpec(
+            amplitude=k["amplitude"], bandwidth=k["bandwidth"]
+        )),
+        rff_basis=field("rff_basis", lambda b: None if b is None else kernels.RffBasis(
+            V=np.asarray(b["V"], dtype=np.float64),
+            b=np.asarray(b["b"], dtype=np.float64),
+            seed=b["seed"],
+        ), optional=True),
+        noise_var=field("noise_var", float),
+        stats=field("normalization", NormalizationStats.from_dict),
+        X_train=field("train_data", lambda t: np.asarray(t["X"], dtype=np.float64)),
+        y_train=field("train_data", lambda t: np.asarray(t["y"], dtype=np.float64)),
         config=doc.get("config", {}),
         version=doc.get("version", "unknown"),
     )

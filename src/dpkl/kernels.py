@@ -52,8 +52,8 @@ class LatentKernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.bandwidth <= 0:
-            raise ValueError("amplitude and bandwidth must be positive")
+        if not (0 < self.amplitude < np.inf and 0 < self.bandwidth < np.inf):
+            raise ValueError("amplitude and bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True)

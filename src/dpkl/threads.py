@@ -23,6 +23,7 @@ other thread is moved.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
 import threading
@@ -46,6 +47,7 @@ _OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_th
                    "openblas_{}_num_threads")
 
 
+@functools.cache  # numpy and scipy load theirs on import, before any pin is taken
 def _openblas() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS loaded in the process."""
     try:
@@ -69,26 +71,51 @@ def _openblas() -> list[tuple]:
     return found
 
 
-@contextmanager
-def single_threaded_blas():
-    """BLAS limited to one thread inside the block: threadpoolctl, else every loaded OpenBLAS."""
+def _pin():
+    """Limit BLAS to one thread; returns the call that restores it."""
     if threadpool_limits is not None:
-        with threadpool_limits(limits=1, user_api="blas"):
-            yield
-        return
+        limits = threadpool_limits(limits=1, user_api="blas")
+        limits.__enter__()
+        return lambda: limits.__exit__(None, None, None)
     libs = _openblas()
     if not libs:
         # one place and one text: the default filter shows it once per process
         warnings.warn("no OpenBLAS found and threadpoolctl missing: BLAS threads stay as they are",
                       RuntimeWarning)
     saved = [get() for get, _ in libs]
-    try:
-        for _, set_ in libs:
-            set_(1)
-        yield
-    finally:
+    for _, set_ in libs:
+        set_(1)
+
+    def unpin():
         for (_, set_), n in zip(libs, saved):
             set_(n)
+    return unpin
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # blocks inside single_threaded_blas, over all threads
+_unpin = None
+
+
+@contextmanager
+def single_threaded_blas():
+    """BLAS limited to one thread inside the block: threadpoolctl, else every loaded OpenBLAS.
+
+    The limit is process-wide, so blocks on several threads share one pin: the
+    first entry takes it and the last exit restores the threads found then.
+    """
+    global _pin_depth, _unpin
+    with _pin_lock:
+        if _pin_depth == 0:
+            _unpin = _pin()
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                _unpin()
 
 
 def _pin_worker(cpus: list[int], order) -> None:

@@ -26,10 +26,11 @@ per-epoch ``EpochRecord``, the trajectory hook and the final loss, read
 from the last record. ``fit`` supplies its full-batch epoch and validation
 NLL; no pass runs after the last epoch.
 
-Three training modes:
-  dpkl   — minimize the GP negative log likelihood over labeled data;
+Three training modes, one objective path per kernel route:
   ssdpkl — minimize (1/n_l) nll + (alpha/n_u) * sum of posterior variances
            over an unlabeled pool;
+  dpkl   — the same algebra on an empty pool with weights 1 and 0, which is
+           the GP negative log likelihood over labeled data;
   dkl    — single-particle dpkl (deterministic network baseline).
 """
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,32 +92,30 @@ class TrainConfig:
     kappa_bandwidth: float | None = None
 
     def validate(self) -> None:
+        # NaN fails no comparison below, so non-finite floats are caught first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.kernel_mode not in KERNEL_MODES:
             raise ConfigError(f"kernel_mode must be one of {KERNEL_MODES}")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
+        for name in ("m", "q", "early_stop_check_every", "unlabeled_cap", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.mode == "dkl" and self.m != 1:
             raise ConfigError("dkl mode forces m = 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
-        if self.q < 1:
-            raise ConfigError("q must be >= 1")
         if self.noise_var < 0:
             raise ConfigError("noise_var must be >= 0")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
-        if self.early_stop_check_every < 1:
-            raise ConfigError("early_stop_check_every must be >= 1")
-        if self.unlabeled_cap < 1:
-            raise ConfigError("unlabeled_cap must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.kappa_bandwidth is not None and not 0.0 < self.kappa_bandwidth < math.inf:
-            raise ConfigError("kappa_bandwidth must be positive and finite")
+        if self.kappa_bandwidth is not None and self.kappa_bandwidth <= 0:
+            raise ConfigError("kappa_bandwidth must be positive")
 
     def kernel_spec(self) -> kernels.LatentKernelSpec:
         return kernels.LatentKernelSpec(self.amplitude, self.bandwidth)
@@ -194,15 +193,13 @@ def _kappa_matrix(d2: np.ndarray, h: float) -> np.ndarray:
 class _ObjectiveResult:
     objective: float
     nll: float
-    regularizer: float
     grads: np.ndarray  # (m, P), one row per particle
     jitter: float
     chol_min_diag: float  # smallest pivot of the GP Cholesky factor
 
 
-def _rff_basis_for(config: TrainConfig, seed: int | None = None) -> kernels.RffBasis:
-    if seed is None:
-        seed = derive_seeds(config.seed)["rff"]
+def _rff_basis_for(config: TrainConfig) -> kernels.RffBasis:
+    seed = derive_seeds(config.seed)["rff"]
     return kernels.sample_rff_basis(config.kernel_spec(), config.latent_dim, config.q, seed)
 
 
@@ -213,77 +210,51 @@ def _objective_core(
     basis: kernels.RffBasis | None,
     out: np.ndarray | None = None,
 ) -> _ObjectiveResult:
-    """The objective and its (m, P) gradient, written into out if given."""
+    """c_nll * nll + w_reg * (sum of pool posterior variances) and its (m, P)
+    gradient, written into out if given. Only ssdpkl has a pool: dpkl and dkl
+    run the same algebra on an empty one, whose zero-size blocks add exact zeros.
+    """
     spec = config.kernel_spec()
-    ssdpkl = config.mode == "ssdpkl"
     X_lab = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64).reshape(-1)
     n_l = X_lab.shape[0]
-
-    if ssdpkl:
-        X_all = np.vstack([X_lab, data.X_unlabeled])
-        n_u = X_all.shape[0] - n_l
+    if config.mode == "ssdpkl":
+        X_pool = data.X_unlabeled
+        c_nll, w_reg = 1.0 / n_l, config.ssdpkl_alpha / len(X_pool)
     else:
-        X_all, n_u = X_lab, 0
-
-    Z_all, vjp = net.forward_vjp(ensemble, X_all)
+        X_pool, c_nll, w_reg = X_lab[:0], 1.0, 0.0
+    Z_all, vjp = net.forward_vjp(ensemble, np.vstack([X_lab, X_pool]))
     rff = config.kernel_mode == "rff"
 
     if rff:
-        if basis is None:
-            basis = _rff_basis_for(config)
         R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
         R_L, R_U = R_all[:n_l], R_all[n_l:]
         state = gp.gp_state_rff(R_L, y, config.noise_var, config.base_jitter)
+        K_LU, k_ss = R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
     else:
         K_full = kernels.empirical_kernel_exact(spec, Z_all)
-        K_LL = K_full[:n_l, :n_l]
-        state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
+        state = gp.gp_state_exact(K_full[:n_l, :n_l], y, config.noise_var, config.base_jitter)
+        K_LU, k_ss = K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
 
     nll_value = gp.nll(state)
-    chol_min_diag = float(np.min(np.diag(state.chol.L)))
+    B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
+    reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
+    objective = c_nll * nll_value + w_reg * reg_value
 
-    reg_value = 0.0
-    B = None
-    if ssdpkl:
-        if rff:
-            K_LU = R_L @ R_U.T
-            k_ss = np.sum(R_U * R_U, axis=1)
-        else:
-            K_LU = K_full[:n_l, n_l:]
-            k_ss = np.diag(K_full[n_l:, n_l:]).copy()
-        B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
-        reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
-        c_nll = 1.0 / n_l
-        w_reg = config.ssdpkl_alpha / n_u
-        objective = c_nll * nll_value + w_reg * reg_value
-    else:
-        c_nll, w_reg = 1.0, 0.0
-        objective = nll_value
-
-    S = gp.nll_grad_kernel(state)
+    # d objective / d K_LL, the cotangent of every labeled pair
+    S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * (B @ B.T)
     if rff:
-        if ssdpkl:
-            T_L = 2.0 * (c_nll * S + w_reg * (B @ B.T)) @ R_L - 2.0 * w_reg * (B @ R_U)
-            T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
-            T_all = np.vstack([T_L, T_U])
-        else:
-            T_all = 2.0 * S @ R_L
-        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T_all)
+        T_L = 2.0 * S_LL @ R_L - 2.0 * w_reg * (B @ R_U)
+        T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
+        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, np.vstack([T_L, T_U]))
     else:
-        n_tot = n_l + n_u
-        C = np.zeros((n_tot, n_tot))
-        C[:n_l, :n_l] = c_nll * S
-        if ssdpkl:
-            C[:n_l, :n_l] += w_reg * (B @ B.T)
-            C[:n_l, n_l:] = -2.0 * w_reg * B
-            C[n_l:, n_l:] = w_reg * np.eye(n_u)
+        C = np.block([[S_LL, -2.0 * w_reg * B],
+                      [np.zeros_like(B.T), w_reg * np.eye(len(X_pool))]])
         G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
 
     grads = vjp(G, out=out)
-    return _ObjectiveResult(
-        objective, nll_value, reg_value, grads, state.chol.jitter_used, chol_min_diag
-    )
+    chol_min_diag = float(np.min(np.diag(state.chol.L)))
+    return _ObjectiveResult(objective, nll_value, grads, state.chol.jitter_used, chol_min_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +526,7 @@ def fit(
     arch = config.architecture(X.shape[1])
     ensemble = net.init_ensemble(arch, config.m, seeds["init"])
     W = ensemble.flat()
-    basis = _rff_basis_for(config, seeds["rff"]) if config.kernel_mode == "rff" else None
+    basis = _rff_basis_for(config) if config.kernel_mode == "rff" else None
     opt = AdamState.zeros(config.m, arch.num_params)
     # One gradient buffer for every epoch. A fresh one, freed at each epoch's
     # end next to the step's phi, let glibc trim the heap top and fault about

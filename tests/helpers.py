@@ -388,14 +388,21 @@ def projection_residual_oracle(K: np.ndarray, k_star: np.ndarray, k_ss: float) -
     return float(k_ss - k_star @ linalg.solve_chol(f, k_star))
 
 
+def _objective(ensemble, data, config, basis):
+    """trainer._objective_core, with fit's own rff basis when none is given."""
+    if basis is None and config.kernel_mode == "rff":
+        basis = trainer._rff_basis_for(config)
+    return trainer._objective_core(ensemble, data, config, basis)
+
+
 def per_particle_loss_grads(ensemble, data, config, basis=None) -> np.ndarray:
     """(m, P) gradient of the scalar training objective, one row per particle."""
-    return trainer._objective_core(ensemble, data, config, basis).grads
+    return _objective(ensemble, data, config, basis).grads
 
 
 def objective_value(ensemble, data, config, basis=None) -> float:
     """The scalar objective the trainer descends, at the current particles."""
-    return trainer._objective_core(ensemble, data, config, basis).objective
+    return _objective(ensemble, data, config, basis).objective
 
 
 def batch_objective(ensemble, head, X, labels, l2: float = 0.0) -> float:

@@ -136,3 +136,21 @@ class TestMalformed:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["noise_var", "kernel", "normalization", "train_data",
+                                       "ensemble"])
+    def test_missing_field_is_named_and_exit_one(self, tmp_path, capsys, field):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, make_checkpoint())
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=repr(field)):
+            load_checkpoint(path)
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n0.1,0.2\n")
+        code = cli_main(["predict", "--checkpoint", str(path), "--data", str(query),
+                         "--out", str(tmp_path / "pred.csv")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CheckpointError" and repr(field) in record["message"]

@@ -542,7 +542,9 @@ class TestExitCodes:
                           "message": "non-finite label normalization mean or std"}
 
     @pytest.mark.parametrize("line", ["unlabeled_cap = 0", "batch_size = 0",
-                                      "kappa_bandwidth = 0.0"])
+                                      "kappa_bandwidth = 0.0", "learning_rate = nan",
+                                      "noise_var = nan", "ssdpkl_alpha = inf",
+                                      "amplitude = nan"])
     def test_invalid_config_value_is_exit_one_before_reading_data(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

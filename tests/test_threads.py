@@ -81,12 +81,45 @@ def test_openblas_fallback_pins_and_restores(monkeypatch):
     libs = threads._openblas()
     if not libs:
         pytest.skip("no OpenBLAS loaded")
+    assert threads._openblas() is libs  # looked up once per process
     monkeypatch.setattr(threads, "threadpool_limits", None)
     before = [get() for get, _ in libs]
     with threads.single_threaded_blas():
         assert [get() for get, _ in libs] == [1] * len(libs)
     assert [get() for get, _ in libs] == before
     assert threads.pinned_blas_threads() == 1
+
+
+def test_overlapping_blocks_on_two_threads_share_one_pin(monkeypatch):
+    # A enters, B enters, A leaves, B reads and leaves: B stays pinned after A
+    # leaves, and the threads found at the first entry come back after the last
+    counts = [2]
+    monkeypatch.setattr(threads, "threadpool_limits", None)
+    libs = [(lambda: counts[0], lambda n: counts.__setitem__(0, n))]
+    monkeypatch.setattr(threads, "_openblas", lambda: libs)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with threads.single_threaded_blas():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with threads.single_threaded_blas():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(counts[0])
+
+    workers = [threading.Thread(target=f) for f in (a, b)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(10)
+    assert seen == [1]
+    assert counts == [2]
 
 
 # Library prediction, called outside any fit, with BLAS at two threads and

@@ -119,6 +119,20 @@ class TestPerParticleGrads:
             np.testing.assert_allclose(a, b / 6.0, atol=1e-12)
 
     @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    @pytest.mark.parametrize("mode", ["dpkl", "dkl"])
+    def test_supervised_modes_run_on_an_empty_pool(self, mode, kernel_mode):
+        # dpkl and dkl are ssdpkl's algebra on an empty pool: a pool in the data
+        # changes no bit of the gradient, and the objective is the NLL itself
+        cfg = tiny_config(mode=mode, kernel_mode=kernel_mode, m=1 if mode == "dkl" else 3)
+        data = tiny_data(n_unlabeled=4)
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, 5)
+        basis = trainer._rff_basis_for(cfg) if kernel_mode == "rff" else None
+        pooled = trainer._objective_core(ens, data, cfg, basis)
+        bare = trainer._objective_core(ens, TrainData(data.X, data.y), cfg, basis)
+        assert pooled.grads.tobytes() == bare.grads.tobytes()
+        assert pooled.objective == pooled.nll and bare.objective == bare.nll
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
     def test_matches_finite_differences(self, kernel_mode):
         cfg = tiny_config(kernel_mode=kernel_mode)
         data = tiny_data()
