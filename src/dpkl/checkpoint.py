@@ -16,7 +16,7 @@ Layout (format_version 1), stable across releases:
       },
       "head": {"C", "thetas": [<flat (C*d) vector per particle>]} | null,
       "kernel": {"amplitude", "bandwidth"},
-      "rff_basis": {"q", "seed", "V", "b"} | null,
+      "rff_basis": null,
       "noise_var": <float>,
       "normalization": {"x_mean", "x_std", "y_mean", "y_std", "normalize_labels"},
       "train_data": {"X": [[...]], "y": [...]},   # normalized labeled data
@@ -27,6 +27,11 @@ Each particle vector is one row of the ensemble's (m, P) particle matrix:
 per layer, the (out, in) weight matrix row-major, then the bias. Each head
 vector is one particle's (C, d) class-weight matrix, row-major. Floats
 survive the JSON round trip bit-exactly (shortest-repr encoding).
+
+Prediction always takes the exact kernel route, and the config's seed, q,
+latent_dim and bandwidth determine the training rff basis, so new files
+write ``rff_basis`` as null. Earlier v1 files may hold a {"q", "seed", "V",
+"b"} object there; load ignores the key either way.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ class Checkpoint:
     ensemble: net.ParticleEnsemble
     head: classify.SoftmaxHead | None
     kernel_spec: kernels.LatentKernelSpec
-    rff_basis: kernels.RffBasis | None
     noise_var: float
     stats: NormalizationStats
     X_train: np.ndarray
@@ -86,14 +90,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             "amplitude": ckpt.kernel_spec.amplitude,
             "bandwidth": ckpt.kernel_spec.bandwidth,
         },
-        "rff_basis": None
-        if ckpt.rff_basis is None
-        else {
-            "q": ckpt.rff_basis.q,
-            "seed": ckpt.rff_basis.seed,
-            "V": ckpt.rff_basis.V.tolist(),
-            "b": ckpt.rff_basis.b.tolist(),
-        },
+        "rff_basis": None,
         "noise_var": ckpt.noise_var,
         "normalization": ckpt.stats.to_dict(),
         "train_data": {"X": ckpt.X_train.tolist(), "y": ckpt.y_train.tolist()},
@@ -146,11 +143,6 @@ def load_checkpoint(path) -> Checkpoint:
         kernel_spec=field("kernel", lambda k: kernels.LatentKernelSpec(
             amplitude=k["amplitude"], bandwidth=k["bandwidth"]
         )),
-        rff_basis=field("rff_basis", lambda b: None if b is None else kernels.RffBasis(
-            V=np.asarray(b["V"], dtype=np.float64),
-            b=np.asarray(b["b"], dtype=np.float64),
-            seed=b["seed"],
-        ), optional=True),
         noise_var=field("noise_var", float),
         stats=field("normalization", NormalizationStats.from_dict),
         X_train=field("train_data", lambda t: np.asarray(t["X"], dtype=np.float64)),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
+from .data import require_finite_input
 from .errors import ConfigError, DimensionMismatch, InsufficientData
 from .threads import single_threaded_blas
 from .trainer import (
@@ -31,6 +32,7 @@ from .trainer import (
     RunReport,
     TrainConfig,
     TrainData,
+    _check_train_data,
     _kappa_matrix,  # noqa: F401 -- perfbench's tracer test reads classify._kappa_matrix
     _require_finite,
     _train_epochs,
@@ -64,9 +66,6 @@ class SoftmaxHead:
 
     def mean_theta(self) -> np.ndarray:
         return np.mean(self.thetas, axis=0)
-
-    def copy(self) -> "SoftmaxHead":
-        return SoftmaxHead(self.C, self.thetas.copy())
 
 
 def init_head(C: int, d: int, m: int, seed: int) -> SoftmaxHead:
@@ -127,6 +126,7 @@ def prediction_entropy(probs: np.ndarray) -> np.ndarray:
 def predict_probs(
     ensemble: net.ParticleEnsemble, head: SoftmaxHead, X: np.ndarray
 ) -> np.ndarray:
+    require_finite_input(X=X)
     return softmax_probs(logits(head, net.ensemble_embeddings(ensemble, X)))
 
 
@@ -192,6 +192,7 @@ def fit_classifier(
     needs anyway.
     """
     config.validate()
+    _check_train_data(data)
     if config.mode == "ssdpkl":
         raise ConfigError("ssdpkl applies to regression only")
     t_start = time.perf_counter()

@@ -240,7 +240,8 @@ def _run_training(
     ds: Dataset, cfg: TrainConfig, task: str, seed: int,
     n_labeled: int | None, n_unlabeled: int, n_test: int | None, normalize_features: bool,
 ):
-    """Split, normalize, fit, evaluate. Returns everything train/benchmark need.
+    """Split, normalize, fit, evaluate. Returns (ensemble, head, report, test
+    metrics, normalized labeled and test sets, normalization stats).
 
     ``n_test`` None means every row not labeled or unlabeled.
     """
@@ -272,9 +273,7 @@ def _run_training(
             TrainData(labeled_n.X, labeled_n.y), cfg
         )
         metrics = _evaluate_classification(ensemble, head, test_n) if n_test > 0 else {}
-    report.final_metrics = metrics
-    latent = trainer.latent_mean_embeddings(ensemble, test_n.X) if n_test > 0 else np.zeros((0, cfg.latent_dim))
-    return ensemble, head, report, metrics, labeled_n, test_n, stats, latent
+    return ensemble, head, report, metrics, labeled_n, test_n, stats
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +292,13 @@ def cmd_train(args) -> int:
     if cfg.mode == "ssdpkl" and args.n_unlabeled == 0:
         raise ConfigError("ssdpkl mode needs --n-unlabeled > 0")
 
-    ensemble, head, report, metrics, labeled_n, test_n, stats, latent = _run_training(
+    ensemble, head, report, metrics, labeled_n, test_n, stats = _run_training(
         ds, cfg, task, cfg.seed, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
         n_test=args.n_test, normalize_features=not args.no_normalize_features,
     )
 
+    # mean over particles of each test point's latent image, (n_test, d)
+    latent = net.ensemble_embeddings(ensemble, test_n.X).mean(axis=0)
     resolved = dict(asdict(cfg), task=task, data=str(data_path), target=str(target))
     version = build_version()
     ckpt = Checkpoint(
@@ -306,7 +307,6 @@ def cmd_train(args) -> int:
         ensemble=ensemble,
         head=head,
         kernel_spec=cfg.kernel_spec(),
-        rff_basis=trainer._rff_basis_for(cfg) if cfg.kernel_mode == "rff" else None,
         noise_var=cfg.noise_var,
         stats=stats,
         X_train=labeled_n.X,
@@ -427,9 +427,9 @@ def cmd_benchmark(args) -> int:
         seed = base_seed + trial
         # the grid's dkl cells are single networks even when --m sizes the others
         cfg = resolve_train_config(args, mode=mode, seed=seed, m=1 if mode == "dkl" else args.m)
+        # every mode carves out the pool, so a trial's cells share their test rows
         _, _, _, metrics, *_ = _run_training(
-            ds, cfg, "regression", seed, n_labeled=n,
-            n_unlabeled=n_unlabeled if mode == "ssdpkl" else 0, n_test=n_test,
+            ds, cfg, "regression", seed, n_labeled=n, n_unlabeled=n_unlabeled, n_test=n_test,
             normalize_features=not args.no_normalize_features,
         )
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]

@@ -18,22 +18,28 @@ from .errors import (
 )
 
 
+def require_finite_input(**arrays) -> None:
+    """A NaN or inf in input arrays is a user error: ValueError naming the array."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains NaN or inf")
+
+
 @dataclass
 class Dataset:
     """Feature matrix plus targets; y is float (regression) or int labels."""
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
+        self.y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise DimensionMismatch("X must be 2-dimensional")
         if self.y.shape[0] != self.X.shape[0]:
             raise DimensionMismatch("X and y row counts differ")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise ValueError("dataset contains NaN or Inf")
+        require_finite_input(X=self.X, y=self.y)
 
     @property
     def n(self) -> int:
@@ -136,7 +142,6 @@ def load_csv(
                 raise MissingTarget(f"target column {target_column!r} not in header {header}")
             t_idx = header.index(target_column)
     else:
-        header = None
         body, first_row = rows, 1
         t_idx = int(target_column)
     if not body:
@@ -151,12 +156,8 @@ def load_csv(
     if not values:
         raise InsufficientRows(f"{path}: every row was rejected")
 
-    names = None
-    if header is not None:
-        names = [h for i, h in enumerate(header) if i != t_idx]
     values = np.asarray(values)
-    return Dataset(X=np.delete(values, t_idx, axis=1), y=values[:, t_idx].copy(),
-                   feature_names=names)
+    return Dataset(X=np.delete(values, t_idx, axis=1), y=values[:, t_idx].copy())
 
 
 def _read_rows(path, delimiter: str) -> list[list[str]]:
@@ -247,7 +248,7 @@ def normalize(
     stats = NormalizationStats(x_mean, x_std, y_mean, y_std, normalize_labels)
 
     def _apply(ds: Dataset) -> Dataset:
-        return Dataset(stats.apply_x(ds.X), stats.apply_y(ds.y), ds.feature_names)
+        return Dataset(stats.apply_x(ds.X), stats.apply_y(ds.y))
 
     return _apply(train), [_apply(ds) for ds in others], stats
 
@@ -267,9 +268,9 @@ def split(ds: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
     unl = order[spec.n_labeled : spec.n_labeled + spec.n_unlabeled]
     tst = order[spec.n_labeled + spec.n_unlabeled : total]
     return {
-        "labeled": Dataset(ds.X[lab], ds.y[lab], ds.feature_names),
-        "unlabeled": Dataset(ds.X[unl], np.zeros(len(unl)), ds.feature_names),
-        "test": Dataset(ds.X[tst], ds.y[tst], ds.feature_names),
+        "labeled": Dataset(ds.X[lab], ds.y[lab]),
+        "unlabeled": Dataset(ds.X[unl], np.zeros(len(unl))),
+        "test": Dataset(ds.X[tst], ds.y[tst]),
     }
 
 

@@ -62,7 +62,6 @@ class RffBasis:
 
     V: np.ndarray  # (q, d)
     b: np.ndarray  # (q,)
-    seed: int
 
     @property
     def q(self) -> int:
@@ -209,7 +208,7 @@ def sample_rff_basis(
     rng = np.random.default_rng(seed)
     V = rng.normal(0.0, 1.0 / spec.bandwidth, size=(q, d))
     b = rng.uniform(0.0, 2.0 * np.pi, size=q)
-    return RffBasis(V=V, b=b, seed=seed)
+    return RffBasis(V=V, b=b)
 
 
 def rff_feature_matrix(

@@ -97,22 +97,12 @@ class ParticleEnsemble:
         self._flat = flat
 
     @property
-    def particles(self) -> np.ndarray:
-        """A read-only view of the matrix rows, one particle each."""
-        view = self._flat.view()
-        view.flags.writeable = False
-        return view
-
-    @property
     def m(self) -> int:
         return self._flat.shape[0]
 
     def flat(self) -> np.ndarray:
         """The live (m, P) particle matrix."""
         return self._flat
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.arch, self._flat.copy(), self.seed)
 
 
 def init_ensemble(arch: MlpArchitecture, m: int, seed: int) -> ParticleEnsemble:

@@ -44,7 +44,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import gp, kernels, net
-from .errors import ConfigError, EmptyUnlabeledSet, InsufficientData, InternalConsistencyError
+from .data import Dataset, require_finite_input
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyUnlabeledSet,
+    InsufficientData,
+    InternalConsistencyError,
+)
 from .linalg import solve_chol
 from .threads import single_threaded_blas
 
@@ -106,8 +113,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.mode == "dkl" and self.m != 1:
             raise ConfigError("dkl mode forces m = 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for name in ("learning_rate", "amplitude", "bandwidth"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
         if self.noise_var < 0:
@@ -133,6 +141,18 @@ class TrainData:
     X: np.ndarray
     y: np.ndarray
     X_unlabeled: np.ndarray | None = None
+
+
+def _check_train_data(data: TrainData) -> None:
+    """Reject what no fit can train on, as a user error. X and y get Dataset's
+    checks: DimensionMismatch when their rows differ, ValueError for a NaN or
+    inf. The pool must be finite too, with X's columns."""
+    X = Dataset(data.X, data.y).X
+    if data.X_unlabeled is not None:
+        pool = np.asarray(data.X_unlabeled)
+        if pool.shape[1:] != X.shape[1:]:
+            raise DimensionMismatch(f"pool has shape {pool.shape}, X has {X.shape[1]} columns")
+        require_finite_input(X_unlabeled=pool)
 
 
 def derive_seeds(seed: int) -> dict[str, int]:
@@ -378,17 +398,13 @@ def predict_regression(
     base_jitter: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and latent variances at query points (normalized units)."""
+    require_finite_input(X_query=X_query)
     Z_tr = net.ensemble_embeddings(ensemble, X_train)
     K = kernels.empirical_kernel_exact(spec, Z_tr)
     state = gp.gp_state_exact(K, y_train, noise_var, base_jitter)
     Z_q = net.ensemble_embeddings(ensemble, X_query)
     K_star, k_ss = kernels.cross_kernel_batch(spec, Z_tr, Z_q)
     return gp.posterior_batch(state, K_star, k_ss)
-
-
-def latent_mean_embeddings(ensemble: net.ParticleEnsemble, X: np.ndarray) -> np.ndarray:
-    """Mean over particles of the latent images of each point, (n, d)."""
-    return net.ensemble_embeddings(ensemble, X).mean(axis=0)
 
 
 def predictive_nll(
@@ -435,7 +451,6 @@ class RunReport:
     final_train_nll: float | None = None
     final_objective: float | None = None
     total_seconds: float = 0.0
-    final_metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -512,6 +527,7 @@ def fit(
     BLAS runs one thread.
     """
     config.validate()
+    _check_train_data(data)
     if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
         raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
     t_start = time.perf_counter()

@@ -393,7 +393,7 @@ def test_criterion_10_property_suite(verdict):
             arch = net.MlpArchitecture(2, (4,), 2)
             cfg = TrainConfig(m=max(m, 2), hidden_dims=(4,), latent_dim=2)
             ens_a = net.init_ensemble(arch, cfg.m, trial)
-            ens_b = ens_a.copy()
+            ens_b = net.ParticleEnsemble(arch, ens_a.flat().copy(), ens_a.seed)
             perm2 = list(rng.permutation(cfg.m))
             ens_b.flat()[:] = ens_b.flat()[perm2]
             grads = [rng.normal(size=arch.num_params) for _ in range(cfg.m)]
@@ -406,8 +406,8 @@ def test_criterion_10_property_suite(verdict):
             )
             for out_pos, src in enumerate(perm2):
                 np.testing.assert_allclose(
-                    ens_b.particles[out_pos].flatten(),
-                    ens_a.particles[src].flatten(),
+                    ens_b.flat()[out_pos],
+                    ens_a.flat()[src],
                     atol=1e-10,
                 )
     elapsed = time.perf_counter() - t0

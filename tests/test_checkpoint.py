@@ -10,10 +10,10 @@ from dpkl.cli import main as cli_main
 from dpkl.classify import init_head
 from dpkl.data import NormalizationStats
 from dpkl.errors import CheckpointError
-from dpkl.kernels import LatentKernelSpec, sample_rff_basis
+from dpkl.kernels import LatentKernelSpec
 
 
-def make_checkpoint(task="regression", with_head=False, with_basis=True):
+def make_checkpoint(task="regression", with_head=False):
     arch = net.MlpArchitecture(2, (4,), 2, activation="tanh")
     ensemble = net.init_ensemble(arch, 3, seed=13)
     spec = LatentKernelSpec()
@@ -24,7 +24,6 @@ def make_checkpoint(task="regression", with_head=False, with_basis=True):
         ensemble=ensemble,
         head=init_head(2, 2, 3, seed=5) if with_head else None,
         kernel_spec=spec,
-        rff_basis=sample_rff_basis(spec, 2, 8, seed=3) if with_basis else None,
         noise_var=0.1,
         stats=NormalizationStats(
             x_mean=np.array([0.5, -0.5]), x_std=np.array([1.5, 2.0]),
@@ -55,9 +54,12 @@ class TestGoldenV1:
         assert out.read_bytes() == (DATA / f"v1_{task}_predictions.csv").read_bytes()
 
     def test_resave_byte_identical(self, task, target, tmp_path):
+        # every byte but the rff basis, which these files carry and load ignores
         golden = DATA / f"v1_{task}.ckpt.json"
+        doc = json.loads(golden.read_text())
+        assert doc["rff_basis"] is not None
         save_checkpoint(tmp_path / "again.json", load_checkpoint(golden))
-        assert (tmp_path / "again.json").read_bytes() == golden.read_bytes()
+        assert (tmp_path / "again.json").read_text() == json.dumps({**doc, "rff_basis": None})
 
 
 class TestRoundTrip:
@@ -78,7 +80,6 @@ class TestRoundTrip:
         assert loaded.task == "classification"
         assert loaded.target_column == "y"
         np.testing.assert_array_equal(loaded.head.flat(), ckpt.head.flat())
-        np.testing.assert_array_equal(loaded.rff_basis.V, ckpt.rff_basis.V)
         np.testing.assert_array_equal(loaded.X_train, ckpt.X_train)
         np.testing.assert_array_equal(loaded.y_train, ckpt.y_train)
         assert loaded.stats.y_std == 2.0
@@ -96,12 +97,12 @@ class TestRoundTrip:
         )
 
     def test_optional_fields_absent(self, tmp_path):
-        ckpt = make_checkpoint(with_basis=False)
+        ckpt = make_checkpoint()
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        assert loaded.rff_basis is None
-        assert loaded.head is None
+        doc = json.loads(path.read_text())
+        assert doc["rff_basis"] is None and doc["head"] is None
+        assert load_checkpoint(path).head is None
 
 
 class TestMalformed:

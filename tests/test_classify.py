@@ -223,7 +223,7 @@ class TestFitClassifier:
             data,
             cfg,
             trajectory_hook=lambda e, ens, hd: trajectory.append(
-                np.concatenate([ens.particles[0].flatten(), hd.thetas[0].ravel()])
+                np.concatenate([ens.flat()[0], hd.thetas[0].ravel()])
             ),
         )
 
@@ -232,9 +232,9 @@ class TestFitClassifier:
         tr, _ = _validation_split(data.X.shape[0], cfg.val_fraction, seeds["val_split"])
         X_tr, y_tr = data.X[tr], data.y.astype(int)[tr]
         arch = cfg.architecture(2)
-        params = net.init_ensemble(arch, 1, seeds["init"]).particles[0]
+        params = net.init_ensemble(arch, 1, seeds["init"]).flat()[0]
         theta = init_head(2, cfg.latent_dim, 1, seeds["rff"]).thetas[0]
-        w = np.concatenate([params.flatten(), theta.ravel()])
+        w = np.concatenate([params, theta.ravel()])
         m1, v1, t = np.zeros_like(w), np.zeros_like(w), 0
         bs = min(cfg.batch_size, len(X_tr))
         p_net = arch.num_params
@@ -265,7 +265,8 @@ class TestFitClassifier:
         snaps = {}
 
         def hook(epoch, ens, hd):
-            snaps[epoch] = (ens.copy(), hd.copy())
+            snaps[epoch] = (net.ParticleEnsemble(ens.arch, ens.flat().copy(), ens.seed),
+                            SoftmaxHead(hd.C, hd.thetas.copy()))
 
         _, _, report = fit_classifier(data, cfg, trajectory_hook=hook)
         seeds = derive_seeds(cfg.seed)

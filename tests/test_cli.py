@@ -357,6 +357,24 @@ class TestBenchmark:
         assert (out / "results.csv").read_bytes() == first
         assert (out / "summary.csv").read_bytes() == first_summary
 
+    def test_every_mode_tests_on_the_same_rows(self, tmp_path, monkeypatch):
+        # a trial's cells differ only in mode, so they must score the same rows:
+        # dpkl and dkl carve out the --n-unlabeled rows too, and leave them unused
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        test_rows, split = {}, cli.split
+
+        def recording_split(ds, spec):
+            parts = split(ds, spec)
+            test_rows.setdefault((spec.n_labeled, spec.seed), []).append(parts["test"].X)
+            return parts
+
+        monkeypatch.setattr(cli, "split", recording_split)
+        assert run([*self.bench_args(data, tmp_path / "bench"), "--modes", "dpkl,ssdpkl",
+                    "--n-unlabeled", "10"]) == 0
+        assert len(test_rows) == 4  # 2 sizes x 2 trials
+        for dpkl_rows, ssdpkl_rows in test_rows.values():
+            np.testing.assert_array_equal(dpkl_rows, ssdpkl_rows)
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         out1, out3 = tmp_path / "b1", tmp_path / "b3"
@@ -544,7 +562,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", ["unlabeled_cap = 0", "batch_size = 0",
                                       "kappa_bandwidth = 0.0", "learning_rate = nan",
                                       "noise_var = nan", "ssdpkl_alpha = inf",
-                                      "amplitude = nan"])
+                                      "amplitude = nan", "amplitude = -1.0",
+                                      "bandwidth = 0.0"])
     def test_invalid_config_value_is_exit_one_before_reading_data(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

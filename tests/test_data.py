@@ -10,7 +10,13 @@ from dpkl.data import (
     synth_blobs,
     synth_regression,
 )
-from dpkl.errors import InsufficientRows, InternalConsistencyError, MissingTarget, ParseError
+from dpkl.errors import (
+    DimensionMismatch,
+    InsufficientRows,
+    InternalConsistencyError,
+    MissingTarget,
+    ParseError,
+)
 
 
 class TestLoadCsv:
@@ -21,7 +27,6 @@ class TestLoadCsv:
         assert ds.n == 3 and ds.dim == 2
         np.testing.assert_array_equal(ds.y, [3, 6, 9])
         np.testing.assert_array_equal(ds.X[:, 0], [1, 4, 7])
-        assert ds.feature_names == ["a", "b"]
 
     def test_non_numeric_cell_names_location(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -81,6 +86,23 @@ class TestLoadCsv:
         p.write_text("a,y\n")
         with pytest.raises(InsufficientRows):
             load_csv(p, "y")
+
+
+class TestDataset:
+    def test_sequences_become_arrays(self):
+        ds = Dataset([[1.0], [2.0]], [3.0, 4.0])
+        np.testing.assert_array_equal(ds.y, [3.0, 4.0])
+        assert ds.X.dtype == np.float64
+
+    @pytest.mark.parametrize("X, y, error", [
+        (np.zeros((3, 1)), np.zeros(2), DimensionMismatch),
+        (np.zeros(3), np.zeros(3), DimensionMismatch),
+        (np.full((2, 1), np.inf), np.zeros(2), ValueError),
+        (np.zeros((2, 1)), np.array([0.0, np.nan]), ValueError),
+    ])
+    def test_malformed_rejected(self, X, y, error):
+        with pytest.raises(error):
+            Dataset(X, y)
 
 
 class TestNormalize:

@@ -218,7 +218,7 @@ class TestRffBasis:
 
 class TestRffFeatures:
     def test_degenerate_cosine(self):
-        basis = RffBasis(V=np.zeros((1, 2)), b=np.zeros(1), seed=0)
+        basis = RffBasis(V=np.zeros((1, 2)), b=np.zeros(1))
         R = rff_feature_matrix(basis, [np.zeros((1, 2))], SPEC)
         np.testing.assert_allclose(R, np.sqrt(0.5) * np.sqrt(2.0), rtol=1e-15)
 

@@ -32,27 +32,6 @@ def small_arch(activation="tanh"):
 
 
 class TestParticleMatrix:
-    def test_particles_are_views_of_the_matrix_rows(self):
-        ens = init_ensemble(small_arch(), 3, 0)
-        ens.flat()[1] += 0.5
-        assert np.shares_memory(ens.particles, ens.flat())
-        np.testing.assert_array_equal(ens.particles, ens.flat())
-
-    def test_particles_cannot_be_reassigned(self):
-        ens = init_ensemble(small_arch(), 3, 0)
-        with pytest.raises(AttributeError):
-            ens.particles = ens.flat()
-        with pytest.raises(ValueError):
-            ens.particles[0] = ens.particles[1]
-
-    def test_copy_shares_no_memory(self):
-        ens = init_ensemble(small_arch(), 3, 0)
-        dup = ens.copy()
-        np.testing.assert_array_equal(dup.flat(), ens.flat())
-        assert not np.shares_memory(dup.flat(), ens.flat())
-        ens.flat()[:] = 0.0
-        assert np.any(dup.particles[0] != 0.0)
-
     def test_matrix_shape_checked(self):
         arch = small_arch()
         with pytest.raises(DimensionMismatch):
@@ -111,8 +90,7 @@ class TestInit:
 class TestFlatten:
     def test_round_trip_identity(self):
         arch = small_arch()
-        p = init_ensemble(arch, 1, 5).particles[0]
-        w = p.flatten()
+        w = init_ensemble(arch, 1, 5).flat()[0]
         np.testing.assert_array_equal(unflatten_params(arch, w).flatten(), w)
 
     def test_round_trip_preserves_forward(self):
@@ -130,7 +108,6 @@ class TestFlatten:
 class TestForward:
     def test_zero_params_map_to_zero(self):
         arch = small_arch()
-        p = init_ensemble(arch, 1, 0).particles[0]
         p = unflatten_params(arch, np.zeros(arch.num_params))
         X = np.random.default_rng(1).normal(size=(6, 3))
         np.testing.assert_array_equal(forward(p, X), np.zeros((6, 2)))

@@ -14,6 +14,7 @@ from dpkl import classify, net, trainer
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.errors import (
     ConfigError,
+    DimensionMismatch,
     EmptyUnlabeledSet,
     InsufficientData,
     InternalConsistencyError,
@@ -169,8 +170,7 @@ class TestFunctionalGradientStep:
         functional_gradient_step(W, G, AdamState.zeros(*W.shape), cfg)
         assert W is ens.flat()
         after = net.ensemble_embeddings(ens, X)
-        for p, row, Z, Z_new in zip(ens.particles, W, before, after):
-            np.testing.assert_array_equal(p.flatten(), row)
+        for Z, Z_new in zip(before, after):
             assert not np.array_equal(Z_new, Z)
 
     def test_single_particle_is_plain_adam(self):
@@ -194,7 +194,7 @@ class TestFunctionalGradientStep:
             ref -= cfg.learning_rate * (m1 / (1 - 0.9**t)) / (
                 np.sqrt(v1 / (1 - 0.999**t)) + cfg.adam_eps
             )
-        np.testing.assert_allclose(ens.particles[0].flatten(), ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(ens.flat()[0], ref, rtol=1e-12, atol=1e-15)
 
     def test_distant_particles_decouple(self):
         # fixed small bandwidth makes kappa vanish between far-apart particles,
@@ -250,7 +250,7 @@ class TestFunctionalGradientStep:
         cfg = tiny_config()
         arch = cfg.architecture(3)
         ens_a = net.init_ensemble(arch, 3, 12)
-        ens_b = ens_a.copy()
+        ens_b = net.ParticleEnsemble(arch, ens_a.flat().copy(), ens_a.seed)
         perm = [2, 0, 1]
         ens_b.flat()[:] = ens_b.flat()[perm]
         G = np.random.default_rng(13).normal(size=ens_a.flat().shape)
@@ -258,8 +258,8 @@ class TestFunctionalGradientStep:
         functional_gradient_step(ens_b.flat(), G[perm], AdamState.zeros(*G.shape), cfg)
         for out_pos, src in enumerate(perm):
             np.testing.assert_allclose(
-                ens_b.particles[out_pos].flatten(),
-                ens_a.particles[src].flatten(),
+                ens_b.flat()[out_pos],
+                ens_a.flat()[src],
                 atol=1e-12,
             )
 
@@ -633,3 +633,60 @@ class TestConfigValidation:
     def test_bad_size_or_kappa_bandwidth(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["amplitude", "bandwidth"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_kernel_scales_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            TrainConfig(**{field: value}).validate()
+
+
+FITS = [
+    pytest.param(lambda data: fit(data, tiny_config(max_epochs=1)), id="fit"),
+    pytest.param(lambda data: classify.fit_classifier(data, tiny_config(max_epochs=1)),
+                 id="fit_classifier"),
+]
+
+
+def labeled_rows(n=30):
+    """Inputs and 0/1 targets that both fits accept."""
+    return np.random.default_rng(3).uniform(size=(n, 3)), np.arange(n) % 2
+
+
+@pytest.mark.parametrize("fit_fn", FITS)
+class TestInputChecks:
+    """Both fits reject mismatched or non-finite input before training, as user errors."""
+
+    @pytest.mark.parametrize("n_x, n_y", [(25, 30), (30, 25)])
+    def test_row_counts_must_match(self, fit_fn, n_x, n_y):
+        X, y = labeled_rows()
+        with pytest.raises(DimensionMismatch):
+            fit_fn(TrainData(X[:n_x], y[:n_y]))
+
+    def test_pool_columns_must_match(self, fit_fn):
+        X, y = labeled_rows()
+        with pytest.raises(DimensionMismatch, match="pool"):
+            fit_fn(TrainData(X, y, np.zeros((5, 2))))
+
+    @pytest.mark.parametrize("name", ["X", "y", "X_unlabeled"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_a_value_error(self, fit_fn, name, bad):
+        X, y = labeled_rows()
+        arrays = {"X": X, "y": y.astype(float), "X_unlabeled": X[:5].copy()}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} contains NaN or inf"):
+            fit_fn(TrainData(**arrays))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_query_is_a_value_error(bad):
+    X, y = labeled_rows()
+    cfg = tiny_config(max_epochs=0)
+    query = X[:4].copy()
+    query[2, 1] = bad
+    ens, _ = fit(TrainData(X, y), cfg)
+    with pytest.raises(ValueError, match="X_query contains NaN or inf"):
+        trainer.predict_regression(ens, cfg.kernel_spec(), X, y, query, cfg.noise_var)
+    ens, head, _ = classify.fit_classifier(TrainData(X, y), cfg)
+    with pytest.raises(ValueError, match="X contains NaN or inf"):
+        classify.predict_probs(ens, head, query)
