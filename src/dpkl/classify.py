@@ -140,12 +140,10 @@ def batch_grads(
     head: SoftmaxHead,
     X: np.ndarray,
     labels: np.ndarray,
-    l2: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Gradient of the batch objective w.r.t. each particle's joint (w, theta) vector.
 
-    The objective is the cross-entropy of ``predict_probs`` on the batch, plus
-    l2 times the squared norm of every particle's class weights when l2 > 0.
+    The objective is the cross-entropy of ``predict_probs`` on the batch.
     Returns the (m, P + C*d) gradient, rows in the joint layout, and the
     objective's value at the current parameters, read off the same forward
     pass.
@@ -156,16 +154,13 @@ def batch_grads(
     probs = softmax_probs(Z_bar @ theta_bar.T)
     onehot = one_hot(labels, head.C)
     loss = cross_entropy(probs, onehot)
-    if l2 > 0:
-        loss += l2 * float(sum(np.sum(t * t) for t in head.thetas))
     E = (probs - onehot) / X.shape[0]
     G_z = (E @ theta_bar) / head.m  # same for every particle
     g_theta_common = (E.T @ Z_bar) / head.m
     p_net = ensemble.arch.num_params
     grads = np.empty((head.m, p_net + head.C * head.d))
     vjp(np.broadcast_to(G_z, Z.shape), out=grads[:, :p_net])
-    g_theta = g_theta_common + (2.0 * l2 * head.thetas if l2 > 0 else 0.0)
-    grads[:, p_net:] = g_theta.reshape(-1, head.C * head.d)  # broadcasts when l2 == 0
+    grads[:, p_net:] = g_theta_common.reshape(-1)  # the same for every particle
     return grads, loss
 
 
@@ -198,8 +193,9 @@ def fit_classifier(
     t_start = time.perf_counter()
     X = np.asarray(data.X, dtype=np.float64)
     labels = np.asarray(data.y)
-    if not np.all(labels == labels.astype(np.int64)):
-        raise ConfigError("classification targets must be integer class labels")
+    # one_hot would index a negative label from the last class
+    if not np.all((labels == labels.astype(np.int64)) & (labels >= 0)):
+        raise ConfigError("classification targets must be non-negative integer class labels")
     labels = labels.astype(np.int64)
     C = int(labels.max()) + 1
     if C < 2:
@@ -223,7 +219,7 @@ def fit_classifier(
         losses = []
         for start in range(0, n_tr, bs):
             idx = order[start : start + bs]
-            G, loss = batch_grads(ensemble, head, X_tr[idx], y_tr[idx], config.classifier_l2)
+            G, loss = batch_grads(ensemble, head, X_tr[idx], y_tr[idx])
             _require_finite(loss, "minibatch loss", opt.t + 1)
             functional_gradient_step(W, G, opt, config)
             losses.append(loss)

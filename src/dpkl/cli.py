@@ -118,6 +118,15 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(",") if x.strip())
 
 
+def _mode_list(raw: str) -> tuple[str, ...]:
+    """'dpkl,dkl' -> ('dpkl', 'dkl'); every entry must be one of trainer.MODES."""
+    modes = tuple(s.strip() for s in raw.split(",") if s.strip())
+    unknown = [mode for mode in modes if mode not in trainer.MODES]
+    if unknown:
+        raise ValueError(f"modes must be from {list(trainer.MODES)}, got {unknown}")
+    return modes
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("1", "true", "yes", "on"):
@@ -402,7 +411,8 @@ def _existing_bench_keys(path: Path) -> set[tuple]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         return {
-            (r["mode"], int(r["n"]), int(r["trial"]), int(r["seed"])) for r in reader
+            (r["dataset"], r["mode"], int(r["n"]), int(r["trial"]), int(r["seed"]))
+            for r in reader
         }
 
 
@@ -411,7 +421,7 @@ def cmd_benchmark(args) -> int:
     if data_path is None or target is None:
         raise ConfigError("--data and --target are required")
     sizes, trials, n_unlabeled, workers = args.sizes, args.trials, args.n_unlabeled, args.workers
-    modes = [s.strip() for s in args.modes.split(",") if s.strip()]
+    modes = args.modes
     base_seed = TrainConfig.seed if args.seed is None else args.seed
 
     ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
@@ -438,7 +448,7 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     results_path = out_dir / "results.csv"
     existing = _existing_bench_keys(results_path)
-    todo = [c for c in cells if (c[0], c[1], c[2], base_seed + c[2]) not in existing]
+    todo = [c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing]
 
     def attempt(cell):
         """The cell's results row (a list), or its failure record (a dict)."""
@@ -468,19 +478,18 @@ def cmd_benchmark(args) -> int:
     # summary is rebuilt from the full results file: mean and 1-std error bars
     with open(results_path, newline="") as fh:
         all_rows = list(csv.DictReader(fh))
+    groups: dict[tuple, list] = {}
+    for r in all_rows:
+        groups.setdefault((r["dataset"], r["mode"], int(r["n"])), []).append(r)
     summary = []
-    for mode in sorted({r["mode"] for r in all_rows}):
-        for n in sorted({int(r["n"]) for r in all_rows if r["mode"] == mode}):
-            sel = [r for r in all_rows if r["mode"] == mode and int(r["n"]) == n]
-            rmses = np.asarray([float(r["rmse"]) for r in sel])
-            nlls = np.asarray([float(r["nll"]) for r in sel])
-            summary.append(
-                [mode, n, len(sel), rmses.mean(), rmses.std(), nlls.mean(), nlls.std()]
-            )
+    for key, sel in sorted(groups.items()):
+        rmses = np.asarray([float(r["rmse"]) for r in sel])
+        nlls = np.asarray([float(r["nll"]) for r in sel])
+        summary.append([*key, len(sel), rmses.mean(), rmses.std(), nlls.mean(), nlls.std()])
     summary_path = out_dir / "summary.csv"
     write_csv(
         summary_path,
-        ["mode", "n", "trials", "rmse_mean", "rmse_std", "nll_mean", "nll_std"],
+        ["dataset", "mode", "n", "trials", "rmse_mean", "rmse_std", "nll_mean", "nll_std"],
         summary,
     )
 
@@ -588,7 +597,6 @@ def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--unlabeled-cap", type=int, dest="unlabeled_cap")
-    p.add_argument("--classifier-l2", type=float, dest="classifier_l2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=_int_tuple, default=(50, 100),
                          help="comma list of labeled-set sizes (default 50,100)")
     p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--modes", default="dpkl,dkl",
+    p_bench.add_argument("--modes", type=_mode_list, default="dpkl,dkl",
                          help="comma list from dpkl,ssdpkl,dkl (default dpkl,dkl)")
     p_bench.add_argument("--workers", type=int, default=1, help="parallel trial workers (default 1)")
     p_bench.set_defaults(func=cmd_benchmark, parser=p_bench)

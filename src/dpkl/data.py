@@ -263,6 +263,9 @@ def split(ds: Dataset, spec: SplitSpec) -> dict[str, Dataset]:
         raise InsufficientRows(f"split needs {total} rows, dataset has {ds.n}")
     if spec.n_labeled < 1:
         raise InsufficientRows("need at least one labeled row")
+    # a negative size would shift the next slice onto rows of the one before
+    if spec.n_unlabeled < 0 or spec.n_test < 0:
+        raise InsufficientRows(f"split sizes must be >= 0, got {spec}")
     order = np.random.default_rng(spec.seed).permutation(ds.n)
     lab = order[: spec.n_labeled]
     unl = order[spec.n_labeled : spec.n_labeled + spec.n_unlabeled]

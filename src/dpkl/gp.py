@@ -84,12 +84,6 @@ def nll_grad_kernel(state: GpState) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _clamp_variance(v: float) -> float:
-    if v < _VARIANCE_SLACK:
-        raise InternalConsistencyError(f"posterior variance {v:.3e} below tolerance")
-    return max(v, 0.0)
-
-
 def posterior_batch(
     state: GpState, K_star: np.ndarray, k_ss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,5 +94,9 @@ def posterior_batch(
         raise DimensionMismatch("K_star/k_ss shapes inconsistent with the state")
     means = K_star @ state.alpha
     B = linalg.solve_chol(state.chol, K_star.T)  # (n, n_q)
-    variances = k_ss - np.sum(K_star.T * B, axis=0)
-    return means, np.array([_clamp_variance(float(v)) for v in variances])
+    v = k_ss - np.sum(K_star.T * B, axis=0)
+    below = np.flatnonzero(v < _VARIANCE_SLACK)
+    if below.size:
+        raise InternalConsistencyError(f"posterior variance {v[below[0]]:.3e} below tolerance")
+    # max(v, 0) entry for entry: -0.0 and NaN pass through as they are
+    return means, np.where(v < 0.0, 0.0, v)

@@ -63,6 +63,8 @@ _H_FLOOR = 1e-12
 # pass the phi, m1, m2 and W slices and two chunk buffers are 6 x 128 KB,
 # which stays inside one core's L2.
 _ADAM_CHUNK = 1 << 14
+# Adam's moment decays and denominator offset, fixed as in the reference protocol
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -80,9 +82,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "dpkl"
     kernel_mode: str = "rff"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     # latent map
     hidden_dims: tuple[int, ...] = (100, 50, 50)
     latent_dim: int = 2
@@ -94,9 +93,6 @@ class TrainConfig:
     base_jitter: float = 1e-8
     unlabeled_cap: int = 50000
     batch_size: int = 16  # classification only; regression is full-batch
-    classifier_l2: float = 0.0
-    # a fixed particle-kernel bandwidth overrides the median heuristic
-    kappa_bandwidth: float | None = None
 
     def validate(self) -> None:
         # NaN fails no comparison below, so non-finite floats are caught first
@@ -122,8 +118,6 @@ class TrainConfig:
             raise ConfigError("noise_var must be >= 0")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
-        if self.kappa_bandwidth is not None and self.kappa_bandwidth <= 0:
-            raise ConfigError("kappa_bandwidth must be positive")
 
     def kernel_spec(self) -> kernels.LatentKernelSpec:
         return kernels.LatentKernelSpec(self.amplitude, self.bandwidth)
@@ -324,7 +318,7 @@ def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainCo
     cols = min(P, _ADAM_CHUNK)
     rows = min(m, max(1, _ADAM_CHUNK // P))
     buf_a, buf_b = np.empty((rows, cols)), np.empty((rows, cols))
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1, c2 = 1.0 - b1**opt.t, 1.0 - b2**opt.t
     for i in range(0, m, rows):
         for j in range(0, P, cols):
@@ -342,7 +336,7 @@ def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainCo
             a *= config.learning_rate
             np.divide(m2, c2, out=b)
             np.sqrt(b, out=b)
-            b += config.adam_eps
+            b += _ADAM_EPS
             a /= b
             w -= a
 
@@ -357,18 +351,17 @@ def functional_gradient_step(
 
     W is the live (m, P) particle matrix and G its (m, P) gradient. The mixed
     gradient is phi(w_i) = sum_l kappa(w_i, w_l) G[l], with kappa's bandwidth
-    from the median heuristic recomputed this step (or the configured
-    override); one pairwise-distance matrix serves both. Updates W, opt.m1 and
-    opt.m2 in place with one chunked Adam pass (``_adam_update``); phi is the
-    only (m, P) array allocated. Raises InternalConsistencyError on a
-    non-finite gradient or update.
+    from the median heuristic recomputed this step; one pairwise-distance
+    matrix serves both. Updates W, opt.m1 and opt.m2 in place with one chunked
+    Adam pass (``_adam_update``); phi is the only (m, P) array allocated.
+    Raises InternalConsistencyError on a non-finite gradient or update.
     """
     if G.shape != W.shape:
         raise ValueError(f"gradient {G.shape} does not match particles {W.shape}")
     opt.t += 1
     _require_finite(G, "gradient", opt.t)
     d2 = _pairwise_sq_dists(W)
-    h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(d2)
+    h = median_heuristic(d2)
     K = _kappa_matrix(d2, h)
     phi = K @ G
     opt.last_bandwidth = h

@@ -7,8 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpkl import classify, kernels, linalg, net, trainer
-from dpkl.errors import DimensionMismatch, EmptyUnlabeledSet, NotPositiveDefinite
-from dpkl.gp import GpState, _clamp_variance, nll_grad_kernel
+from dpkl.errors import (
+    DimensionMismatch,
+    EmptyUnlabeledSet,
+    InternalConsistencyError,
+    NotPositiveDefinite,
+)
+from dpkl.gp import _VARIANCE_SLACK, GpState, nll_grad_kernel
 from dpkl.kernels import LatentKernelSpec, empirical_cross_block
 from dpkl.net import MlpArchitecture
 
@@ -210,11 +215,11 @@ def functional_gradient_step_unblocked(W, G, opt, config) -> None:
     opt.t += 1
     sq = np.sum(W * W, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (W @ W.T), 0.0)
-    h = config.kappa_bandwidth if config.kappa_bandwidth is not None else median_heuristic(d2)
+    h = median_heuristic(d2)
     phi = _kappa_matrix(d2, h) @ G
     opt.last_bandwidth = h
 
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = 0.9, 0.999
     opt.m1 *= b1
     opt.m1 += (1.0 - b1) * phi
     opt.m2 *= b2
@@ -223,7 +228,7 @@ def functional_gradient_step_unblocked(W, G, opt, config) -> None:
     step *= config.learning_rate
     denom = opt.m2 / (1.0 - b2**opt.t)
     np.sqrt(denom, out=denom)
-    denom += config.adam_eps
+    denom += 1e-8
     step /= denom
     W -= step
 
@@ -352,7 +357,9 @@ def posterior(state: GpState, k_star: np.ndarray, k_ss: float) -> PredictiveDist
         raise ValueError("k_ss must be >= 0")
     mean = float(k_star @ state.alpha)
     var = float(k_ss - k_star @ linalg.solve_chol(state.chol, k_star))
-    return PredictiveDistribution(mean=mean, variance=_clamp_variance(var))
+    if var < _VARIANCE_SLACK:
+        raise InternalConsistencyError(f"posterior variance {var:.3e} below tolerance")
+    return PredictiveDistribution(mean=mean, variance=max(var, 0.0))
 
 
 def variance_regularizer(
@@ -405,13 +412,10 @@ def objective_value(ensemble, data, config, basis=None) -> float:
     return _objective(ensemble, data, config, basis).objective
 
 
-def batch_objective(ensemble, head, X, labels, l2: float = 0.0) -> float:
-    """Cross-entropy (plus optional head L2) on one batch, from its own forward pass.
+def batch_objective(ensemble, head, X, labels) -> float:
+    """Cross-entropy on one batch, from its own forward pass.
 
     Reference for the loss that classify.batch_grads returns.
     """
     probs = classify.predict_probs(ensemble, head, X)
-    value = classify.cross_entropy(probs, classify.one_hot(labels, head.C))
-    if l2 > 0:
-        value += l2 * float(sum(np.sum(t * t) for t in head.thetas))
-    return value
+    return classify.cross_entropy(probs, classify.one_hot(labels, head.C))

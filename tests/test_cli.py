@@ -231,13 +231,13 @@ class TestTrain:
     def test_config_file_sets_fields_without_flags(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("adam_eps = 1e-7\nn_labeled = 20\n")
+        cfg.write_text("base_jitter = 1e-7\nn_labeled = 20\n")
         out = tmp_path / "run"
         code = run(["train", "--data", data, "--target", "y", "--config", cfg,
                     "--out", out, *FAST])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["adam_eps"] == 1e-7
+        assert report["config"]["base_jitter"] == 1e-7
 
 
 @pytest.fixture
@@ -357,6 +357,45 @@ class TestBenchmark:
         assert (out / "results.csv").read_bytes() == first
         assert (out / "summary.csv").read_bytes() == first_summary
 
+    def test_resume_is_per_dataset(self, tmp_path, capsys):
+        # a second dataset into the same --out runs its own cells, and the
+        # summary keeps each dataset's rows apart
+        out = tmp_path / "bench"
+        sine = write_regression_csv(tmp_path / "sine.csv", n=60)
+        other = write_regression_csv(tmp_path / "resampled.csv", n=60, seed=1)
+        assert run(self.bench_args(sine, out)) == 0
+        capsys.readouterr()
+        assert run(self.bench_args(other, out)) == 0
+        assert json.loads(capsys.readouterr().out)["new_rows"] == 8
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["dataset"], r["mode"], r["n"], r["trials"]) for r in summary] == [
+            (dataset, mode, n, "2") for dataset in ("resampled", "sine")
+            for mode in ("dkl", "dpkl") for n in ("14", "18")
+        ]
+
+    def test_unknown_mode_flag_is_usage_error(self, tmp_path, capsys):
+        # every --modes entry is checked at parse time, not cell by cell
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        args = self.bench_args(data, tmp_path / "bench")
+        args[args.index("--modes") + 1] = "dpkl,dlk"
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert "dlk" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    def test_unknown_mode_in_config_is_exit_one_before_reading_data(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("modes = dpkl,dlk\n")
+        code = run(["benchmark", "--data", tmp_path / "nope.csv", "--target", "y",
+                    "--config", cfg, "--out", tmp_path / "bench"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "modes" in record["message"] and "'dlk'" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
     def test_every_mode_tests_on_the_same_rows(self, tmp_path, monkeypatch):
         # a trial's cells differ only in mode, so they must score the same rows:
         # dpkl and dkl carve out the --n-unlabeled rows too, and leave them unused
@@ -386,7 +425,7 @@ class TestBenchmark:
 def _typed_flag_cases():
     """(command, dest, flag argv, config value) for every typed or on/off flag
     of the train and benchmark parsers, each with a sample of its type."""
-    samples = {int: "3", float: "0.25", cli._int_tuple: "4,2"}
+    samples = {int: "3", float: "0.25", cli._int_tuple: "4,2", cli._mode_list: "ssdpkl"}
     cases = []
     for command in ("train", "benchmark"):
         parser = cli.build_parser().parse_args([command]).parser
@@ -420,11 +459,18 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("field", _flagless_train_config_fields())
     def test_flagless_train_config_field_reads_as_float(self, tmp_path, field):
-        assert TrainConfig.__dataclass_fields__[field].type in ("float", "float | None")
+        assert TrainConfig.__dataclass_fields__[field].type == "float"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{field} = 0.25\n")
         resolved = cli.resolve_train_config(cli.parse_args(["train", "--config", str(cfg)]))
         assert getattr(resolved, field) == 0.25
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_classifier_l2_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([command, "--classifier-l2", "0.01"])
+        assert exc.value.code == 2
+        assert "--classifier-l2" in capsys.readouterr().err
 
     def test_value_outside_choices_is_exit_one_before_reading_data(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -563,7 +609,10 @@ class TestExitCodes:
                                       "kappa_bandwidth = 0.0", "learning_rate = nan",
                                       "noise_var = nan", "ssdpkl_alpha = inf",
                                       "amplitude = nan", "amplitude = -1.0",
-                                      "bandwidth = 0.0"])
+                                      "bandwidth = 0.0",
+                                      # fixed settings, no longer TrainConfig fields
+                                      "adam_beta1 = 0.9", "adam_beta2 = 0.999",
+                                      "adam_eps = 1e-8", "classifier_l2 = 0.0"])
     def test_invalid_config_value_is_exit_one_before_reading_data(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -595,6 +644,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_report", boom)
         assert run(["report", "--run-dir", tmp_path]) == 2
+
+    def test_negative_unlabeled_size_is_exit_one(self, tmp_path, capsys):
+        # a pool of -5 rows would shift labeled rows into the test slice
+        data = write_regression_csv(tmp_path / "sine.csv")
+        code = run(["train", "--data", data, "--target", "y", "--n-labeled", "30",
+                    "--n-unlabeled", "-5", "--out", tmp_path / "run", *FAST])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "InsufficientRows"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("header", ["x0,y", "x0"])
     def test_header_only_query_file_is_exit_one(self, trained, tmp_path, capsys, header):

@@ -196,6 +196,14 @@ class TestSplit:
         with pytest.raises(InsufficientRows):
             split(ds, SplitSpec(3, 0, 2, seed=0))
 
+    @pytest.mark.parametrize("spec", [SplitSpec(30, -5, 35), SplitSpec(30, 5, -5)],
+                             ids=["unlabeled", "test"])
+    def test_negative_size_rejected(self, spec):
+        # (30, -5, 35) would put five labeled rows into the test slice
+        ds = Dataset(np.arange(60.0)[:, None], np.arange(60.0))
+        with pytest.raises(InsufficientRows, match="must be >= 0"):
+            split(ds, spec)
+
 
 class TestSynthRegression:
     def test_sine_is_deterministic_function_of_x(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import (
@@ -212,6 +214,19 @@ class TestPosterior:
         state = gp_state_exact(np.eye(2) * 0.5, np.zeros(2), 0.0)
         with pytest.raises(InternalConsistencyError):
             posterior(state, np.array([0.5, 0.5]), k_ss=0.0)
+
+    def test_batch_clamps_as_max_with_zero(self):
+        # k_ss of the identity state gives each variance directly: cancellation
+        # noise clamps to +0.0, while -0.0 and NaN pass through as max(v, 0) does
+        state = gp_state_exact(np.eye(2), np.zeros(2), 0.0)
+        _, v = posterior_batch(state, np.zeros((4, 2)), np.array([-1e-9, -0.0, np.nan, 0.5]))
+        assert [math.copysign(1.0, x) for x in v[:2]] == [1.0, -1.0]
+        assert v[0] == 0.0 and np.isnan(v[2]) and v[3] == 0.5
+
+    def test_batch_names_the_first_variance_below_tolerance(self):
+        state = gp_state_exact(np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(InternalConsistencyError, match=r"-2\.000e-06"):
+            posterior_batch(state, np.zeros((3, 2)), np.array([0.5, -2e-6, -3e-6]))
 
 
 class TestVarianceRegularizer:

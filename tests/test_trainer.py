@@ -192,14 +192,15 @@ class TestFunctionalGradientStep:
             m1 = 0.9 * m1 + 0.1 * g
             v1 = 0.999 * v1 + 0.001 * g * g
             ref -= cfg.learning_rate * (m1 / (1 - 0.9**t)) / (
-                np.sqrt(v1 / (1 - 0.999**t)) + cfg.adam_eps
+                np.sqrt(v1 / (1 - 0.999**t)) + 1e-8
             )
         np.testing.assert_allclose(ens.flat()[0], ref, rtol=1e-12, atol=1e-15)
 
-    def test_distant_particles_decouple(self):
+    def test_distant_particles_decouple(self, monkeypatch):
         # fixed small bandwidth makes kappa vanish between far-apart particles,
         # so the coupled update must match two independent single-particle runs
-        cfg2 = tiny_config(m=2, kappa_bandwidth=1.0)
+        monkeypatch.setattr(trainer, "median_heuristic", lambda d2: 1.0)
+        cfg2 = tiny_config(m=2)
         arch = cfg2.architecture(3)
         ens = net.init_ensemble(arch, 2, 8)
         ens.flat()[1] = ens.flat()[0] + 100.0
@@ -209,7 +210,7 @@ class TestFunctionalGradientStep:
         opt = AdamState.zeros(*flats.shape)
         functional_gradient_step(ens.flat(), G, opt, cfg2)
 
-        cfg1 = tiny_config(m=1, kappa_bandwidth=1.0)
+        cfg1 = tiny_config(m=1)
         for i in range(2):
             solo = flats[i : i + 1].copy()
             opt1 = AdamState.zeros(*solo.shape)
@@ -218,7 +219,8 @@ class TestFunctionalGradientStep:
 
     def test_far_particles_give_no_subnormal_kappa(self, monkeypatch):
         # squared distance 720 at bandwidth 1: exp(-720) is subnormal
-        cfg = tiny_config(m=3, kappa_bandwidth=1.0)
+        monkeypatch.setattr(trainer, "median_heuristic", lambda d2: 1.0)
+        cfg = tiny_config(m=3)
         arch = cfg.architecture(3)
         ens = net.init_ensemble(arch, 3, 8)
         W = ens.flat()
@@ -348,10 +350,11 @@ class TestKappaDiagnostic:
         W = np.full((3, 26), 0.25)
         assert self.kappa_offdiag_after_step(W, tiny_config()) == 1.0
 
-    def test_far_apart_particles_give_zero(self):
+    def test_far_apart_particles_give_zero(self, monkeypatch):
+        monkeypatch.setattr(trainer, "median_heuristic", lambda d2: 1.0)
         W = np.zeros((3, 26))
         W[1, 0], W[2, 0] = 100.0, 200.0
-        assert self.kappa_offdiag_after_step(W, tiny_config(kappa_bandwidth=1.0)) == 0.0
+        assert self.kappa_offdiag_after_step(W, tiny_config()) == 0.0
 
     def test_single_particle_has_none(self):
         assert self.kappa_offdiag_after_step(np.zeros((1, 26)), tiny_config(m=1)) is None
@@ -625,11 +628,7 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         TrainConfig().validate()
 
-    @pytest.mark.parametrize("field, value", [
-        ("unlabeled_cap", 0), ("batch_size", 0), ("kappa_bandwidth", 0.0),
-        ("kappa_bandwidth", -1.0), ("kappa_bandwidth", float("inf")),
-        ("kappa_bandwidth", float("nan")),
-    ])
+    @pytest.mark.parametrize("field, value", [("unlabeled_cap", 0), ("batch_size", 0)])
     def test_bad_size_or_kappa_bandwidth(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
