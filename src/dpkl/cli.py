@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,7 @@ def _error_record(kind: str, message: str) -> None:
 # default to None, leaving the default to the field itself.
 # ---------------------------------------------------------------------------
 
-_TRAIN_CONFIG_KEYS = [f.name for f in TrainConfig.__dataclass_fields__.values()]
+_TRAIN_CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -140,9 +140,8 @@ def read_config_file(path, parser: argparse.ArgumentParser) -> dict:
     """Flat key=value file; '#' starts a comment.
 
     A key is the dest of one of ``parser``'s flags and converts as that flag
-    does (a boolean for the on/off flags), with the flag's choices enforced;
-    or it is a TrainConfig field without a flag, read as a float. Anything
-    else raises ConfigError.
+    does (a boolean for the on/off flags), with the flag's choices enforced.
+    Any other key raises ConfigError.
     """
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
@@ -158,15 +157,14 @@ def read_config_file(path, parser: argparse.ArgumentParser) -> dict:
             key = key.replace("-", "_")
             action = actions.get(key)
             # a misspelt key would otherwise go unused without a word
-            if action is None and key not in _TRAIN_CONFIG_KEYS:
+            if action is None:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            convert = float if action is None else (
-                _parse_bool if action.nargs == 0 else action.type or str)
+            convert = _parse_bool if action.nargs == 0 else action.type or str
             try:
                 value = convert(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from None
-            if action is not None and action.choices and value not in action.choices:
+            if action.choices and value not in action.choices:
                 raise ConfigError(f"{path}:{lineno}: config key {key} must be one of "
                                   f"{list(action.choices)}, got {value!r}")
             values[key] = value
@@ -208,8 +206,7 @@ def _spearman(x: np.ndarray, y: np.ndarray):
 def _evaluate_regression(ensemble, cfg: TrainConfig, labeled, test, stats):
     """Test metrics in original target units, plus per-point tables."""
     means_n, vars_n = trainer.predict_regression(
-        ensemble, cfg.kernel_spec(), labeled.X, labeled.y, test.X, cfg.noise_var,
-        cfg.base_jitter,
+        ensemble, cfg.kernel_spec(), labeled.X, labeled.y, test.X, cfg.noise_var
     )
     means = stats.invert_y(means_n)
     latent_var = stats.invert_variance(vars_n)
@@ -252,14 +249,13 @@ def _run_training(
     """Split, normalize, fit, evaluate. Returns (ensemble, head, report, test
     metrics, normalized labeled and test sets, normalization stats).
 
-    ``n_test`` None means every row not labeled or unlabeled.
+    ``n_test`` None means every row not labeled or unlabeled; ``split``
+    rejects sizes that are negative or exceed the dataset.
     """
     if n_labeled is None:
         raise ConfigError("--n-labeled is required")
     if n_test is None:
-        n_test = ds.n - n_labeled - n_unlabeled
-    if n_test < 0:
-        raise ConfigError("labeled + unlabeled sizes exceed the dataset")
+        n_test = max(ds.n - n_labeled - n_unlabeled, 0)
     parts = split(ds, SplitSpec(n_labeled, n_unlabeled, n_test, seed))
     labeled, unlabeled, test = parts["labeled"], parts["unlabeled"], parts["test"]
     labeled_n, (unlabeled_n, test_n), stats = normalize(
@@ -423,6 +419,9 @@ def cmd_benchmark(args) -> int:
     sizes, trials, n_unlabeled, workers = args.sizes, args.trials, args.n_unlabeled, args.workers
     modes = args.modes
     base_seed = TrainConfig.seed if args.seed is None else args.seed
+    if not sizes or not modes or trials < 1:
+        raise ConfigError(f"empty grid: sizes {list(sizes)}, modes {list(modes)}, "
+                          f"trials {trials}")
 
     ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
                   skip_bad_rows=args.skip_bad_rows)

@@ -1,9 +1,10 @@
 """GP marginal likelihood, its kernel gradient, and batched posterior prediction.
 
 A GpState freezes what prediction needs: the Cholesky factor of
-K + sigma^2 I and the solve vector alpha. An RFF state is assembled from
-R R^T and keeps nothing of R. States are immutable once assembled; posterior
-queries may share one state freely.
+K + sigma^2 I and the solve vector alpha. ``gp_state_exact`` is the one
+builder for both kernel routes: the rff route hands it R R^T, and the state
+keeps nothing of R. States are immutable once built; posterior queries may
+share one state freely.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ _VARIANCE_SLACK = -1e-8
 class GpState:
     """Assembled GP over n training points.
 
-    chol factors K + sigma^2 I, where K is the dense kernel or, for an RFF
-    state, R R^T with R the feature factor.
+    chol factors K + sigma^2 I, where K is the dense kernel or, on the rff
+    route, R R^T with R the feature factor.
     """
 
     chol: linalg.CholFactor
@@ -37,35 +38,23 @@ class GpState:
         return self.y.shape[0]
 
 
-def _assemble(A, y, base_jitter) -> GpState:
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if A.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"kernel dim {A.shape[0]} != target dim {y.shape[0]}")
-    f = linalg.cholesky(A, base_jitter)
-    return GpState(chol=f, alpha=linalg.solve_chol(f, y), y=y)
-
-
 def gp_state_exact(
     K: np.ndarray, y: np.ndarray, noise_var: float = 0.1, base_jitter: float = 1e-8
 ) -> GpState:
-    """Build a state from a dense distributional kernel matrix.
+    """Build a state from a dense kernel matrix: the distributional kernel, or
+    R R^T on the rff route.
 
     noise_var may be 0 for oracle checks on strictly positive-definite kernels.
+    linalg.cholesky checks and symmetrizes K + sigma^2 I.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    K = linalg.check_symmetric(K)
-    return _assemble(K + noise_var * np.eye(K.shape[0]), y, base_jitter)
-
-
-def gp_state_rff(
-    R: np.ndarray, y: np.ndarray, noise_var: float = 0.1, base_jitter: float = 1e-8
-) -> GpState:
-    """Build a state from an RFF factor; the kernel is R R^T."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
-    R = np.asarray(R, dtype=np.float64)
-    return _assemble(R @ R.T + noise_var * np.eye(R.shape[0]), y, base_jitter)
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if K.shape != (y.shape[0], y.shape[0]):
+        raise DimensionMismatch(f"kernel shape {K.shape} != ({y.shape[0]}, {y.shape[0]})")
+    f = linalg.cholesky(K + noise_var * np.eye(y.shape[0]), base_jitter)
+    return GpState(chol=f, alpha=linalg.solve_chol(f, y), y=y)
 
 
 def nll(state: GpState) -> float:

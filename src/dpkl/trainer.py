@@ -8,11 +8,11 @@ the deterministic deep-kernel baseline. ``functional_gradient_step`` is the
 one update rule: it acts in place on an (m, P) particle matrix, and the
 softmax classifier in ``classify`` calls it too. Its Adam update is one pass
 over the matrix in chunks of ``_ADAM_CHUNK`` entries that stay in a core's
-L2, written into two reused chunk buffers; the mixed gradient phi is the
-only (m, P) array a step allocates. Each chunk gets the unchunked update's
-elementwise operations in the same order, so the result is bitwise identical
-to it. The step also records the mean off-diagonal particle kernel, a
-particle-collapse signal, and the norms of the raw and mixed gradients.
+L2, written into two reused chunk buffers, so it allocates no (m, P)
+array. Each chunk gets the unchunked update's elementwise operations in the
+same order, so the result is bitwise identical to it. The step also records
+the mean off-diagonal particle kernel, a particle-collapse signal, and the
+norms of the raw and mixed gradients.
 
 The objective's gradient is one grouped pass over the ensemble: embeddings
 and kernel cotangents are stacked (m, n, d) arrays, and the VJP of
@@ -40,6 +40,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,9 +91,10 @@ class TrainConfig:
     amplitude: float = 0.5
     bandwidth: float = 1.0
     # numerics and plumbing
-    base_jitter: float = 1e-8
     unlabeled_cap: int = 50000
     batch_size: int = 16  # classification only; regression is full-batch
+    # first rung of the Cholesky jitter ladder, for training and prediction alike
+    base_jitter: ClassVar[float] = 1e-8
 
     def validate(self) -> None:
         # NaN fails no comparison below, so non-finite floats are caught first
@@ -162,15 +164,7 @@ def derive_seeds(seed: int) -> dict[str, int]:
 
 
 def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
-    # squared row norms through a buffer of whole rows: np.sum(flat * flat,
-    # axis=1) bit for bit, without an (m, P) temporary
-    m, P = flat.shape
-    rows = min(m, max(1, _ADAM_CHUNK // P))
-    buf, sq = np.empty((rows, P)), np.empty(m)
-    for i in range(0, m, rows):
-        block = buf[: min(rows, m - i)]
-        np.multiply(flat[i : i + rows], flat[i : i + rows], out=block)
-        np.sum(block, axis=1, out=sq[i : i + rows])
+    sq = np.sum(flat * flat, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
     return np.maximum(d2, 0.0)
 
@@ -243,12 +237,11 @@ def _objective_core(
     if rff:
         R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
         R_L, R_U = R_all[:n_l], R_all[n_l:]
-        state = gp.gp_state_rff(R_L, y, config.noise_var, config.base_jitter)
-        K_LU, k_ss = R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
+        K_LL, K_LU, k_ss = R_L @ R_L.T, R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
     else:
         K_full = kernels.empirical_kernel_exact(spec, Z_all)
-        state = gp.gp_state_exact(K_full[:n_l, :n_l], y, config.noise_var, config.base_jitter)
-        K_LU, k_ss = K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
+        K_LL, K_LU, k_ss = K_full[:n_l, :n_l], K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
+    state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
 
     nll_value = gp.nll(state)
     B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
@@ -353,7 +346,7 @@ def functional_gradient_step(
     gradient is phi(w_i) = sum_l kappa(w_i, w_l) G[l], with kappa's bandwidth
     from the median heuristic recomputed this step; one pairwise-distance
     matrix serves both. Updates W, opt.m1 and opt.m2 in place with one chunked
-    Adam pass (``_adam_update``); phi is the only (m, P) array allocated.
+    Adam pass (``_adam_update``).
     Raises InternalConsistencyError on a non-finite gradient or update.
     """
     if G.shape != W.shape:
@@ -388,7 +381,7 @@ def predict_regression(
     y_train: np.ndarray,
     X_query: np.ndarray,
     noise_var: float,
-    base_jitter: float = 1e-8,
+    base_jitter: float = TrainConfig.base_jitter,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and latent variances at query points (normalized units)."""
     require_finite_input(X_query=X_query)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -228,18 +229,6 @@ class TestTrain:
         assert report["config"]["seed"] == 3
 
 
-    def test_config_file_sets_fields_without_flags(self, tmp_path):
-        data = write_regression_csv(tmp_path / "sine.csv")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("base_jitter = 1e-7\nn_labeled = 20\n")
-        out = tmp_path / "run"
-        code = run(["train", "--data", data, "--target", "y", "--config", cfg,
-                    "--out", out, *FAST])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["base_jitter"] == 1e-7
-
-
 @pytest.fixture
 def trained(tmp_path):
     data = write_regression_csv(tmp_path / "sine.csv")
@@ -414,6 +403,17 @@ class TestBenchmark:
         for dpkl_rows, ssdpkl_rows in test_rows.values():
             np.testing.assert_array_equal(dpkl_rows, ssdpkl_rows)
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--modes", ","),
+                                             ("--sizes", ",")], ids=["trials", "modes", "sizes"])
+    def test_empty_grid_is_exit_one_before_reading_data(self, tmp_path, capsys, flag, value):
+        args = self.bench_args(tmp_path / "nope.csv", tmp_path / "bench")
+        args[args.index(flag) + 1] = value
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "empty grid" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         out1, out3 = tmp_path / "b1", tmp_path / "b3"
@@ -442,11 +442,6 @@ def _typed_flag_cases():
     return cases
 
 
-def _flagless_train_config_fields():
-    dests = {a.dest for a in cli.build_parser().parse_args(["train"]).parser._actions}
-    return [f for f in TrainConfig.__dataclass_fields__ if f not in dests]
-
-
 class TestConfigFile:
     @pytest.mark.parametrize("command, dest, flag, raw", _typed_flag_cases())
     def test_config_value_resolves_as_its_flag(self, tmp_path, command, dest, flag, raw):
@@ -457,13 +452,11 @@ class TestConfigFile:
         assert (type(from_file), from_file) == (type(from_flag), from_flag)
         assert from_file != getattr(cli.parse_args([command]), dest)  # not the default
 
-    @pytest.mark.parametrize("field", _flagless_train_config_fields())
-    def test_flagless_train_config_field_reads_as_float(self, tmp_path, field):
-        assert TrainConfig.__dataclass_fields__[field].type == "float"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{field} = 0.25\n")
-        resolved = cli.resolve_train_config(cli.parse_args(["train", "--config", str(cfg)]))
-        assert getattr(resolved, field) == 0.25
+    def test_every_train_config_field_has_a_flag(self):
+        # a config file key is always a flag's dest; the Cholesky jitter is a constant
+        dests = {a.dest for a in cli.build_parser().parse_args(["train"]).parser._actions}
+        assert {f.name for f in fields(TrainConfig)} <= dests
+        assert TrainConfig.base_jitter == 1e-8
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_classifier_l2_flag_is_gone(self, capsys, command):
@@ -612,7 +605,8 @@ class TestExitCodes:
                                       "bandwidth = 0.0",
                                       # fixed settings, no longer TrainConfig fields
                                       "adam_beta1 = 0.9", "adam_beta2 = 0.999",
-                                      "adam_eps = 1e-8", "classifier_l2 = 0.0"])
+                                      "adam_eps = 1e-8", "classifier_l2 = 0.0",
+                                      "base_jitter = 1e-8"])
     def test_invalid_config_value_is_exit_one_before_reading_data(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -652,6 +646,23 @@ class TestExitCodes:
                     "--n-unlabeled", "-5", "--out", tmp_path / "run", *FAST])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "InsufficientRows"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("n_labeled, n_test, message", [
+        (30, -3, "split sizes must be >= 0"),
+        (70, None, "split needs 70 rows, dataset has 60"),
+        (30, 40, "split needs 70 rows, dataset has 60"),
+    ], ids=["negative-test", "labeled-too-many", "test-too-many"])
+    def test_split_sizes_are_reported_by_split(self, tmp_path, capsys, n_labeled, n_test,
+                                               message):
+        data = write_regression_csv(tmp_path / "sine.csv")
+        sizes = ["--n-labeled", n_labeled] + ([] if n_test is None else ["--n-test", n_test])
+        code = run(["train", "--data", data, "--target", "y", *sizes,
+                    "--out", tmp_path / "run", *FAST])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InsufficientRows"
+        assert message in record["message"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("header", ["x0,y", "x0"])

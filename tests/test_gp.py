@@ -18,7 +18,7 @@ from dpkl.errors import (
     InternalConsistencyError,
     NotPositiveDefinite,
 )
-from dpkl.gp import gp_state_exact, gp_state_rff, nll, nll_grad_kernel, posterior_batch
+from dpkl.gp import gp_state_exact, nll, nll_grad_kernel, posterior_batch
 from dpkl.kernels import LatentKernelSpec, empirical_kernel_exact
 
 SPEC = LatentKernelSpec()
@@ -58,6 +58,24 @@ class TestNll:
         a = nll(gp_state_exact(K, y, 0.1))
         b = nll(gp_state_exact(K[np.ix_(perm, perm)], y[perm], 0.1))
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "K", [np.eye(3)[:, :2], np.eye(2), np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                                     [0.0, 0.0, 1.0]])],
+        ids=["non-square", "wrong-size", "asymmetric"])
+    def test_kernel_shape_and_symmetry_checked(self, K):
+        with pytest.raises(DimensionMismatch):
+            gp_state_exact(K, np.zeros(3), 0.1)
+
+    def test_noise_on_the_diagonal_leaves_the_symmetrized_kernel_bitwise(self):
+        # one symmetry pass over K + sigma^2 I gives the bits of two, one over
+        # K and one over the sum
+        rng = np.random.default_rng(7)
+        K = rng.normal(size=(6, 6))
+        K = K @ K.T + 1e-13 * rng.normal(size=(6, 6))
+        Ks = 0.5 * (K + K.T)
+        twice = np.linalg.cholesky(Ks + 0.1 * np.eye(6))
+        np.testing.assert_array_equal(gp_state_exact(K, np.zeros(6), 0.1).chol.L, twice)
 
 
 class TestNllGradKernel:
@@ -101,7 +119,7 @@ class TestNllGradRff:
     def test_zero_targets_specialization(self):
         rng = np.random.default_rng(3)
         R = rng.normal(size=(5, 3))
-        state = gp_state_rff(R, np.zeros(5), 0.1)
+        state = gp_state_exact(R @ R.T, np.zeros(5), 0.1)
         A = R @ R.T + 0.1 * np.eye(5)
         np.testing.assert_allclose(nll_grad_rff(state, R), np.linalg.inv(A) @ R, atol=1e-9)
 
@@ -109,7 +127,7 @@ class TestNllGradRff:
         rng = np.random.default_rng(4)
         R = rng.normal(size=(4, 1))
         y = rng.normal(size=4)
-        state = gp_state_rff(R, y, 0.1)
+        state = gp_state_exact(R @ R.T, y, 0.1)
         S = nll_grad_kernel(state)
         np.testing.assert_allclose(nll_grad_rff(state, R), 2.0 * S @ R, atol=1e-12)
 
@@ -117,7 +135,7 @@ class TestNllGradRff:
         rng = np.random.default_rng(5)
         R = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
-        analytic = nll_grad_rff(gp_state_rff(R, y, 0.1, base_jitter=0.0), R)
+        analytic = nll_grad_rff(gp_state_exact(R @ R.T, y, 0.1, base_jitter=0.0), R)
         step = 1e-6
         numeric = np.zeros_like(R)
         for i in range(4):
@@ -126,8 +144,8 @@ class TestNllGradRff:
                 Rp[i, j] += step
                 Rm[i, j] -= step
                 numeric[i, j] = (
-                    nll(gp_state_rff(Rp, y, 0.1, base_jitter=0.0))
-                    - nll(gp_state_rff(Rm, y, 0.1, base_jitter=0.0))
+                    nll(gp_state_exact(Rp @ Rp.T, y, 0.1, base_jitter=0.0))
+                    - nll(gp_state_exact(Rm @ Rm.T, y, 0.1, base_jitter=0.0))
                 ) / (2 * step)
         assert rel_err(analytic, numeric) < 1e-6
 
