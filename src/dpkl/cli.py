@@ -422,6 +422,10 @@ def cmd_benchmark(args) -> int:
     if not sizes or not modes or trials < 1:
         raise ConfigError(f"empty grid: sizes {list(sizes)}, modes {list(modes)}, "
                           f"trials {trials}")
+    repeated = [f"{name} {v}" for name, values in (("size", sizes), ("mode", modes))
+                for v in dict.fromkeys(values) if values.count(v) > 1]
+    if repeated:  # a repeated cell would train twice and read as two trials
+        raise ConfigError(f"repeated grid entries: {', '.join(repeated)}")
 
     ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
                   skip_bad_rows=args.skip_bad_rows)

@@ -6,9 +6,11 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
 
 * exact: the full double sum over all m^2 n_a n_b pairs of particle images,
   one route built from cache-sized blocks (``_particle_blocks``). A pair costs
-  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction); the
-  backward chain rebuilds the blocks, at one exp and 4d+8 FLOPs a pair.
-  Working memory is O(workers _BLOCK_ENTRIES + m n d), never an (m n)^2 array;
+  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). The
+  backward chain builds each particle pair's block once, m(m+1)/2 n^2 pairs
+  in rows x columns tiles, and takes both the block's row and its column
+  sums from it. Working memory is O(workers _BLOCK_ENTRIES + m n d + n^2),
+  never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
@@ -16,14 +18,16 @@ Every function takes the particle images of a point set stacked (m, n, d).
 Exp and trig loops split over the kernel workers of ``threads`` so that each
 output entry keeps its one-worker operations: by row blocks; by rows with every
 GEMM run whole in ``rff_feature_matrix`` (OpenBLAS can round a row differently
-in a product of fewer rows); by particles in both cotangent chains. The rff
-loops take their particles in groups: one stacked ``np.matmul`` (one GEMM a
-particle, as a per-particle loop makes) and one cos or sin over the group's
-phases, summed into R in particle order.
+in a product of fewer rows); by particles in the rff cotangent chain; by a
+fixed number of particle chunks, each summing into its own accumulator, in the
+exact one. The rff loops take their particles in groups: one stacked
+``np.matmul`` (one GEMM a particle, as a per-particle loop makes) and one cos
+or sin over the group's phases, summed into R in particle order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,13 @@ _TRIG_ENTRIES = 1 << 20
 # A trig entry against threads._MIN_ENTRIES: cos and sin take about 26 ns an
 # entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
 _TRIG_COST = 1 << 8
+# Particle chunks of the exact cotangent chain: a constant, never the worker
+# count, so each chunk's sums, and their order, are the same at any count.
+_CHUNKS = 2
+# A cotangent pair against threads._MIN_ENTRIES: an exp, a Csym product and
+# two inner-size d+1 GEMMs take about 3 ns a pair, so the 45-row paper chain
+# (1.3 million pairs a chunk) pays for a hand-off and a 30-row one does not.
+_PAIR_COST = 1 << 2
 
 
 @dataclass(frozen=True)
@@ -284,22 +295,61 @@ def kernel_embedding_cotangents(
     (m, n, d) cotangents G^(l):
 
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
+
+    Each particle pair's block is built once: particle l's rows against the
+    columns of particles l' >= l. A pair (i, c) of weight M_ic = k(z_i, B_c)
+    Csym_ic adds M_ic (z_i - B_c) to row i's sum and, as Csym is symmetric and
+    dk/db = -dk/da, M_ic (B_c - z_i) to column c's when c is in another
+    particle. Both are sums of M [B, 1] rows, so one (m n, d+1) accumulator
+    A = [sum M B, sum M] gives G = A[:, d] z - A[:, :d]. The particles go in
+    _CHUNKS fixed chunks, each summing into its own A, and the chunks' A are
+    added in chunk order, so every entry is the same at any worker count.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (n, n):
         raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n)}")
-    Csym = C + C.T
     B = embeddings.reshape(-1, d)
     B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
-    G = np.empty((m, n, d))
-    def fill(l0, l1):
-        for l, rows, E in _particle_blocks(spec, embeddings[l0:l1], B):
-            M = E.reshape(-1, m, n)
-            M *= Csym[rows, None, :]
-            P = E @ B1  # [sum_c M_ic B_c, sum_c M_ic]
-            G[l0 + l, rows] = P[:, d:] * embeddings[l0 + l][rows] - P[:, :d]
-    _split(m, n * m * n, fill)
+    left = _augment(spec, embeddings)[0]
+    right_T = np.ascontiguousarray(_augment(spec, B)[1].T)
+    # tiles of rows x columns within _BLOCK_ENTRIES, square once n rows exceed
+    # it, so each tile's column sums stay one inner-size-rows product
+    rows_step = min(n, max(1, math.isqrt(_BLOCK_ENTRIES)))
+    cols_step = min(m * n, max(1, _BLOCK_ENTRIES // rows_step))
+    # Csym repeated along its columns: a tile from column c0 takes the
+    # cols_step columns from c0 mod n, cut inside a particle or not
+    Csym = np.empty((n, n + cols_step - 1))
+    np.add(C, C.T, out=Csym[:, :n])
+    c = n
+    while c < Csym.shape[1]:  # doubling the filled columns each copy
+        w = min(c, Csym.shape[1] - c)
+        Csym[:, c : c + w] = Csym[:, :w]
+        c += w
+    # whole particles a chunk, balanced by the m - l pair blocks particle l owns
+    owned = np.cumsum(np.arange(m, 0, -1))
+    cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1, m]
+    A = np.zeros((_CHUNKS, m * n, d + 1))
+    def fill(k0, k1):  # the particles of chunks k0..k1-1
+        buf = np.empty(rows_step * cols_step)
+        for k in range(k0, k1):
+            for l in range(cuts[k], cuts[k + 1]):
+                for r0 in range(0, n, rows_step):
+                    r1 = min(r0 + rows_step, n)
+                    rows = slice(l * n + r0, l * n + r1)  # of A and B1
+                    for c0 in range(l * n, m * n, cols_step):
+                        c1 = min(c0 + cols_step, m * n)
+                        M = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                        np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=M)
+                        _exp_nonpositive(M)
+                        M *= Csym[r0:r1, c0 % n : c0 % n + c1 - c0]
+                        A[k, rows] += M @ B1[c0:c1]
+                        c_other = max(c0, (l + 1) * n)  # first column of a particle l' > l
+                        if c_other < c1:
+                            A[k, c_other:c1] += M[:, c_other - c0 :].T @ B1[rows]
+    _split(_CHUNKS, int(owned[-1]) * n * n // _CHUNKS * _PAIR_COST, fill)
+    total = A.sum(axis=0)
+    G = (total[:, d:] * B - total[:, :d]).reshape(m, n, d)
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
     return G

@@ -155,8 +155,13 @@ def rff_embedding_cotangents_serial(basis, embeddings, spec, T) -> np.ndarray:
     return G
 
 
-def kernel_embedding_cotangents_serial(spec, embeddings, C) -> np.ndarray:
-    """One-thread kernels.kernel_embedding_cotangents."""
+# The exact cotangent chain before it built each particle pair's block once:
+# every block (l, l') in both orders, in one thread. The library's chain sums
+# each entry's pairs in another order, so it matches this at a stated rtol.
+
+
+def kernel_embedding_cotangents_all_blocks(spec, embeddings, C) -> np.ndarray:
+    """kernels.kernel_embedding_cotangents over all m^2 particle blocks, rows only."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     m, n, d = embeddings.shape
     Csym = C + C.T

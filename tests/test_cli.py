@@ -414,6 +414,19 @@ class TestBenchmark:
         assert "empty grid" in record["message"]
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize("flag, value, named", [("--sizes", "14,18,14", "size 14"),
+                                                    ("--modes", "dpkl,dkl,dpkl", "mode dpkl")],
+                             ids=["sizes", "modes"])
+    def test_repeated_grid_entry_is_exit_one_before_reading_data(self, tmp_path, capsys, flag,
+                                                                 value, named):
+        args = self.bench_args(tmp_path / "nope.csv", tmp_path / "bench")
+        args[args.index(flag) + 1] = value
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert named in record["message"]
+        assert not (tmp_path / "bench").exists()
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         out1, out3 = tmp_path / "b1", tmp_path / "b3"

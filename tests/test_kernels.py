@@ -1,8 +1,10 @@
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from helpers import (
     cross_kernel_batch_serial,
     empirical_cross_block_serial,
     kernel_cotangents_loop,
-    kernel_embedding_cotangents_serial,
+    kernel_embedding_cotangents_all_blocks,
     kernel_quad_loop,
     rff_embedding_cotangents_serial,
     rff_feature_matrix_serial,
@@ -302,6 +304,24 @@ class TestCotangentChains:
         np.testing.assert_allclose(G[l][i, axis], numeric, rtol=1e-6, atol=1e-10)
 
 
+def assert_close_to_all_blocks(G, spec, embeddings, C):
+    """The exact chain against the one over all m^2 particle blocks at rtol
+    1e-12, with an absolute floor of 1e-12 of the largest entry: an entry's
+    pair terms can cancel to far below their own size."""
+    want = kernel_embedding_cotangents_all_blocks(spec, embeddings, C)
+    np.testing.assert_allclose(G, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def at_one_worker(monkeypatch, fn, *args):
+    """fn(*args) with one kernel worker; the worker count is restored after."""
+    workers = threads._WORKERS
+    monkeypatch.setattr(threads, "_WORKERS", 1)
+    try:
+        return fn(*args)
+    finally:
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+
+
 class TestKernelWorkers:
     """Every kernel that splits its loops over workers is bitwise equal to its
     one-thread form at any worker count."""
@@ -346,13 +366,14 @@ class TestKernelWorkers:
                 rff_embedding_cotangents(basis, a, SPEC, T),
                 rff_embedding_cotangents_serial(basis, a, SPEC, T),
             ),
-            (
-                kernel_embedding_cotangents(SPEC, a, C),
-                kernel_embedding_cotangents_serial(SPEC, a, C),
-            ),
         ]
         for got, want in pairs:
             assert np.array_equal(got, want)
+        # the exact chain sums in fixed particle chunks: equal to its own
+        # one-worker result, and close to the chain over all m^2 blocks
+        G = kernel_embedding_cotangents(SPEC, a, C)
+        assert_close_to_all_blocks(G, SPEC, a, C)
+        assert np.array_equal(G, at_one_worker(monkeypatch, kernel_embedding_cotangents, SPEC, a, C))
         assert max(len(r) for r in ranges) == workers  # some call did split
 
     def test_many_workers_under_fast_switching(self, monkeypatch):
@@ -364,8 +385,10 @@ class TestKernelWorkers:
         rng = np.random.default_rng(62)
         a, b = rng.normal(size=(4, 30, 2)), rng.normal(size=(4, 9, 2))
         basis = sample_rff_basis(SPEC, 2, 10, seed=63)
+        C = rng.normal(size=(30, 30))
         K_ref = empirical_cross_block_serial(SPEC, a, b)
         R_ref = rff_feature_matrix_serial(basis, a, SPEC)
+        G_ref = at_one_worker(monkeypatch, kernel_embedding_cotangents, SPEC, a, C)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -373,10 +396,97 @@ class TestKernelWorkers:
             for _ in range(20):
                 assert np.array_equal(empirical_cross_block(SPEC, a, b), K_ref)
                 assert np.array_equal(rff_feature_matrix(basis, a, SPEC), R_ref)
+                assert np.array_equal(kernel_embedding_cotangents(SPEC, a, C), G_ref)
                 if time.monotonic() > deadline:
                     break
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestExactCotangentChain:
+    """kernel_embedding_cotangents builds each particle pair's block once, in
+    row x column tiles and fixed particle chunks: bitwise the same at any
+    worker count, and close to the chain over all m^2 blocks."""
+
+    SPEC = LatentKernelSpec(amplitude=0.7, bandwidth=1.3)
+    CASES = {  # m, n, d, _BLOCK_ENTRIES, C
+        "one-particle": (1, 6, 2, 1 << 17, "asymmetric"),  # no column term
+        "two-particles": (2, 7, 2, 1 << 17, "asymmetric"),
+        # 5-row x 6-column tiles of 7-row particles: tiles cut inside a
+        # particle's rows and columns, and a tile spans two particles' columns
+        "tile-cuts-a-particle": (3, 7, 2, 31, "asymmetric"),
+        "one-entry-tiles": (3, 5, 2, 1, "asymmetric"),
+        "many-tiles": (5, 40, 3, 300, "asymmetric"),
+        "symmetric-C": (4, 9, 2, 1 << 17, "symmetric"),
+        "ssdpkl-pool": (4, 11, 2, 40, "ssdpkl"),  # 6 labeled rows, 5 pool rows
+    }
+
+    @staticmethod
+    def cotangent(kind, n, rng):
+        if kind == "asymmetric":
+            return rng.normal(size=(n, n))
+        if kind == "symmetric":
+            S = rng.normal(size=(n, n))
+            return S + S.T
+        # trainer._objective_core's exact ssdpkl cotangent: labeled block,
+        # pool cross block, zeros and the pool's self-pairs at w
+        n_l, w = 6, 0.3
+        S = rng.normal(size=(n_l, n_l))
+        Bp = rng.normal(size=(n_l, n - n_l))
+        return np.block([[S + S.T, -2.0 * w * Bp],
+                         [np.zeros_like(Bp.T), w * np.eye(n - n_l)]])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_at_any_worker_count(self, monkeypatch, case):
+        m, n, d, entries, kind = self.CASES[case]
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(66)
+        Z, C = rng.normal(size=(m, n, d)), self.cotangent(kind, n, rng)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(threads, "_WORKERS", workers)
+            results.append(kernel_embedding_cotangents(self.SPEC, Z, C))
+        assert all(np.array_equal(G, results[0]) for G in results[1:])
+        assert_close_to_all_blocks(results[0], self.SPEC, Z, C)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_paper_size_splits_at_the_default_threshold(self, monkeypatch, workers):
+        # m = 50, 45 training rows: both chunks run on their own worker
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        ranges = []
+
+        def recording_split(n, unit_entries, fn):
+            ranges.append([])
+            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        rng = np.random.default_rng(67)
+        Z, C = rng.normal(size=(50, 45, 2)), rng.normal(size=(45, 45))
+        G = kernel_embedding_cotangents(SPEC, Z, C)
+        assert [len(r) for r in ranges] == [min(workers, kernels_mod._CHUNKS)]
+        assert np.array_equal(G, at_one_worker(monkeypatch, kernel_embedding_cotangents, SPEC, Z, C))
+        assert_close_to_all_blocks(G, SPEC, Z, C)
+
+    def test_working_memory_stays_far_below_one_pair_matrix(self):
+        # m = 50, n = 400: an (m n)^2 array of pair terms would take 3.2 GB
+        m, n, d = 50, 400, 2
+        rng = np.random.default_rng(68)
+        Z, C = rng.normal(size=(m, n, d)), rng.normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            kernel_embedding_cotangents(SPEC, Z, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = kernels_mod._BLOCK_ENTRIES
+        bound = 8 * (
+            kernels_mod._CHUNKS * m * n * (d + 1)  # the chunks' accumulators
+            + max(threads._WORKERS, 1) * entries  # one tile buffer a worker
+            + n * (n + math.isqrt(entries))  # C + C^T, repeated along a tile's columns
+            + 8 * m * n * (d + 2)  # augmented rows, [B, 1], G and their temporaries
+        )
+        assert peak < bound < 8 * (m * n) ** 2 / 100
 
 
 class TestRffWorkers:
