@@ -23,11 +23,17 @@ Whole groups split over the kernel workers of ``threads`` (a split GEMM is not
 bitwise on OpenBLAS), so each row of the embeddings and of the gradient keeps
 its one-worker operations at any worker count. Workers write disjoint rows and
 never write the cotangent. The backward chain works in place and drops each
-activation once it has been read.
+activation once it has been read. A pass that keeps no trace
+(``ensemble_embeddings``, and ``forward_vjp`` above ``_TRACE_ENTRIES``) writes
+every group of a worker range into the range's one set of layer and delta
+buffers, so a pool-sized pass does not fault each group's arrays in afresh.
+On the rff route the rest of an ssdpkl pool's cost is O((n_l + n_u) q)
+values (``trainer``), which ``unlabeled_cap`` bounds.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +156,54 @@ def _group_size(arch: MlpArchitecture, n: int) -> int:
     return max(1, _GROUP_ENTRIES // (max(n, 1) * _width(arch)))
 
 
-def _over_groups(arch: MlpArchitecture, m: int, n: int, fn) -> None:
-    """Run ``fn(rows)`` on every particle group, whole groups on the kernel workers."""
+class _GroupBuffers:
+    """The layer outputs (g, n, fan_out) and, with ``deltas``, the backward
+    deltas (g, n, fan_in) past the first layer, for groups of up to g particles
+    over n rows: views of one block. Freed as one array, the block also keeps
+    glibc from trimming the heap under the pass's other arrays; with one array
+    a layer, an ssdpkl-pool epoch still took about 14k page faults, with the
+    block none."""
+
+    def __init__(self, arch: MlpArchitecture, g: int, n: int, deltas: bool):
+        shapes = arch.layer_shapes
+        widths = [out for out, _ in shapes] + ([fin for _, fin in shapes[1:]] if deltas else [])
+        block, views, pos = np.empty(g * n * sum(widths)), [], 0
+        for w in widths:
+            views.append(block[pos : pos + g * n * w].reshape(g, n, w))
+            pos += g * n * w
+        self.acts, self.deltas = views[: len(shapes)], views[len(shapes) :]
+
+
+class _RangeState(threading.local):
+    """Per thread: the buffers of the worker range it is running, if any. Held
+    here rather than passed, so that ``forward_group`` keeps its (arch, W, X)
+    signature."""
+
+    buffers: _GroupBuffers | None = None
+
+
+_range = _RangeState()
+
+
+def _over_groups(arch: MlpArchitecture, m: int, n: int, fn, buffers: str | None = None) -> None:
+    """Run ``fn(rows)`` on every particle group, whole groups on the kernel workers.
+
+    With ``buffers`` ("forward", or "backward" for the deltas too), each worker
+    range allocates one ``_GroupBuffers`` for its first, largest group and every
+    group of the range writes into it; without them, each group's arrays would
+    be freed and faulted in again by the next. A pass that keeps its
+    activations passes None.
+    """
     g = _group_size(arch, n)
 
     def run(start, stop):
-        for s in range(start * g, min(stop * g, m), g):
-            fn(slice(s, s + g))
+        if buffers is not None:
+            _range.buffers = _GroupBuffers(arch, min(g, m - start * g), n, buffers == "backward")
+        try:
+            for s in range(start * g, min(stop * g, m), g):
+                fn(slice(s, s + g))
+        finally:
+            _range.buffers = None
 
     _split(-(-m // g), g * n * _width(arch), run)
 
@@ -188,12 +235,16 @@ def forward_group(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray) -> list[n
     Returns [X, A_1, ..., Z]: the shared (n, D) input, then one stacked
     (g, n, width) array per layer; the last layer is affine only. Every
     forward pass of the library, with or without a backward pass, is a
-    sequence of these calls.
+    sequence of these calls. Inside a worker range of a pass that keeps no
+    trace, the layers are written into that range's buffers (``_GroupBuffers``),
+    which the range's next group overwrites; else they are fresh arrays.
     """
+    bufs = _range.buffers
     acts = [X]
     layers = _layer_views(arch, W)
     for i, (Wl, bl) in enumerate(layers):
-        a = np.matmul(acts[-1], Wl.transpose(0, 2, 1))
+        out = None if bufs is None else bufs.acts[i][: len(W)]
+        a = np.matmul(acts[-1], Wl.transpose(0, 2, 1), out=out)
         a += bl[:, None, :]
         acts.append(a if i == len(layers) - 1 else _activate(a, arch.activation))
     return acts
@@ -214,7 +265,7 @@ def _forward(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray, traces: dict |
         if traces is not None:
             traces[rows.start] = acts
 
-    _over_groups(arch, W.shape[0], X.shape[0], group)
+    _over_groups(arch, W.shape[0], X.shape[0], group, "forward" if traces is None else None)
     return Z
 
 
@@ -258,6 +309,7 @@ def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
         spent.append(True)
 
         def group(rows):
+            bufs = _range.buffers
             if traces is None:
                 acts = forward_group(arch, W[rows], X)[:-1]
             else:
@@ -272,9 +324,10 @@ def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
                 np.matmul(delta.transpose(0, 2, 1), acts[-1], out=gW)
                 np.sum(delta, axis=1, out=gb)
                 if i > 0:
-                    delta = delta @ Wl
+                    out_i = None if bufs is None else bufs.deltas[i - 1][: len(delta)]
+                    delta = np.matmul(delta, Wl, out=out_i)
 
-        _over_groups(arch, m, n, group)
+        _over_groups(arch, m, n, group, "backward" if traces is None else None)
         return out
 
     return Z, vjp

@@ -32,6 +32,9 @@ Three training modes, one objective path per kernel route:
   dpkl   — the same algebra on an empty pool with weights 1 and 0, which is
            the GP negative log likelihood over labeled data;
   dkl    — single-particle dpkl (deterministic network baseline).
+On the rff route the kernel R R^T has rank q, so the pool's variances and
+cotangents are q x q Gram algebra: the objective holds O((n_l + n_u) q)
+values and no n_l x n_u array, and ``unlabeled_cap`` bounds it.
 """
 
 from __future__ import annotations
@@ -235,25 +238,37 @@ def _objective_core(
     rff = config.kernel_mode == "rff"
 
     if rff:
+        # K = R R^T has rank q, so every pool term is a q x q Gram: with
+        # P = A^{-1} R_L, Q = R_L^T P and G_U = R_U^T R_U, the pool's
+        # B = A^{-1} K_LU is P R_U^T, and no n_l x n_u array is formed
         R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
         R_L, R_U = R_all[:n_l], R_all[n_l:]
-        K_LL, K_LU, k_ss = R_L @ R_L.T, R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
+        state = gp.gp_state_exact(R_L @ R_L.T, y, config.noise_var, config.base_jitter)
+        P = solve_chol(state.chol, R_L)
+        Q, G_U = R_L.T @ P, R_U.T @ R_U
+        PG = P @ G_U
+        reg_value = float(np.trace(G_U) - np.sum(G_U * Q))
+        BB = PG @ P.T
     else:
         K_full = kernels.empirical_kernel_exact(spec, Z_all)
         K_LL, K_LU, k_ss = K_full[:n_l, :n_l], K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
-    state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
+        state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
+        B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
+        reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
+        BB = B @ B.T
 
     nll_value = gp.nll(state)
-    B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
-    reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
     objective = c_nll * nll_value + w_reg * reg_value
-
     # d objective / d K_LL, the cotangent of every labeled pair
-    S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * (B @ B.T)
+    S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * BB
     if rff:
-        T_L = 2.0 * S_LL @ R_L - 2.0 * w_reg * (B @ R_U)
-        T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
-        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, np.vstack([T_L, T_U]))
+        T = np.empty_like(R_all)  # d objective / d R: labeled rows, then the pool's
+        np.matmul(2.0 * S_LL, R_L, out=T[:n_l])
+        T[:n_l] -= 2.0 * w_reg * PG
+        np.matmul(R_U, Q, out=T[n_l:])
+        np.subtract(R_U, T[n_l:], out=T[n_l:])
+        T[n_l:] *= 2.0 * w_reg
+        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T)
     else:
         C = np.block([[S_LL, -2.0 * w_reg * B],
                       [np.zeros_like(B.T), w_reg * np.eye(len(X_pool))]])

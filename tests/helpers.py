@@ -177,6 +177,40 @@ def kernel_embedding_cotangents_all_blocks(spec, embeddings, C) -> np.ndarray:
     return G
 
 
+# The rff objective before its pool terms became q x q Grams: K_LU = R_L R_U^T
+# and B = A^{-1} K_LU as n_l x n_u arrays. The library's Gram algebra sums in
+# another order, so it matches this at a stated rtol; on an empty pool the two
+# make the same operations, and dpkl and dkl must match it bit for bit.
+
+
+def rff_objective_dense_pool(ensemble, data, config, basis):
+    """(objective, nll, (m, P) gradient) of trainer._objective_core's rff route, dense pool terms."""
+    from dpkl import gp
+
+    spec = config.kernel_spec()
+    X_lab = np.asarray(data.X, dtype=np.float64)
+    y = np.asarray(data.y, dtype=np.float64).reshape(-1)
+    n_l = X_lab.shape[0]
+    if config.mode == "ssdpkl":
+        X_pool = data.X_unlabeled
+        c_nll, w_reg = 1.0 / n_l, config.ssdpkl_alpha / len(X_pool)
+    else:
+        X_pool, c_nll, w_reg = X_lab[:0], 1.0, 0.0
+    Z_all, vjp = net.forward_vjp(ensemble, np.vstack([X_lab, X_pool]))
+    R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
+    R_L, R_U = R_all[:n_l], R_all[n_l:]
+    K_LL, K_LU, k_ss = R_L @ R_L.T, R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
+    state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
+    nll_value = gp.nll(state)
+    B = linalg.solve_chol(state.chol, K_LU)
+    reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
+    S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * (B @ B.T)
+    T_L = 2.0 * S_LL @ R_L - 2.0 * w_reg * (B @ R_U)
+    T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
+    G = kernels.rff_embedding_cotangents(basis, Z_all, spec, np.vstack([T_L, T_U]))
+    return c_nll * nll_value + w_reg * reg_value, nll_value, vjp(G)
+
+
 def fd_gradient(f, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
     g = np.zeros_like(w0)

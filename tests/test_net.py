@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -425,6 +426,60 @@ class TestMlpWorkers:
                 assert np.array_equal(ensemble_vjp(ens, X, G), grads_ref)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestRangeBuffers:
+    """A pass that keeps no trace writes every group of a worker range into the
+    range's one set of layer and delta buffers; results stay the oracles'."""
+
+    ARCH_DIMS, N = TestBatchedPass.ARCH_DIMS, TestBatchedPass.N
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("pass_", ["embeddings", "vjp"])
+    def test_groups_of_a_range_share_buffers(self, monkeypatch, workers, pass_):
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 1)  # one particle a group
+        monkeypatch.setattr(net, "_TRACE_ENTRIES", 0)  # the VJP recomputes its forward pass
+        ranges = record_splits(monkeypatch)
+        m = 6
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation="relu"), m, 11)
+        W = ens.flat()
+        rng = np.random.default_rng(12)
+        X, G = rng.normal(size=(self.N, 3)), rng.normal(size=(m, self.N, 2))
+        group_of = {}  # thread -> the particle its current group starts at
+        addresses = {}  # (particle, what) -> data addresses of that group's arrays
+        held = []  # every array seen stays alive, so no address is freed and reused
+        forward_group, chain = net.forward_group, net._chain_activation
+
+        def recording_forward(arch, Wg, Xg):
+            acts = forward_group(arch, Wg, Xg)
+            row = (Wg.ctypes.data - W.ctypes.data) // W.strides[0]
+            group_of[threading.get_ident()] = row
+            addresses[row, "acts"] = [a.ctypes.data for a in acts[1:]]
+            held.append(acts)
+            return acts
+
+        def recording_chain(delta, a, activation):
+            row = group_of[threading.get_ident()]
+            addresses.setdefault((row, "deltas"), []).append(delta.ctypes.data)
+            held.append(delta)
+            chain(delta, a, activation)
+
+        monkeypatch.setattr(net, "forward_group", recording_forward)
+        monkeypatch.setattr(net, "_chain_activation", recording_chain)
+        Z_ref, grads_ref = per_particle(ens, X, G)
+        if pass_ == "embeddings":
+            assert np.array_equal(ensemble_embeddings(ens, X), Z_ref)
+        else:
+            assert np.array_equal(ensemble_vjp(ens, X, G), grads_ref)
+        starts = ranges[-1]
+        assert len(starts) == workers
+        kinds = ["acts"] + (["deltas"] if pass_ == "vjp" else [])
+        for first, stop in zip(starts, [*starts[1:], m]):
+            for what in kinds:
+                seen = [addresses[row, what] for row in range(first, stop)]
+                assert seen[0] and seen == [seen[0]] * len(seen), (first, what)
 
 
 def test_paper_passes_split_only_at_large_n():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     particle_fd_gradient,
     per_particle_loss_grads,
     rel_err,
+    rff_objective_dense_pool,
 )
 
 from dpkl import classify, net, trainer
@@ -149,6 +151,62 @@ class TestPerParticleGrads:
         # rejected up front, even when no epoch would run the objective
         with pytest.raises(EmptyUnlabeledSet):
             fit(tiny_data(), tiny_config(mode="ssdpkl", max_epochs=0))
+
+
+class TestRffPoolGrams:
+    """The rff route's pool terms as q x q Grams, against the dense n_l x n_u
+    algebra they replaced (``helpers.rff_objective_dense_pool``)."""
+
+    def core_and_oracle(self, cfg, data, seed=21):
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, seed)
+        basis = trainer._rff_basis_for(cfg)
+        return (trainer._objective_core(ens, data, cfg, basis),
+                rff_objective_dense_pool(ens, data, cfg, basis))
+
+    # q = 10 throughout: labeled rows below and above it, a one-row pool and one past q
+    @pytest.mark.parametrize("n_l, n_u", [(6, 1), (6, 25), (15, 1), (15, 25)])
+    def test_matches_dense_oracle(self, n_l, n_u):
+        cfg = tiny_config(mode="ssdpkl", kernel_mode="rff", q=10)
+        got, (objective, nll, grads) = self.core_and_oracle(cfg, tiny_data(n=n_l, n_unlabeled=n_u))
+        assert got.nll == nll  # the labeled Cholesky is untouched
+        np.testing.assert_allclose(got.objective, objective, rtol=1e-12)
+        # with an absolute floor of 1e-12 of the largest entry, for entries whose terms cancel
+        np.testing.assert_allclose(got.grads, grads, rtol=1e-12, atol=1e-12 * np.abs(grads).max())
+
+    @pytest.mark.parametrize("mode", ["dpkl", "dkl"])
+    @pytest.mark.parametrize("n_l", [6, 15])
+    def test_empty_pool_is_bitwise(self, mode, n_l):
+        cfg = tiny_config(mode=mode, kernel_mode="rff", m=1 if mode == "dkl" else 3)
+        got, (objective, nll, grads) = self.core_and_oracle(cfg, tiny_data(n=n_l, n_unlabeled=4))
+        assert got.objective == objective == nll == got.nll
+        assert got.grads.tobytes() == grads.tobytes()
+
+    def test_matches_finite_differences_past_q(self):
+        # labeled rows and pool rows both outnumber the q = 5 features
+        cfg = tiny_config(mode="ssdpkl", kernel_mode="rff", q=5, m=2)
+        data = tiny_data(seed=3, n=9, n_unlabeled=8)
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, 42)
+        grads = per_particle_loss_grads(ens, data, cfg)
+        for l in range(cfg.m):
+            numeric = particle_fd_gradient(ens, l, lambda: objective_value(ens, data, cfg))
+            assert rel_err(grads[l], numeric) < 1e-6
+
+    def test_pool_memory_is_linear_in_rows(self):
+        # n_l x n_u arrays at 300 x 20 000 would take 48 MB each; the Gram
+        # algebra holds O((n_l + n_u) q) features, cotangents and MLP passes
+        cfg = TrainConfig(m=2, q=20, mode="ssdpkl", kernel_mode="rff", hidden_dims=(6,))
+        rng = np.random.default_rng(22)
+        data = TrainData(rng.uniform(size=(300, 3)), rng.normal(size=300),
+                         rng.uniform(size=(20_000, 3)))
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, 23)
+        basis = trainer._rff_basis_for(cfg)
+        tracemalloc.start()
+        try:
+            trainer._objective_core(ens, data, cfg, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestFunctionalGradientStep:
