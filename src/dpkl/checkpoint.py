@@ -47,6 +47,7 @@ from .errors import CheckpointError
 
 FORMAT_NAME = "dpkl-checkpoint"
 FORMAT_VERSION = 1
+TASKS = ("regression", "classification")
 
 
 @dataclass
@@ -131,15 +132,24 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint field {name!r} is missing or malformed ({type(exc).__name__}: {exc})"
             ) from None
 
+    def known_task(task):
+        if task not in TASKS:
+            raise ValueError(f"{task!r} is not one of {TASKS}")
+        return task
+
     ensemble = field("ensemble", _ensemble)
     d = ensemble.arch.latent_dim
+    task = field("task", known_task)
+    head = field("head", lambda h: None if h is None else classify.SoftmaxHead(
+        h["C"], np.asarray(h["thetas"], dtype=np.float64).reshape(-1, h["C"], d)
+    ), optional=True)
+    if task == "classification" and head is None:
+        raise CheckpointError("checkpoint field 'head' is missing from a classification file")
     return Checkpoint(
-        task=field("task"),
+        task=task,
         target_column=field("target_column"),
         ensemble=ensemble,
-        head=field("head", lambda h: None if h is None else classify.SoftmaxHead(
-            h["C"], np.asarray(h["thetas"], dtype=np.float64).reshape(-1, h["C"], d)
-        ), optional=True),
+        head=head,
         kernel_spec=field("kernel", lambda k: kernels.LatentKernelSpec(
             amplitude=k["amplitude"], bandwidth=k["bandwidth"]
         )),

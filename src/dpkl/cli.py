@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, classify, net, threads, trainer
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import TASKS, Checkpoint, load_checkpoint, save_checkpoint
 from .data import Dataset, SplitSpec, _parse_rows, _read_rows, load_csv, normalize, split
 from .errors import (
     CheckpointError,
@@ -582,7 +582,6 @@ def _add_train_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--n-test", type=int, dest="n_test")
     p.add_argument("--no-normalize-features", action="store_true", dest="no_normalize_features")
     # TrainConfig fields: None keeps the field's own default
-    p.add_argument("--mode", choices=trainer.MODES)
     p.add_argument("--kernel-mode", choices=trainer.KERNEL_MODES, dest="kernel_mode")
     p.add_argument("--m", type=int)
     p.add_argument("--q", type=int)
@@ -613,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a model and write checkpoint + report")
     _add_train_flags(p_train, out="run")
-    p_train.add_argument("--task", choices=["regression", "classification"], default="regression")
+    p_train.add_argument("--mode", choices=trainer.MODES)
+    p_train.add_argument("--task", choices=TASKS, default="regression")
     p_train.add_argument("--n-labeled", type=int, dest="n_labeled")
     p_train.set_defaults(func=cmd_train, parser=p_train)
 
@@ -626,7 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", "-o", default="predictions.csv", help="output CSV path")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_bench = sub.add_parser("benchmark", help="trials x sizes x modes RMSE/NLL grid")
+    # no abbreviations: train's --mode would otherwise read as --modes
+    p_bench = sub.add_parser("benchmark", help="trials x sizes x modes RMSE/NLL grid",
+                             allow_abbrev=False)
     _add_train_flags(p_bench, out="benchmark")
     p_bench.add_argument("--sizes", type=_int_tuple, default=(50, 100),
                          help="comma list of labeled-set sizes (default 50,100)")

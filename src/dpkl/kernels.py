@@ -5,12 +5,12 @@ distributional kernel between two points is the double particle-average of a
 base RBF kernel over their clouds. Two evaluation routes are provided:
 
 * exact: the full double sum over all m^2 n_a n_b pairs of particle images,
-  one route built from cache-sized blocks (``_particle_blocks``). A pair costs
-  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). The
-  backward chain builds each particle pair's block once, m(m+1)/2 n^2 pairs
-  in rows x columns tiles, and takes both the block's row and its column
-  sums from it. Working memory is O(workers _BLOCK_ENTRIES + m n d + n^2),
-  never an (m n)^2 array;
+  one route built from cache-sized blocks, each worker range filling its own
+  buffer. A pair costs one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a
+  clamp, a reduction). The backward chain builds each particle pair's block
+  once, m(m+1)/2 n^2 pairs in rows x columns tiles, and takes both the
+  block's row and its column sums from it. Working memory is
+  O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
@@ -110,26 +110,6 @@ def _block_rows(n_b: int) -> int:  # a-side rows of a block against n_b b-side i
     return max(1, _BLOCK_ENTRIES // max(n_b, 1))
 
 
-def _particle_blocks(spec: LatentKernelSpec, embeddings_a: np.ndarray, B: np.ndarray):
-    """Yield (l, rows, E): E[i, c] = k(za_i^(l), B[c]) / amplitude for i in rows.
-
-    ``B`` is the b-side images stacked particle-major, (m * n_b, d). Each block
-    holds at most max(m * n_b, _BLOCK_ENTRIES) entries and is written into one
-    reused buffer, so a consumer must finish with E before the next step.
-    """
-    na = embeddings_a.shape[1]
-    right_T = np.ascontiguousarray(_augment(spec, B)[1].T)
-    step = _block_rows(B.shape[0])
-    buf = np.empty((min(step, na), B.shape[0]))
-    for l, Za in enumerate(embeddings_a):
-        left = _augment(spec, Za)[0]
-        for r0 in range(0, na, step):
-            rows = slice(r0, min(r0 + step, na))
-            E = buf[: rows.stop - r0]
-            np.matmul(left[rows], right_T, out=E)
-            yield l, rows, _exp_nonpositive(E)
-
-
 def _trig_group(n: int, q: int) -> int:  # particles per trig call
     return max(1, _TRIG_ENTRIES // max(n * q, 1))
 
@@ -161,13 +141,19 @@ def empirical_cross_block(
     if embeddings_b.shape[0] != m:
         raise DimensionMismatch("both sides must come from the same particle count")
     nb = embeddings_b.shape[1]
+    left = _augment(spec, embeddings_a)[0]
+    right_T = np.ascontiguousarray(_augment(spec, embeddings_b.reshape(-1, d))[1].T)
     ones = np.ones(m)
     out = np.zeros((na, nb))
     step = _block_rows(m * nb)
     def fill(b0, b1):  # row blocks b0..b1-1, cut where one worker cuts them
-        rows = slice(b0 * step, b1 * step)
-        for _, r, E in _particle_blocks(spec, embeddings_a[:, rows], embeddings_b.reshape(-1, d)):
-            out[rows][r] += ones @ E.reshape(-1, m, nb)
+        buf = np.empty((min(step, na), m * nb))
+        for r0 in range(b0 * step, min(b1 * step, na), step):
+            rows = slice(r0, min(r0 + step, na))
+            E = buf[: rows.stop - r0]  # E[i, c] = k(za_i^(l), zb_c) / amplitude
+            for l in range(m):  # a-side particles in index order
+                np.matmul(left[l, rows], right_T, out=E)
+                out[rows] += ones @ _exp_nonpositive(E).reshape(-1, m, nb)
     _split(-(-na // step), step * m * m * nb, fill)
     return out * (spec.amplitude / m**2)
 

@@ -26,14 +26,14 @@ never write the cotangent. The backward chain works in place and drops each
 activation once it has been read. A pass that keeps no trace
 (``ensemble_embeddings``, and ``forward_vjp`` above ``_TRACE_ENTRIES``) writes
 every group of a worker range into the range's one set of layer and delta
-buffers, so a pool-sized pass does not fault each group's arrays in afresh.
+buffers, which the range allocates and passes down to each group, so a
+pool-sized pass does not fault each group's arrays in afresh.
 On the rff route the rest of an ssdpkl pool's cost is O((n_l + n_u) q)
 values (``trainer``), which ``unlabeled_cap`` bounds.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +159,8 @@ def _group_size(arch: MlpArchitecture, n: int) -> int:
 class _GroupBuffers:
     """The layer outputs (g, n, fan_out) and, with ``deltas``, the backward
     deltas (g, n, fan_in) past the first layer, for groups of up to g particles
-    over n rows: views of one block. Freed as one array, the block also keeps
+    over n rows: views of one block, which a worker range allocates and passes
+    down to each of its groups (``_over_groups``). Freed as one array, it keeps
     glibc from trimming the heap under the pass's other arrays; with one array
     a layer, an ssdpkl-pool epoch still took about 14k page faults, with the
     block none."""
@@ -174,36 +175,22 @@ class _GroupBuffers:
         self.acts, self.deltas = views[: len(shapes)], views[len(shapes) :]
 
 
-class _RangeState(threading.local):
-    """Per thread: the buffers of the worker range it is running, if any. Held
-    here rather than passed, so that ``forward_group`` keeps its (arch, W, X)
-    signature."""
-
-    buffers: _GroupBuffers | None = None
-
-
-_range = _RangeState()
-
-
 def _over_groups(arch: MlpArchitecture, m: int, n: int, fn, buffers: str | None = None) -> None:
-    """Run ``fn(rows)`` on every particle group, whole groups on the kernel workers.
+    """Run ``fn(rows, bufs)`` on every particle group, whole groups on the kernel workers.
 
     With ``buffers`` ("forward", or "backward" for the deltas too), each worker
-    range allocates one ``_GroupBuffers`` for its first, largest group and every
-    group of the range writes into it; without them, each group's arrays would
-    be freed and faulted in again by the next. A pass that keeps its
-    activations passes None.
+    range allocates one ``_GroupBuffers`` for its first, largest group and
+    passes it as ``bufs`` to every group of the range; without them, each
+    group's arrays would be freed and faulted in again by the next. A pass
+    that keeps its activations passes None, and its groups get None.
     """
     g = _group_size(arch, n)
 
     def run(start, stop):
-        if buffers is not None:
-            _range.buffers = _GroupBuffers(arch, min(g, m - start * g), n, buffers == "backward")
-        try:
-            for s in range(start * g, min(stop * g, m), g):
-                fn(slice(s, s + g))
-        finally:
-            _range.buffers = None
+        bufs = None if buffers is None else _GroupBuffers(
+            arch, min(g, m - start * g), n, buffers == "backward")
+        for s in range(start * g, min(stop * g, m), g):
+            fn(slice(s, s + g), bufs)
 
     _split(-(-m // g), g * n * _width(arch), run)
 
@@ -229,17 +216,18 @@ def _check_input(arch: MlpArchitecture, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward_group(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+def forward_group(
+    arch: MlpArchitecture, W: np.ndarray, X: np.ndarray, bufs: _GroupBuffers | None = None
+) -> list[np.ndarray]:
     """Forward pass of the particles in the rows of W, keeping every layer's input.
 
     Returns [X, A_1, ..., Z]: the shared (n, D) input, then one stacked
     (g, n, width) array per layer; the last layer is affine only. Every
     forward pass of the library, with or without a backward pass, is a
-    sequence of these calls. Inside a worker range of a pass that keeps no
-    trace, the layers are written into that range's buffers (``_GroupBuffers``),
-    which the range's next group overwrites; else they are fresh arrays.
+    sequence of these calls. The layers are written into ``bufs.acts`` when
+    ``bufs`` is given (a worker range's buffers, which its next group
+    overwrites), else into fresh arrays.
     """
-    bufs = _range.buffers
     acts = [X]
     layers = _layer_views(arch, W)
     for i, (Wl, bl) in enumerate(layers):
@@ -259,8 +247,8 @@ def _forward(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray, traces: dict |
     """The stacked embeddings; each group's other activations go to traces[first row] if given."""
     Z = np.empty((W.shape[0], X.shape[0], arch.latent_dim))
 
-    def group(rows):
-        acts = forward_group(arch, W[rows], X)
+    def group(rows, bufs):
+        acts = forward_group(arch, W[rows], X, bufs)
         Z[rows] = acts.pop()  # the backward chain never reads Z
         if traces is not None:
             traces[rows.start] = acts
@@ -308,10 +296,9 @@ def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
             )
         spent.append(True)
 
-        def group(rows):
-            bufs = _range.buffers
+        def group(rows, bufs):
             if traces is None:
-                acts = forward_group(arch, W[rows], X)[:-1]
+                acts = forward_group(arch, W[rows], X, bufs)[:-1]
             else:
                 acts = traces.pop(rows.start)
             delta = G[rows]

@@ -157,9 +157,9 @@ def _split(n: int, unit_entries: int, fn) -> None:
     main thread (callers' own threads stay serial), at one worker, or when a
     worker would get under ``_MIN_ENTRIES``; else the pool runs every range
     while the caller waits. ``fn`` writes only its own ranges of the outputs,
-    and calls only numpy, private helpers and ``net.forward_group``, none of
-    which keeps state shared between threads. All ranges finish before the
-    first exception, in range order, is re-raised.
+    allocates its own working memory and calls only numpy and private
+    helpers, none of which keeps state shared between threads. All ranges
+    finish before the first exception, in range order, is re-raised.
     """
     k = min(_WORKERS, n, n * unit_entries // _MIN_ENTRIES if _MIN_ENTRIES else n)
     if k < 2 or threading.current_thread() is not threading.main_thread():

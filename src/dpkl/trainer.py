@@ -109,9 +109,15 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.kernel_mode not in KERNEL_MODES:
             raise ConfigError(f"kernel_mode must be one of {KERNEL_MODES}")
-        for name in ("m", "q", "early_stop_check_every", "unlabeled_cap", "batch_size"):
+        for name in ("m", "q", "latent_dim", "early_stop_check_every", "unlabeled_cap",
+                     "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must all be >= 1, got {tuple(self.hidden_dims)}")
+        if self.activation not in net.ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {net.ACTIVATIONS}, "
+                              f"got {self.activation!r}")
         if self.mode == "dkl" and self.m != 1:
             raise ConfigError("dkl mode forces m = 1")
         for name in ("learning_rate", "amplitude", "bandwidth"):

@@ -91,7 +91,7 @@ def kernel_cotangents_loop(spec, embeddings, C) -> list[np.ndarray]:
 
 
 def _serial_particle_blocks(spec, embeddings_a, B):
-    """All (l, rows, E) blocks of kernels._particle_blocks, in one loop."""
+    """All (l, rows, E) exp blocks of kernels.empirical_cross_block, in one loop."""
     na = embeddings_a.shape[1]
     right_T = np.ascontiguousarray(kernels._augment(spec, B)[1].T)
     step = max(1, kernels._BLOCK_ENTRIES // max(B.shape[0], 1))

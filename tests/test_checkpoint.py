@@ -155,3 +155,20 @@ class TestMalformed:
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CheckpointError" and repr(field) in record["message"]
+
+    @pytest.mark.parametrize("task, field, value", [("classification", "head", None),
+                                                    ("regression", "task", "ranking")])
+    def test_bad_task_or_missing_head_is_named_and_exit_one(self, tmp_path, capsys, task,
+                                                             field, value):
+        doc = json.loads((DATA / f"v1_{task}.ckpt.json").read_text())
+        doc[field] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=repr(field)):
+            load_checkpoint(path)
+        code = cli_main(["predict", "--checkpoint", str(path),
+                         "--data", str(DATA / f"v1_{task}_query.csv"),
+                         "--out", str(tmp_path / "pred.csv")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CheckpointError" and repr(field) in record["message"]

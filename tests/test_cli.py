@@ -311,8 +311,8 @@ class TestBenchmark:
         assert all(float(r["rmse_std"]) >= 0.0 for r in summary)
         assert (out / "results.meta.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--task", "classification"], ["--n-labeled", "5"]],
-                             ids=["task", "n_labeled"])
+    @pytest.mark.parametrize("flag", [["--task", "classification"], ["--n-labeled", "5"],
+                                      ["--mode", "ssdpkl"]], ids=["task", "n_labeled", "mode"])
     def test_train_only_flag_is_usage_error(self, tmp_path, capsys, flag):
         # the grid always trains regression cells of the --sizes sizes
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
@@ -323,8 +323,8 @@ class TestBenchmark:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["task = classification", "n_labeled = 5"],
-                             ids=["task", "n_labeled"])
+    @pytest.mark.parametrize("line", ["task = classification", "n_labeled = 5", "mode = ssdpkl"],
+                             ids=["task", "n_labeled", "mode"])
     def test_train_only_config_key_is_exit_one(self, tmp_path, capsys, line):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         cfg = tmp_path / "bench.cfg"
@@ -615,7 +615,7 @@ class TestExitCodes:
                                       "kappa_bandwidth = 0.0", "learning_rate = nan",
                                       "noise_var = nan", "ssdpkl_alpha = inf",
                                       "amplitude = nan", "amplitude = -1.0",
-                                      "bandwidth = 0.0",
+                                      "bandwidth = 0.0", "hidden_dims = 4,0", "latent_dim = 0",
                                       # fixed settings, no longer TrainConfig fields
                                       "adam_beta1 = 0.9", "adam_beta2 = 0.999",
                                       "adam_eps = 1e-8", "classifier_l2 = 0.0",

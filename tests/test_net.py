@@ -283,8 +283,8 @@ class TestBatchedPass:
         stacks = []
         forward_group = net.forward_group
 
-        def recording(arch, W, X):
-            acts = forward_group(arch, W, X)
+        def recording(arch, W, X, *bufs):
+            acts = forward_group(arch, W, X, *bufs)
             stacks.append(sum(a.size for a in acts[1:]))
             return acts
 
@@ -311,9 +311,9 @@ class TestForwardVjp:
         passes = []  # particles of every forward_group call
         forward_group = net.forward_group
 
-        def counted(arch, W, X):
+        def counted(arch, W, X, *bufs):
             passes.append(W.shape[0])
-            return forward_group(arch, W, X)
+            return forward_group(arch, W, X, *bufs)
 
         monkeypatch.setattr(net, "forward_group", counted)
         ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, 3)
@@ -452,8 +452,8 @@ class TestRangeBuffers:
         held = []  # every array seen stays alive, so no address is freed and reused
         forward_group, chain = net.forward_group, net._chain_activation
 
-        def recording_forward(arch, Wg, Xg):
-            acts = forward_group(arch, Wg, Xg)
+        def recording_forward(arch, Wg, Xg, *bufs):
+            acts = forward_group(arch, Wg, Xg, *bufs)
             row = (Wg.ctypes.data - W.ctypes.data) // W.strides[0]
             group_of[threading.get_ident()] = row
             addresses[row, "acts"] = [a.ctypes.data for a in acts[1:]]
@@ -480,6 +480,41 @@ class TestRangeBuffers:
             for what in kinds:
                 seen = [addresses[row, what] for row in range(first, stop)]
                 assert seen[0] and seen == [seen[0]] * len(seen), (first, what)
+
+    def test_two_user_threads_keep_their_own_buffers(self, monkeypatch):
+        # a range's buffers are locals of its pass, so two callers' buffered
+        # passes at once never write into each other's groups
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 1)  # one particle a group
+        monkeypatch.setattr(net, "_TRACE_ENTRIES", 0)  # the VJP recomputes its forward pass
+        m, n = 5, 60
+        cases = []
+        for seed, activation in [(21, "relu"), (22, "tanh")]:
+            ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, seed)
+            rng = np.random.default_rng(seed)
+            X, G = rng.normal(size=(n, 3)), rng.normal(size=(m, n, 2))
+            cases.append((ens, X, G, *per_particle(ens, X, G)))
+        start = threading.Barrier(len(cases))
+        failures = []
+
+        def run(ens, X, G, Z_ref, grads_ref):
+            start.wait()
+            for _ in range(20):
+                Z, vjp = net.forward_vjp(ens, X)
+                if not (np.array_equal(ensemble_embeddings(ens, X), Z_ref)
+                        and np.array_equal(Z, Z_ref) and np.array_equal(vjp(G), grads_ref)):
+                    failures.append(ens.seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=case) for case in cases]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
 
 
 def test_paper_passes_split_only_at_large_n():

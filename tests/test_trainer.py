@@ -653,7 +653,7 @@ class TestFit:
         forward_group = net.forward_group
         monkeypatch.setattr(
             net, "forward_group",
-            lambda arch, W, X: rows.append(len(X)) or forward_group(arch, W, X),
+            lambda arch, W, X, *bufs: rows.append(len(X)) or forward_group(arch, W, X, *bufs),
         )
         fit(data, cfg)
         assert rows and max(rows) <= n_l + cap
@@ -690,6 +690,16 @@ class TestConfigValidation:
     def test_bad_size_or_kappa_bandwidth(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [("latent_dim", 0), ("hidden_dims", (4, -2)),
+                                              ("activation", "swish")],
+                             ids=["latent_dim", "hidden_dims", "activation"])
+    def test_bad_mlp_shape_or_activation(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_empty_hidden_dims_is_a_linear_map(self):
+        TrainConfig(hidden_dims=()).validate()
 
     @pytest.mark.parametrize("field", ["amplitude", "bandwidth"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
