@@ -37,13 +37,14 @@ write ``rff_basis`` as null. Earlier v1 files may hold a {"q", "seed", "V",
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify, kernels, net
-from .data import NormalizationStats
-from .errors import CheckpointError
+from .data import Dataset, NormalizationStats
+from .errors import CheckpointError, DimensionMismatch
 
 FORMAT_NAME = "dpkl-checkpoint"
 FORMAT_VERSION = 1
@@ -127,10 +128,14 @@ def load_checkpoint(path) -> Checkpoint:
     def field(name, parse=lambda v: v, optional=False):
         try:
             return parse(doc.get(name) if optional else doc[name])
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        except (LookupError, TypeError, ValueError, AttributeError, DimensionMismatch) as exc:
             raise CheckpointError(
                 f"checkpoint field {name!r} is missing or malformed ({type(exc).__name__}: {exc})"
             ) from None
+
+    def require(name, ok, what):
+        if not ok:
+            raise CheckpointError(f"checkpoint field {name!r} is malformed: {what}")
 
     def known_task(task):
         if task not in TASKS:
@@ -138,13 +143,24 @@ def load_checkpoint(path) -> Checkpoint:
         return task
 
     ensemble = field("ensemble", _ensemble)
-    d = ensemble.arch.latent_dim
+    D, d, m = ensemble.arch.input_dim, ensemble.arch.latent_dim, ensemble.m
     task = field("task", known_task)
     head = field("head", lambda h: None if h is None else classify.SoftmaxHead(
-        h["C"], np.asarray(h["thetas"], dtype=np.float64).reshape(-1, h["C"], d)
+        h["C"], np.asarray(h["thetas"], dtype=np.float64).reshape(m, h["C"], d)
     ), optional=True)
     if task == "classification" and head is None:
         raise CheckpointError("checkpoint field 'head' is missing from a classification file")
+    train = field("train_data", lambda t: Dataset(np.asarray(t["X"], dtype=np.float64),
+                                                  np.asarray(t["y"], dtype=np.float64)))
+    require("train_data", train.dim == D and train.y.ndim == 1, f"X must be (n, {D}), y (n,)")
+    noise_var = field("noise_var", float)
+    require("noise_var", 0 <= noise_var < math.inf, f"{noise_var} is not finite and >= 0")
+    # the stats as normalize writes them: finite means, finite stds > 0
+    stats = field("normalization", NormalizationStats.from_dict)
+    std, mean = np.append(stats.x_std, stats.y_std), np.append(stats.x_mean, stats.y_mean)
+    require("normalization", stats.x_mean.shape == stats.x_std.shape == (D,)
+            and np.isfinite(mean).all() and np.all((0 < std) & (std < np.inf)),
+            f"needs {D} feature means and stds, every mean finite, every std finite and > 0")
     return Checkpoint(
         task=task,
         target_column=field("target_column"),
@@ -153,10 +169,10 @@ def load_checkpoint(path) -> Checkpoint:
         kernel_spec=field("kernel", lambda k: kernels.LatentKernelSpec(
             amplitude=k["amplitude"], bandwidth=k["bandwidth"]
         )),
-        noise_var=field("noise_var", float),
-        stats=field("normalization", NormalizationStats.from_dict),
-        X_train=field("train_data", lambda t: np.asarray(t["X"], dtype=np.float64)),
-        y_train=field("train_data", lambda t: np.asarray(t["y"], dtype=np.float64)),
+        noise_var=noise_var,
+        stats=stats,
+        X_train=train.X,
+        y_train=train.y,
         config=doc.get("config", {}),
         version=doc.get("version", "unknown"),
     )

@@ -26,12 +26,11 @@ import scipy
 
 from . import __version__, classify, net, threads, trainer
 from .checkpoint import TASKS, Checkpoint, load_checkpoint, save_checkpoint
-from .data import Dataset, SplitSpec, _parse_rows, _read_rows, load_csv, normalize, split
+from .data import Dataset, SplitSpec, load_csv, load_features, normalize, split
 from .errors import (
     CheckpointError,
     ConfigError,
     DpklError,
-    InsufficientRows,
     InternalConsistencyError,
 )
 from .threads import single_threaded_blas
@@ -353,7 +352,7 @@ def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     target = args.target if args.target is not None else ckpt.target_column
     D = ckpt.ensemble.arch.input_dim
-    X = _load_query_csv(args.data, args.delimiter, not args.no_header, str(target))
+    X = load_features(args.data, target, args.delimiter, not args.no_header)
     if X.shape[1] != D:
         raise CheckpointError(
             f"query has {X.shape[1]} feature columns, checkpoint expects {D}"
@@ -383,33 +382,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_query_csv(path, delimiter, has_header, target: str) -> np.ndarray:
-    """Every column of the query file but the target's, which a header cell (or,
-    without a header, a 0-based index) equal to ``target`` marks; its cells may
-    be blank. Any other cell that is not a finite number raises ParseError
-    naming its row and column in the file."""
-    rows = _read_rows(path, delimiter)
-    body = rows[1:] if has_header else rows
-    if not body:
-        raise InsufficientRows(f"query file {path} has no data rows")
-    ncols = len(body[0])
-    names = [c.strip() for c in rows[0]] if has_header else [str(j) for j in range(ncols)]
-    keep = [j for j in range(ncols) if j >= len(names) or names[j] != target]
-    return np.asarray(_parse_rows(body, 1 + has_header, keep)[0])
-
-
 _BENCH_HEADER = ["dataset", "mode", "n", "trial", "seed", "rmse", "nll"]
-
-
-def _existing_bench_keys(path: Path) -> set[tuple]:
-    if not path.exists():
-        return set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return {
-            (r["dataset"], r["mode"], int(r["n"]), int(r["trial"]), int(r["seed"]))
-            for r in reader
-        }
 
 
 def cmd_benchmark(args) -> int:
@@ -450,7 +423,14 @@ def cmd_benchmark(args) -> int:
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]
     out_dir = Path(args.out)
     results_path = out_dir / "results.csv"
-    existing = _existing_bench_keys(results_path)
+    previous = []  # an earlier run's rows: resumed, and summarized with this run's
+    if results_path.exists():
+        with open(results_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header, previous = next(reader, None), list(reader)
+        if header != _BENCH_HEADER:
+            raise ConfigError(f"{results_path} has header {header}, expected {_BENCH_HEADER}")
+    existing = {(r[0], r[1], int(r[2]), int(r[3]), int(r[4])) for r in previous}
     todo = [c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing]
 
     def attempt(cell):
@@ -478,16 +458,14 @@ def cmd_benchmark(args) -> int:
         for row in rows:
             w.writerow([_fmt_cell(v) for v in row])
 
-    # summary is rebuilt from the full results file: mean and 1-std error bars
-    with open(results_path, newline="") as fh:
-        all_rows = list(csv.DictReader(fh))
+    # summary covers the whole results file, in its row order: mean and 1-std
+    # error bars (a float written with repr reads back equal)
     groups: dict[tuple, list] = {}
-    for r in all_rows:
-        groups.setdefault((r["dataset"], r["mode"], int(r["n"])), []).append(r)
+    for dataset, mode, n, _, _, rmse, nll in [*previous, *rows]:
+        groups.setdefault((dataset, mode, int(n)), []).append((float(rmse), float(nll)))
     summary = []
     for key, sel in sorted(groups.items()):
-        rmses = np.asarray([float(r["rmse"]) for r in sel])
-        nlls = np.asarray([float(r["nll"]) for r in sel])
+        rmses, nlls = (np.asarray(column) for column in zip(*sel))
         summary.append([*key, len(sel), rmses.mean(), rmses.std(), nlls.mean(), nlls.std()])
     summary_path = out_dir / "summary.csv"
     write_csv(

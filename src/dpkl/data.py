@@ -123,34 +123,24 @@ def load_csv(
     """Load a numeric CSV into a Dataset.
 
     ``target_column`` is a header name, or a 0-based column index when the
-    file has no header. By default a ragged row, or a cell that is not a
-    finite number, raises ParseError naming its (1-based) row and column;
-    with skip_bad_rows=True offending rows are dropped and reported in a
-    warning, never silently.
+    file has no header. The header (without one, the first row) sets the
+    width every data row must have. A row of another width, or a cell that is
+    not a finite number, raises ParseError naming its (1-based) row and
+    column; with skip_bad_rows=True offending rows are dropped and reported
+    in a warning, never silently.
     """
-    rows = _read_rows(path, delimiter)
-    if not rows:
-        raise InsufficientRows(f"{path} has no data rows")
-
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        body, first_row = rows[1:], 2
-        if isinstance(target_column, int):
-            t_idx = target_column
-        else:
-            if target_column not in header:
-                raise MissingTarget(f"target column {target_column!r} not in header {header}")
-            t_idx = header.index(target_column)
-    else:
-        body, first_row = rows, 1
+    names, rows, first_row = _read_table(path, delimiter, has_header)
+    if isinstance(target_column, int) or not has_header:
         t_idx = int(target_column)
-    if not body:
-        raise InsufficientRows(f"{path} has a header but no data rows")
-    ncols = len(body[0])
+    elif target_column in names:
+        t_idx = names.index(target_column)
+    else:
+        raise MissingTarget(f"target column {target_column!r} not in header {names}")
+    ncols = len(names)
     if t_idx < 0 or t_idx >= ncols:
         raise MissingTarget(f"target column index {t_idx} out of range for {ncols} columns")
 
-    values, bad_rows = _parse_rows(body, first_row, range(ncols), skip_bad_rows)
+    values, bad_rows = _parse_rows(rows, first_row, ncols, range(ncols), skip_bad_rows)
     if bad_rows:
         warnings.warn(f"dropped {len(bad_rows)} unparseable rows: {bad_rows}", stacklevel=2)
     if not values:
@@ -160,50 +150,63 @@ def load_csv(
     return Dataset(X=np.delete(values, t_idx, axis=1), y=values[:, t_idx].copy())
 
 
-def _read_rows(path, delimiter: str) -> list[list[str]]:
-    """Every non-empty row of a delimited text file, as strings."""
-    with open(path, newline="") as fh:
-        return [r for r in csv.reader(fh, delimiter=delimiter) if r]
+def load_features(path, drop_column, delimiter: str = ",", has_header: bool = True) -> np.ndarray:
+    """Every column of a query CSV but ``drop_column``, a header name (or,
+    without a header, a 0-based index); that column's cells are never read and
+    may be blank. Rows follow load_csv's width and ParseError rules."""
+    names, rows, first_row = _read_table(path, delimiter, has_header)
+    keep = [j for j, name in enumerate(names) if name != str(drop_column)]
+    return np.asarray(_parse_rows(rows, first_row, len(names), keep)[0])
 
 
-def _parse_rows(body, first_row: int, keep, skip_bad_rows: bool = False):
-    """Floats from columns ``keep`` of each row of ``body``, whose first row is
-    file row ``first_row``; cells outside ``keep`` are never read.
+def _read_table(path, delimiter: str, has_header: bool) -> tuple[list[str], list[list[str]], int]:
+    """(column names, non-empty data rows, file row number of the first data row).
 
-    A row whose length differs from the first row's, or a kept cell that is
-    not a finite number, raises ParseError naming its row and column. With
-    skip_bad_rows the row is dropped instead. Returns (values, dropped rows).
+    The names are the header's stripped cells, or "0".."k-1" after the first
+    row's width without a header. InsufficientRows when there is no data row.
     """
-    ncols = len(body[0])
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    if len(rows) <= has_header:
+        raise InsufficientRows(f"{path} has no data rows")
+    if has_header:
+        return [c.strip() for c in rows[0]], rows[1:], 2
+    return [str(j) for j in range(len(rows[0]))], rows, 1
+
+
+def _parse_rows(rows, first_row: int, ncols: int, keep, skip_bad_rows: bool = False):
+    """Floats from columns ``keep`` of each row, the first being file row
+    ``first_row``; cells outside ``keep`` are never read.
+
+    A row of other than ``ncols`` cells, or a kept cell that is not a finite
+    number, raises ParseError naming its row and column. With skip_bad_rows
+    the row is dropped instead. Returns (values, dropped rows).
+    """
     values, bad_rows = [], []
-    for r, row in enumerate(body, start=first_row):
+    for r, row in enumerate(rows, start=first_row):
         try:
             if len(row) != ncols:
-                raise ParseError(r, len(row) + 1, f"row {r} has {len(row)} cells, expected {ncols}")
-            try:
-                vals = [float(row[j]) for j in keep]
-            except ValueError:
-                vals = [float(row[j]) if _is_float(row[j]) else math.nan for j in keep]
-            if not all(map(math.isfinite, vals)):
-                j = next(j for j, v in zip(keep, vals) if not math.isfinite(v))
-                raise ParseError(
-                    r, j + 1, f"cell at row {r}, column {j + 1} is not a finite number: {row[j]!r}"
-                )
+                raise ParseError(r, min(len(row), ncols) + 1,
+                                 f"row {r} has {len(row)} cells, expected {ncols}")
+            values.append([_cell(row, j, r) for j in keep])
         except ParseError:
             if not skip_bad_rows:
                 raise
             bad_rows.append(r)
-            continue
-        values.append(vals)
     return values, bad_rows
 
 
-def _is_float(s: str) -> bool:
+def _cell(row, j: int, r: int) -> float:
+    """Cell j of file row r as a finite float, else ParseError naming it."""
     try:
-        float(s)
-        return True
+        v = float(row[j])
     except ValueError:
-        return False
+        v = math.nan
+    if not math.isfinite(v):
+        raise ParseError(
+            r, j + 1, f"cell at row {r}, column {j + 1} is not a finite number: {row[j]!r}"
+        )
+    return v
 
 
 def _require_finite_stats(mean, std, which: str) -> None:

@@ -156,6 +156,39 @@ class TestMalformed:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CheckpointError" and repr(field) in record["message"]
 
+    # every array a checkpoint holds must fit its architecture, and the stats
+    # and noise be values training could have written (D = 2, m = 3 here)
+    @pytest.mark.parametrize("field, mutate", [
+        ("ensemble", lambda doc: [row.pop() for row in doc["ensemble"]["particles"]]),
+        ("train_data", lambda doc: [row.append(0.5) for row in doc["train_data"]["X"]]),
+        ("train_data", lambda doc: doc["train_data"]["y"].pop()),
+        ("normalization", lambda doc: doc["normalization"]["x_mean"].append(0.0)),
+        ("normalization", lambda doc: doc["normalization"].update(x_std=[0.0, 2.0])),
+        ("normalization", lambda doc: doc["normalization"].update(y_std=0.0)),
+        ("normalization", lambda doc: doc["normalization"].update(y_std=-2.0)),
+        ("noise_var", lambda doc: doc.update(noise_var=-1.0)),
+        ("head", lambda doc: doc["head"]["thetas"].pop()),
+    ], ids=["particle-rows-short", "train-X-extra-column", "train-y-short", "x-mean-long",
+            "x-std-zero", "y-std-zero", "y-std-negative", "noise-var-negative",
+            "head-particles-short"])
+    def test_inconsistent_field_is_named_and_exit_one(self, tmp_path, capsys, field, mutate):
+        task = "classification" if field == "head" else "regression"
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, make_checkpoint(task=task, with_head=(field == "head")))
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=repr(field)):
+            load_checkpoint(path)
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n0.1,0.2\n")
+        code = cli_main(["predict", "--checkpoint", str(path), "--data", str(query),
+                         "--out", str(tmp_path / "pred.csv")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CheckpointError" and repr(field) in record["message"]
+        assert not (tmp_path / "pred.csv").exists()
+
     @pytest.mark.parametrize("task, field, value", [("classification", "head", None),
                                                     ("regression", "task", "ranking")])
     def test_bad_task_or_missing_head_is_named_and_exit_one(self, tmp_path, capsys, task,

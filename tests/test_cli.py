@@ -346,6 +346,25 @@ class TestBenchmark:
         assert (out / "results.csv").read_bytes() == first
         assert (out / "summary.csv").read_bytes() == first_summary
 
+    @pytest.mark.parametrize("old", ["mode,n,trial,seed,rmse,nll\ndpkl,14,0,5,0.5,1.0\n", ""],
+                             ids=["pre-dataset-header", "empty"])
+    def test_results_of_another_header_is_exit_one_before_any_cell(self, tmp_path, capsys,
+                                                                    monkeypatch, old):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_training", no_cell)
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        out.mkdir()
+        (out / "results.csv").write_text(old)
+        assert run(self.bench_args(data, out)) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert str(out / "results.csv") in record["message"]
+        assert (out / "results.csv").read_text() == old
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
     def test_resume_is_per_dataset(self, tmp_path, capsys):
         # a second dataset into the same --out runs its own cells, and the
         # summary keeps each dataset's rows apart
@@ -721,6 +740,17 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ParseError"
         assert where in record["message"]
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_short_first_query_row_is_named(self, trained, tmp_path, capsys):
+        # the header sets the width, so the short row is named, not the good one after it
+        _, ckpt = trained
+        query = tmp_path / "query.csv"
+        query.write_text("x0,y\n0.5\n0.1,1\n0.2,2\n")
+        code = run(["predict", "--checkpoint", ckpt, "--data", query, "--out", tmp_path / "p.csv"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ParseError", "message": "row 2 has 1 cells, expected 2"}
         assert not (tmp_path / "p.csv").exists()
 
 

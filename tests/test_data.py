@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,41 @@ class TestLoadCsv:
             ds = load_csv(p, "y", skip_bad_rows=True)
         np.testing.assert_array_equal(ds.X[:, 0], [1, 5])
         np.testing.assert_array_equal(ds.y, [2, 6])
+
+    # the header sets the row width: a short first row is the one named, and
+    # the target is found among the header's columns either way
+    @pytest.mark.parametrize("target", ["y", "a"], ids=["target-last", "target-first"])
+    def test_short_first_row_is_named(self, tmp_path, target):
+        p = tmp_path / "short.csv"
+        p.write_text("a,b,c,y\n1,2,3\n4,5,6,7\n8,9,10,11\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p, target)
+        assert (err.value.row, err.value.col) == (2, 4)
+        assert str(err.value) == "row 2 has 3 cells, expected 4"
+
+    @pytest.mark.parametrize("target", ["y", "a"], ids=["target-last", "target-first"])
+    @pytest.mark.parametrize("short, dropped", [(1, "[2]"), (2, "[2, 3]")])
+    def test_skip_bad_rows_keeps_rows_of_header_width(self, tmp_path, target, short, dropped):
+        good = np.arange(4.0, 16.0).reshape(3, 4)
+        p = tmp_path / "short.csv"
+        p.write_text("a,b,c,y\n" + "1,2,3\n" * short
+                     + "".join(",".join(map(repr, row)) + "\n" for row in good.tolist()))
+        report = re.escape(f"dropped {short} unparseable rows: {dropped}")
+        with pytest.warns(UserWarning, match=report):
+            ds = load_csv(p, target, skip_bad_rows=True)
+        t = ["a", "b", "c", "y"].index(target)
+        np.testing.assert_array_equal(ds.y, good[:, t])
+        np.testing.assert_array_equal(ds.X, np.delete(good, t, axis=1))
+
+    @pytest.mark.parametrize("header, col", [("a,y", 3), ("a,b,c,y", 4)],
+                             ids=["narrower", "wider"])
+    def test_header_sets_the_row_width(self, tmp_path, header, col):
+        p = tmp_path / "ragged.csv"
+        p.write_text(header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p, "y")
+        assert (err.value.row, err.value.col) == (2, col)
+        assert str(err.value).startswith("row 2 has 3 cells")
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
