@@ -80,7 +80,6 @@ def write_csv(path, header, rows) -> None:
 def environment() -> dict:
     """Package versions, BLAS threads under the pinning, and the kernel worker count."""
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "threadpoolctl_importable": threads.threadpool_limits is not None,
             "blas_threads": threads.pinned_blas_threads(),
             "kernel_workers": threads._WORKERS}
 
@@ -242,7 +241,7 @@ def _evaluate_classification(ensemble, head, test):
 
 
 def _run_training(
-    ds: Dataset, cfg: TrainConfig, task: str, seed: int,
+    ds: Dataset, cfg: TrainConfig, task: str,
     n_labeled: int | None, n_unlabeled: int, n_test: int | None, normalize_features: bool,
 ):
     """Split, normalize, fit, evaluate. Returns (ensemble, head, report, test
@@ -255,7 +254,7 @@ def _run_training(
         raise ConfigError("--n-labeled is required")
     if n_test is None:
         n_test = max(ds.n - n_labeled - n_unlabeled, 0)
-    parts = split(ds, SplitSpec(n_labeled, n_unlabeled, n_test, seed))
+    parts = split(ds, SplitSpec(n_labeled, n_unlabeled, n_test, cfg.seed))
     labeled, unlabeled, test = parts["labeled"], parts["unlabeled"], parts["test"]
     labeled_n, (unlabeled_n, test_n), stats = normalize(
         labeled,
@@ -297,7 +296,7 @@ def cmd_train(args) -> int:
         raise ConfigError("ssdpkl mode needs --n-unlabeled > 0")
 
     ensemble, head, report, metrics, labeled_n, test_n, stats = _run_training(
-        ds, cfg, task, cfg.seed, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
+        ds, cfg, task, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
         n_test=args.n_test, normalize_features=not args.no_normalize_features,
     )
 
@@ -415,7 +414,7 @@ def cmd_benchmark(args) -> int:
         cfg = resolve_train_config(args, mode=mode, seed=seed, m=1 if mode == "dkl" else args.m)
         # every mode carves out the pool, so a trial's cells share their test rows
         _, _, _, metrics, *_ = _run_training(
-            ds, cfg, "regression", seed, n_labeled=n, n_unlabeled=n_unlabeled, n_test=n_test,
+            ds, cfg, "regression", n_labeled=n, n_unlabeled=n_unlabeled, n_test=n_test,
             normalize_features=not args.no_normalize_features,
         )
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]
@@ -430,7 +429,14 @@ def cmd_benchmark(args) -> int:
             header, previous = next(reader, None), list(reader)
         if header != _BENCH_HEADER:
             raise ConfigError(f"{results_path} has header {header}, expected {_BENCH_HEADER}")
-    existing = {(r[0], r[1], int(r[2]), int(r[3]), int(r[4])) for r in previous}
+        for r, row in enumerate(previous, start=2):  # a crash mid-append leaves a short row
+            try:
+                if len(row) != len(_BENCH_HEADER):
+                    raise ValueError(f"{len(row)} cells, expected {len(_BENCH_HEADER)}")
+                row[2:] = [*map(int, row[2:5]), *map(float, row[5:])]
+            except ValueError as exc:
+                raise ConfigError(f"{results_path}: row {r} is not a results row: {exc}") from None
+    existing = {tuple(r[:5]) for r in previous}
     todo = [c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing]
 
     def attempt(cell):
@@ -462,7 +468,7 @@ def cmd_benchmark(args) -> int:
     # error bars (a float written with repr reads back equal)
     groups: dict[tuple, list] = {}
     for dataset, mode, n, _, _, rmse, nll in [*previous, *rows]:
-        groups.setdefault((dataset, mode, int(n)), []).append((float(rmse), float(nll)))
+        groups.setdefault((dataset, mode, n), []).append((rmse, nll))
     summary = []
     for key, sel in sorted(groups.items()):
         rmses, nlls = (np.asarray(column) for column in zip(*sel))

@@ -129,7 +129,7 @@ def load_csv(
     column; with skip_bad_rows=True offending rows are dropped and reported
     in a warning, never silently.
     """
-    names, rows, first_row = _read_table(path, delimiter, has_header)
+    names, rows = _read_table(path, delimiter, has_header)
     if isinstance(target_column, int) or not has_header:
         t_idx = int(target_column)
     elif target_column in names:
@@ -140,7 +140,7 @@ def load_csv(
     if t_idx < 0 or t_idx >= ncols:
         raise MissingTarget(f"target column index {t_idx} out of range for {ncols} columns")
 
-    values, bad_rows = _parse_rows(rows, first_row, ncols, range(ncols), skip_bad_rows)
+    values, bad_rows = _parse_rows(rows, ncols, range(ncols), skip_bad_rows)
     if bad_rows:
         warnings.warn(f"dropped {len(bad_rows)} unparseable rows: {bad_rows}", stacklevel=2)
     if not values:
@@ -154,36 +154,38 @@ def load_features(path, drop_column, delimiter: str = ",", has_header: bool = Tr
     """Every column of a query CSV but ``drop_column``, a header name (or,
     without a header, a 0-based index); that column's cells are never read and
     may be blank. Rows follow load_csv's width and ParseError rules."""
-    names, rows, first_row = _read_table(path, delimiter, has_header)
+    names, rows = _read_table(path, delimiter, has_header)
     keep = [j for j, name in enumerate(names) if name != str(drop_column)]
-    return np.asarray(_parse_rows(rows, first_row, len(names), keep)[0])
+    return np.asarray(_parse_rows(rows, len(names), keep)[0])
 
 
-def _read_table(path, delimiter: str, has_header: bool) -> tuple[list[str], list[list[str]], int]:
-    """(column names, non-empty data rows, file row number of the first data row).
+def _read_table(path, delimiter: str, has_header: bool) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(column names, non-empty data rows as (file row number, cells)).
 
-    The names are the header's stripped cells, or "0".."k-1" after the first
-    row's width without a header. InsufficientRows when there is no data row.
+    Rows are numbered from 1 before blank ones are dropped, so a number names
+    the row in the file. The names are the header's stripped cells, or
+    "0".."k-1" after the first row's width without a header. InsufficientRows
+    when there is no data row.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        rows = [(r, row) for r, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1) if row]
     if len(rows) <= has_header:
         raise InsufficientRows(f"{path} has no data rows")
     if has_header:
-        return [c.strip() for c in rows[0]], rows[1:], 2
-    return [str(j) for j in range(len(rows[0]))], rows, 1
+        return [c.strip() for c in rows[0][1]], rows[1:]
+    return [str(j) for j in range(len(rows[0][1]))], rows
 
 
-def _parse_rows(rows, first_row: int, ncols: int, keep, skip_bad_rows: bool = False):
-    """Floats from columns ``keep`` of each row, the first being file row
-    ``first_row``; cells outside ``keep`` are never read.
+def _parse_rows(rows, ncols: int, keep, skip_bad_rows: bool = False):
+    """Floats from columns ``keep`` of each (file row number, cells) row;
+    cells outside ``keep`` are never read.
 
     A row of other than ``ncols`` cells, or a kept cell that is not a finite
     number, raises ParseError naming its row and column. With skip_bad_rows
     the row is dropped instead. Returns (values, dropped rows).
     """
     values, bad_rows = [], []
-    for r, row in enumerate(rows, start=first_row):
+    for r, row in rows:
         try:
             if len(row) != ncols:
                 raise ParseError(r, min(len(row), ncols) + 1,

@@ -39,7 +39,7 @@ class GpState:
 
 
 def gp_state_exact(
-    K: np.ndarray, y: np.ndarray, noise_var: float = 0.1, base_jitter: float = 1e-8
+    K: np.ndarray, y: np.ndarray, noise_var: float = 0.1, base_jitter: float = linalg.BASE_JITTER
 ) -> GpState:
     """Build a state from a dense kernel matrix: the distributional kernel, or
     R R^T on the rff route.

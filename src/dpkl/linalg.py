@@ -13,7 +13,9 @@ from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-# Jitter ladder: 0, then base * 10**k for k = 0..6.
+# Jitter ladder: 0, then base * 10**k for k = 0..6; BASE_JITTER is the first
+# rung for training and prediction alike.
+BASE_JITTER = 1e-8
 _JITTER_POWERS = 7
 
 
@@ -46,7 +48,7 @@ class CholFactor:
         return self.L.shape[0]
 
 
-def cholesky(a: np.ndarray, base_jitter: float = 1e-8) -> CholFactor:
+def cholesky(a: np.ndarray, base_jitter: float = BASE_JITTER) -> CholFactor:
     """Factor ``a + jitter*I = L L^T``, escalating jitter until it succeeds.
 
     Jitter attempts are 0, then base_jitter * 10**k for k = 0..6. The smallest

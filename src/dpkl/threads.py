@@ -4,9 +4,10 @@ The workload is many small matrix products (latent dims of 2, feature counts
 of ~100, particle blocks of ~50 rows); threaded BLAS loses badly to its own
 dispatch overhead there and can reorder reductions. Training and prediction
 therefore pin BLAS to one thread, which also keeps repeated runs bitwise
-identical regardless of the host's core count. The pin goes through
-threadpoolctl when it is importable, and otherwise through the thread-count
-calls of every OpenBLAS loaded in the process.
+identical regardless of the host's core count. The pin goes through the
+thread-count calls of every OpenBLAS loaded in the process, found through
+/proc/self/maps. Another BLAS (MKL, BLIS), or a host without that file, is left
+as it is, with a RuntimeWarning.
 
 Kernel loops bound by exp and trig, and the particle groups of the MLP pass,
 release the GIL, so ``_split`` runs their index ranges, while the caller
@@ -31,11 +32,6 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-
-try:
-    from threadpoolctl import threadpool_info, threadpool_limits
-except ImportError:  # pragma: no cover - optional dependency
-    threadpool_info = threadpool_limits = None
 
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _MIN_ENTRIES = 1 << 22  # kernel pairs, trig or MLP activation entries that pay for a hand-off
@@ -72,43 +68,28 @@ def _openblas() -> list[tuple]:
     return found
 
 
-def _pin():
-    """Limit BLAS to one thread; returns the call that restores it."""
-    if threadpool_limits is not None:
-        limits = threadpool_limits(limits=1, user_api="blas")
-        limits.__enter__()
-        return lambda: limits.__exit__(None, None, None)
-    libs = _openblas()
-    if not libs:
-        # one place and one text: the default filter shows it once per process
-        warnings.warn("no OpenBLAS found and threadpoolctl missing: BLAS threads stay as they are",
-                      RuntimeWarning)
-    saved = [get() for get, _ in libs]
-    for _, set_ in libs:
-        set_(1)
-
-    def unpin():
-        for (_, set_), n in zip(libs, saved):
-            set_(n)
-    return unpin
-
-
 _pin_lock = threading.Lock()
 _pin_depth = 0  # blocks inside single_threaded_blas, over all threads
-_unpin = None
+_saved: list[tuple] = []  # (set, threads) of each OpenBLAS at the first entry
 
 
 @contextmanager
 def single_threaded_blas():
-    """BLAS limited to one thread inside the block: threadpoolctl, else every loaded OpenBLAS.
+    """Every loaded OpenBLAS limited to one thread inside the block.
 
     The limit is process-wide, so blocks on several threads share one pin: the
     first entry takes it and the last exit restores the threads found then.
     """
-    global _pin_depth, _unpin
+    global _pin_depth, _saved
     with _pin_lock:
         if _pin_depth == 0:
-            _unpin = _pin()
+            libs = _openblas()
+            if not libs:
+                # one place and one text: the default filter shows it once per process
+                warnings.warn("no OpenBLAS found: BLAS threads stay as they are", RuntimeWarning)
+            _saved = [(set_, get()) for get, set_ in libs]
+            for set_, _ in _saved:
+                set_(1)
         _pin_depth += 1
     try:
         yield
@@ -116,7 +97,8 @@ def single_threaded_blas():
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                _unpin()
+                for set_, n in _saved:
+                    set_(n)
 
 
 def _pin_worker(cpus: list[int], order) -> None:
@@ -143,11 +125,7 @@ def _pool() -> ThreadPoolExecutor:
 def pinned_blas_threads() -> int | None:
     """BLAS threads inside ``single_threaded_blas``; None when no BLAS can be pinned."""
     with single_threaded_blas():
-        if threadpool_info is not None:
-            counts = [p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas"]
-        else:
-            counts = [get() for get, _ in _openblas()]
-    return max(counts, default=None)
+        return max((get() for get, _ in _openblas()), default=None)
 
 
 def _split(n: int, unit_entries: int, fn) -> None:

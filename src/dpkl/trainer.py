@@ -56,7 +56,7 @@ from .errors import (
     InsufficientData,
     InternalConsistencyError,
 )
-from .linalg import solve_chol
+from .linalg import BASE_JITTER, solve_chol
 from .threads import single_threaded_blas
 
 MODES = ("dpkl", "ssdpkl", "dkl")
@@ -96,8 +96,7 @@ class TrainConfig:
     # numerics and plumbing
     unlabeled_cap: int = 50000
     batch_size: int = 16  # classification only; regression is full-batch
-    # first rung of the Cholesky jitter ladder, for training and prediction alike
-    base_jitter: ClassVar[float] = 1e-8
+    base_jitter: ClassVar[float] = BASE_JITTER  # first rung of the Cholesky jitter ladder
 
     def validate(self) -> None:
         # NaN fails no comparison below, so non-finite floats are caught first

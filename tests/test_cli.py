@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import os
@@ -54,10 +53,8 @@ def expected_environment():
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "threadpoolctl_importable": threads.threadpool_limits is not None,
-        # the pinning holds BLAS to one thread, through threadpoolctl or the
-        # loaded OpenBLAS; unknown when neither is there
-        "blas_threads": 1 if threads.threadpool_info is not None or threads._openblas() else None,
+        # the pinning holds every loaded OpenBLAS to one thread; unknown without one
+        "blas_threads": 1 if threads._openblas() else None,
         "kernel_workers": threads._WORKERS,
     }
 
@@ -101,30 +98,9 @@ class TestTrain:
     def test_blas_threads_read_inside_the_pinning(self, monkeypatch):
         from dpkl import cli, threads
 
-        pinned = []
-
-        @contextlib.contextmanager
-        def limits(limits, user_api):
-            pinned.append(limits)
-            try:
-                yield
-            finally:
-                pinned.pop()
-
-        def info():
-            blas = {"user_api": "blas", "num_threads": pinned[-1] if pinned else 4}
-            return [blas, {"user_api": "openmp", "num_threads": 8}]
-
-        monkeypatch.setattr(threads, "threadpool_limits", limits)
-        monkeypatch.setattr(threads, "threadpool_info", info)
-        assert cli.environment()["blas_threads"] == 1
-        monkeypatch.setattr(threads, "threadpool_info", lambda: [])
-        assert cli.environment()["blas_threads"] is None  # no BLAS library found
-        # without threadpoolctl, the loaded OpenBLAS libraries are pinned and read
+        # the loaded OpenBLAS libraries are pinned and read
         counts = [4, 3]
         libs = [(lambda i=i: counts[i], lambda n, i=i: counts.__setitem__(i, n)) for i in (0, 1)]
-        monkeypatch.setattr(threads, "threadpool_limits", None)
-        monkeypatch.setattr(threads, "threadpool_info", None)
         monkeypatch.setattr(threads, "_openblas", lambda: libs)
         assert cli.environment()["blas_threads"] == 1
         assert counts == [4, 3]
@@ -362,6 +338,29 @@ class TestBenchmark:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert str(out / "results.csv") in record["message"]
+        assert (out / "results.csv").read_text() == old
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
+    # a crash mid-append leaves a short last row; a hand-edited file, cells
+    # that are not numbers
+    @pytest.mark.parametrize("bad", ["sine,dpkl,20", "sine,dpkl,20,0,x,0.5,1.0",
+                                     "sine,dpkl,20,0,5,0.5,1.0,2"],
+                             ids=["truncated", "non-integer-seed", "extra-cell"])
+    def test_malformed_results_row_is_exit_one_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch, bad):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_training", no_cell)
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        out.mkdir()
+        old = "dataset,mode,n,trial,seed,rmse,nll\nsine,dpkl,14,0,5,0.5,1.0\n" + bad
+        (out / "results.csv").write_text(old)
+        assert run(self.bench_args(data, out)) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"{out / 'results.csv'}: row 3 " in record["message"]
         assert (out / "results.csv").read_text() == old
         assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
 

@@ -7,6 +7,7 @@ from dpkl.data import (
     Dataset,
     SplitSpec,
     load_csv,
+    load_features,
     normalize,
     split,
     synth_blobs,
@@ -117,6 +118,23 @@ class TestLoadCsv:
             load_csv(p, "y")
         assert (err.value.row, err.value.col) == (2, col)
         assert str(err.value).startswith("row 2 has 3 cells")
+
+    # rows are numbered as they stand in the file: a blank line still counts
+    @pytest.mark.parametrize("body, row, col, message", [
+        ("a,y\n\n1,2\nx,4\n", 4, 1, "cell at row 4, column 1"),
+        ("a,y\n\n1,2\n3\n", 4, 2, "row 4 has 1 cells, expected 2"),
+    ], ids=["bad-cell", "short-row"])
+    @pytest.mark.parametrize("reader", [lambda p: load_csv(p, "y"),
+                                        lambda p: load_features(p, "y")],
+                             ids=["load_csv", "load_features"])
+    def test_rows_after_a_blank_line_are_named_by_file_row(self, tmp_path, reader, body, row,
+                                                           col, message):
+        p = tmp_path / "blank.csv"
+        p.write_text(body)
+        with pytest.raises(ParseError) as err:
+            reader(p)
+        assert (err.value.row, err.value.col) == (row, col)
+        assert message in str(err.value)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -1,5 +1,5 @@
-"""dpkl.threads: BLAS pinning without threadpoolctl, in training and in library
-prediction, and the placement of the kernel workers on the CPUs of the
+"""dpkl.threads: BLAS pinning through the loaded OpenBLAS, in training and in
+library prediction, and the placement of the kernel workers on the CPUs of the
 affinity mask; no other thread is moved."""
 
 import os
@@ -22,12 +22,10 @@ pytestmark = pytest.mark.skipif(
 
 # A paper-size rff fit (m = 50, q = 100, 45 training rows: its trig loops split
 # over the workers) and a short exact fit; prints each one's trained particles'
-# digest. threadpoolctl is hidden, so BLAS is pinned through the OpenBLAS
-# fallback. An argument sets the kernel worker count.
+# digest. An argument sets the kernel worker count.
 DIGESTS = textwrap.dedent(
     """
     import hashlib, sys
-    sys.modules["threadpoolctl"] = None
     from dpkl import threads
     from dpkl.data import synth_regression
     from dpkl.trainer import TrainConfig, TrainData, fit
@@ -64,7 +62,7 @@ def reference_digests():
     return trained_digests(1)
 
 
-def test_blas_threads_do_not_change_results_without_threadpoolctl(reference_digests):
+def test_blas_threads_do_not_change_results(reference_digests):
     assert trained_digests(2) == reference_digests
 
 
@@ -77,12 +75,11 @@ def test_worker_count_does_not_change_results(reference_digests, workers):
     assert trained_digests(1, workers=workers) == reference_digests
 
 
-def test_openblas_fallback_pins_and_restores(monkeypatch):
+def test_openblas_pin_takes_one_thread_and_restores():
     libs = threads._openblas()
     if not libs:
         pytest.skip("no OpenBLAS loaded")
     assert threads._openblas() is libs  # looked up once per process
-    monkeypatch.setattr(threads, "threadpool_limits", None)
     before = [get() for get, _ in libs]
     with threads.single_threaded_blas():
         assert [get() for get, _ in libs] == [1] * len(libs)
@@ -94,7 +91,6 @@ def test_overlapping_blocks_on_two_threads_share_one_pin(monkeypatch):
     # A enters, B enters, A leaves, B reads and leaves: B stays pinned after A
     # leaves, and the threads found at the first entry come back after the last
     counts = [2]
-    monkeypatch.setattr(threads, "threadpool_limits", None)
     libs = [(lambda: counts[0], lambda n: counts.__setitem__(0, n))]
     monkeypatch.setattr(threads, "_openblas", lambda: libs)
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
@@ -122,13 +118,11 @@ def test_overlapping_blocks_on_two_threads_share_one_pin(monkeypatch):
     assert counts == [2]
 
 
-# Library prediction, called outside any fit, with BLAS at two threads and
-# threadpoolctl hidden: prints the most OpenBLAS threads seen by the GP
-# posterior of predict_regression and by the logits of predict_probs.
+# Library prediction, called outside any fit, with BLAS at two threads: prints
+# the most OpenBLAS threads seen by the GP posterior of predict_regression and
+# by the logits of predict_probs.
 PREDICT_BLAS = textwrap.dedent(
     """
-    import sys
-    sys.modules["threadpoolctl"] = None
     import numpy as np
     from dpkl import classify, gp, net, threads
     from dpkl.kernels import LatentKernelSpec
@@ -165,6 +159,49 @@ def test_library_prediction_runs_one_blas_thread():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["1", "1"]
+
+
+# A fit and a `dpkl train`, with BLAS at two threads and a threadpoolctl that
+# raises on import first on sys.path: prints the most OpenBLAS threads seen by
+# the fit's epochs, the report's blas_threads, whether threadpoolctl was
+# imported, and where it would be imported from.
+NO_THREADPOOLCTL = textwrap.dedent(
+    """
+    import importlib.util, json, sys
+    from pathlib import Path
+    from dpkl import cli, threads
+    from dpkl.data import synth_regression
+    from dpkl.trainer import TrainConfig, TrainData, fit
+
+    data, out = sys.argv[1:]
+    seen = []
+    ds = synth_regression("sine", n=20, D=1, noise_std=0.1, seed=0)
+    fit(TrainData(ds.X, ds.y), TrainConfig(m=2, q=8, hidden_dims=(4,), max_epochs=2, seed=0),
+        trajectory_hook=lambda e, ens: seen.append(max(get() for get, _ in threads._openblas())))
+    assert cli.main(["train", "--data", data, "--target", "y", "--n-labeled", "20", "--m", "2",
+                     "--q", "8", "--max-epochs", "1", "--hidden-dims", "4", "--out", out]) == 0
+    env = json.loads(Path(out, "report.json").read_text())["environment"]
+    print(max(seen), env["blas_threads"], "threadpoolctl" in sys.modules,
+          importlib.util.find_spec("threadpoolctl").origin)
+    """
+)
+
+
+def test_pin_never_imports_threadpoolctl(tmp_path):
+    if not threads._openblas():
+        pytest.skip("no OpenBLAS loaded")
+    stub = tmp_path / "stub" / "threadpoolctl.py"
+    stub.parent.mkdir()
+    stub.write_text("raise RuntimeError('threadpoolctl imported')\n")
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(stub.parent), src, os.environ.get("PYTHONPATH", "")]))
+    data = write_sine_csv(tmp_path / "sine.csv", 30)
+    result = subprocess.run([sys.executable, "-c", NO_THREADPOOLCTL, str(data),
+                             str(tmp_path / "run")], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["1", "1", "False", str(stub)]
 
 
 def write_sine_csv(path, n):
