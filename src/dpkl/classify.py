@@ -32,25 +32,25 @@ from .trainer import (
     RunReport,
     TrainConfig,
     TrainData,
-    _check_train_data,
     _kappa_matrix,  # noqa: F401 -- perfbench's tracer test reads classify._kappa_matrix
     _require_finite,
+    _start,
     _train_epochs,
-    _validation_split,
-    derive_seeds,
     functional_gradient_step,
 )
 
 
 @dataclass
 class SoftmaxHead:
-    """Per-particle class-weight vectors: thetas is (m, C, d), thetas[l] is (C, d)."""
+    """Per-particle class-weight vectors: thetas is (m, C, d), thetas[l] is (C, d).
+    A NaN or inf weight is a ValueError."""
 
     C: int
     thetas: np.ndarray
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=np.float64)
+        require_finite_input(thetas=self.thetas)
 
     @property
     def m(self) -> int:
@@ -187,12 +187,10 @@ def fit_classifier(
     needs anyway.
     """
     config.validate()
-    _check_train_data(data)
     if config.mode == "ssdpkl":
         raise ConfigError("ssdpkl applies to regression only")
     t_start = time.perf_counter()
-    X = np.asarray(data.X, dtype=np.float64)
-    labels = np.asarray(data.y)
+    labels = data.y
     # one_hot would index a negative label from the last class
     if not np.all((labels == labels.astype(np.int64)) & (labels >= 0)):
         raise ConfigError("classification targets must be non-negative integer class labels")
@@ -201,15 +199,9 @@ def fit_classifier(
     if C < 2:
         raise InsufficientData("need at least two classes in the training data")
 
-    seeds = derive_seeds(config.seed)
-    tr_idx, val_idx = _validation_split(X.shape[0], config.val_fraction, seeds["val_split"])
-    X_tr, y_tr = X[tr_idx], labels[tr_idx]
-    X_val, y_val = X[val_idx], labels[val_idx]
-
-    arch = config.architecture(X.shape[1])
-    init = net.init_ensemble(arch, config.m, seeds["init"])
+    seeds, (X_tr, y_tr), (X_val, y_val), init = _start(data, config, labels)
     W = np.hstack([init.flat(), init_head(C, config.latent_dim, config.m, seeds["rff"]).flat()])
-    ensemble, head = _joint_views(arch, C, W, init.seed)
+    ensemble, head = _joint_views(init.arch, C, W, init.seed)
     opt = AdamState.zeros(*W.shape)
     n_tr = X_tr.shape[0]
     bs = min(config.batch_size, n_tr)
@@ -235,4 +227,4 @@ def fit_classifier(
         "classification", config, W, opt, run_epoch, val_accuracy, operator.gt, hook
     )
     report.total_seconds = time.perf_counter() - t_start
-    return (*_joint_views(arch, C, best, init.seed), report)
+    return (*_joint_views(init.arch, C, best, init.seed), report)

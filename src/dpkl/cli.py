@@ -68,11 +68,14 @@ def _fmt_cell(v):
     return v
 
 
-def write_csv(path, header, rows) -> None:
-    """Comma-delimited UTF-8 with a header row; floats use shortest repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path, header, rows, append=False) -> None:
+    """Comma-delimited UTF-8 with a header row; floats use shortest repr.
+    With append, the rows go after an existing file's, which keeps its header."""
+    new_file = not (append and Path(path).exists())
+    with open(path, "w" if new_file else "a", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        if new_file:
+            w.writerow(header)
         for row in rows:
             w.writerow([_fmt_cell(v) for v in row])
 
@@ -284,17 +287,18 @@ def _run_training(
 # ---------------------------------------------------------------------------
 
 
+def _load_data(args) -> Dataset:
+    """The --data CSV with its --target column, as train and benchmark read it."""
+    if args.data is None or args.target is None:
+        raise ConfigError("--data and --target are required")
+    return load_csv(args.data, args.target, delimiter=args.delimiter,
+                    has_header=not args.no_header, skip_bad_rows=args.skip_bad_rows)
+
+
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
     task, data_path, target = args.task, args.data, args.target
-    if data_path is None or target is None:
-        raise ConfigError("--data and --target are required")
-
-    ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
-                  skip_bad_rows=args.skip_bad_rows)
-    if cfg.mode == "ssdpkl" and args.n_unlabeled == 0:
-        raise ConfigError("ssdpkl mode needs --n-unlabeled > 0")
-
+    ds = _load_data(args)
     ensemble, head, report, metrics, labeled_n, test_n, stats = _run_training(
         ds, cfg, task, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
         n_test=args.n_test, normalize_features=not args.no_normalize_features,
@@ -386,8 +390,6 @@ _BENCH_HEADER = ["dataset", "mode", "n", "trial", "seed", "rmse", "nll"]
 
 def cmd_benchmark(args) -> int:
     data_path, target = args.data, args.target
-    if data_path is None or target is None:
-        raise ConfigError("--data and --target are required")
     sizes, trials, n_unlabeled, workers = args.sizes, args.trials, args.n_unlabeled, args.workers
     modes = args.modes
     base_seed = TrainConfig.seed if args.seed is None else args.seed
@@ -398,9 +400,10 @@ def cmd_benchmark(args) -> int:
                 for v in dict.fromkeys(values) if values.count(v) > 1]
     if repeated:  # a repeated cell would train twice and read as two trials
         raise ConfigError(f"repeated grid entries: {', '.join(repeated)}")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
 
-    ds = load_csv(data_path, target, delimiter=args.delimiter, has_header=not args.no_header,
-                  skip_bad_rows=args.skip_bad_rows)
+    ds = _load_data(args)
     dataset_name = Path(str(data_path)).stem
     n_test = args.n_test
     if n_test is None:
@@ -456,13 +459,7 @@ def cmd_benchmark(args) -> int:
 
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    new_file = not results_path.exists()
-    with open(results_path, "a", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if new_file:
-            w.writerow(_BENCH_HEADER)
-        for row in rows:
-            w.writerow([_fmt_cell(v) for v in row])
+    write_csv(results_path, _BENCH_HEADER, rows, append=True)
 
     # summary covers the whole results file, in its row order: mean and 1-std
     # error bars (a float written with repr reads back equal)
@@ -648,7 +645,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         _error_record(type(exc).__name__, str(exc))
         return 2
-    except (DpklError, FileNotFoundError, ValueError) as exc:
+    except (DpklError, OSError, ValueError) as exc:
         _error_record(type(exc).__name__, str(exc))
         return 1
     except Exception as exc:  # anything else is an internal failure

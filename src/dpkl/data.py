@@ -131,7 +131,11 @@ def load_csv(
     """
     names, rows = _read_table(path, delimiter, has_header)
     if isinstance(target_column, int) or not has_header:
-        t_idx = int(target_column)
+        try:
+            t_idx = int(target_column)
+        except ValueError:
+            raise MissingTarget(f"target column {target_column!r} is not a column index, "
+                                "as a file without a header needs") from None
     elif target_column in names:
         t_idx = names.index(target_column)
     else:

@@ -63,8 +63,9 @@ class LatentKernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.amplitude < np.inf and 0 < self.bandwidth < np.inf):
-            raise ValueError("amplitude and bandwidth must be positive and finite")
+        for name in ("amplitude", "bandwidth"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import require_finite_input
 from .errors import DimensionMismatch
 from .threads import _split
 
@@ -64,12 +65,13 @@ class MlpArchitecture:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise ValueError("input_dim and latent_dim must be >= 1")
+        for name in ("input_dim", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden dims must be >= 1")
+            raise ValueError(f"hidden_dims must all be >= 1, got {tuple(self.hidden_dims)}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
     @property
@@ -89,7 +91,7 @@ class ParticleEnsemble:
     The (m, P) float64 matrix is the only storage: ``flat()`` returns it live,
     so an in-place update of the matrix is what every forward pass reads. Row
     l is particle l's parameter vector: per layer, the (out, in) weights
-    row-major, then the bias.
+    row-major, then the bias. A NaN or inf parameter is a ValueError.
     """
 
     def __init__(self, arch: MlpArchitecture, flat: np.ndarray, seed: int):
@@ -98,6 +100,7 @@ class ParticleEnsemble:
             raise DimensionMismatch(
                 f"particle matrix has shape {flat.shape}, expected (m, {arch.num_params})"
             )
+        require_finite_input(particles=flat)
         self.arch = arch
         self.seed = seed
         self._flat = flat

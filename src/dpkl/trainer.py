@@ -108,20 +108,19 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.kernel_mode not in KERNEL_MODES:
             raise ConfigError(f"kernel_mode must be one of {KERNEL_MODES}")
-        for name in ("m", "q", "latent_dim", "early_stop_check_every", "unlabeled_cap",
-                     "batch_size"):
+        for name in ("m", "q", "early_stop_check_every", "unlabeled_cap", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError(f"hidden_dims must all be >= 1, got {tuple(self.hidden_dims)}")
-        if self.activation not in net.ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {net.ACTIVATIONS}, "
-                              f"got {self.activation!r}")
+        # the latent map's and the kernel's own checks, as config errors
+        try:
+            self.architecture(1)
+            self.kernel_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.mode == "dkl" and self.m != 1:
             raise ConfigError("dkl mode forces m = 1")
-        for name in ("learning_rate", "amplitude", "bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
         if self.noise_var < 0:
@@ -139,24 +138,24 @@ class TrainConfig:
 
 
 @dataclass
-class TrainData:
-    """Labeled inputs/targets, plus an optional unlabeled pool for ssdpkl."""
+class TrainData(Dataset):
+    """Labeled inputs/targets, plus an optional unlabeled pool for ssdpkl.
 
-    X: np.ndarray
-    y: np.ndarray
+    Construction rejects what no fit can train on, as a user error: X and y
+    get Dataset's checks (DimensionMismatch when their rows differ, ValueError
+    for a NaN or inf), and the pool must be finite too, with X's columns.
+    """
+
     X_unlabeled: np.ndarray | None = None
 
-
-def _check_train_data(data: TrainData) -> None:
-    """Reject what no fit can train on, as a user error. X and y get Dataset's
-    checks: DimensionMismatch when their rows differ, ValueError for a NaN or
-    inf. The pool must be finite too, with X's columns."""
-    X = Dataset(data.X, data.y).X
-    if data.X_unlabeled is not None:
-        pool = np.asarray(data.X_unlabeled)
-        if pool.shape[1:] != X.shape[1:]:
-            raise DimensionMismatch(f"pool has shape {pool.shape}, X has {X.shape[1]} columns")
-        require_finite_input(X_unlabeled=pool)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.X_unlabeled is not None:
+            self.X_unlabeled = np.asarray(self.X_unlabeled, dtype=np.float64)
+            if self.X_unlabeled.shape[1:] != self.X.shape[1:]:
+                raise DimensionMismatch(f"pool has shape {self.X_unlabeled.shape}, "
+                                        f"X has {self.dim} columns")
+            require_finite_input(X_unlabeled=self.X_unlabeled)
 
 
 def derive_seeds(seed: int) -> dict[str, int]:
@@ -231,7 +230,7 @@ def _objective_core(
     run the same algebra on an empty one, whose zero-size blocks add exact zeros.
     """
     spec = config.kernel_spec()
-    X_lab = np.asarray(data.X, dtype=np.float64)
+    X_lab = data.X
     y = np.asarray(data.y, dtype=np.float64).reshape(-1)
     n_l = X_lab.shape[0]
     if config.mode == "ssdpkl":
@@ -473,6 +472,16 @@ def _validation_split(n: int, val_fraction: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
+def _start(data: TrainData, config: TrainConfig, y: np.ndarray):
+    """The start-up of ``fit`` and ``fit_classifier``: (seeds, (X_tr, y_tr),
+    (X_val, y_val), initial ensemble). The validation set is the last
+    ceil(val_fraction * n) rows of a seeded shuffle of (data.X, y)."""
+    seeds = derive_seeds(config.seed)
+    tr_idx, val_idx = _validation_split(data.n, config.val_fraction, seeds["val_split"])
+    ensemble = net.init_ensemble(config.architecture(data.dim), config.m, seeds["init"])
+    return seeds, (data.X[tr_idx], y[tr_idx]), (data.X[val_idx], y[val_idx]), ensemble
+
+
 def _train_epochs(task, config, W, opt, run_epoch, val_metric, better, hook):
     """The epoch loop of ``fit`` and ``fit_classifier``; returns (best copy of W, report).
 
@@ -525,31 +534,22 @@ def fit(
 ) -> tuple[net.ParticleEnsemble, RunReport]:
     """Run the full training loop and return the best-validation snapshot.
 
-    The validation set is the last ceil(val_fraction * n) points of a seeded
-    shuffle of the labeled data. Validation NLL is checked at epoch 0, every
-    early_stop_check_every epochs, and at the last epoch; the best snapshot is
-    returned, never one worse than epoch 0. Deterministic given config.seed.
-    Raises EmptyUnlabeledSet for ssdpkl without a pool, even at zero epochs.
-    BLAS runs one thread.
+    Validation NLL is checked at epoch 0, every early_stop_check_every
+    epochs, and at the last epoch; the best snapshot is returned, never one
+    worse than epoch 0. Deterministic given config.seed. Raises
+    EmptyUnlabeledSet for ssdpkl without a pool, even at zero epochs. BLAS
+    runs one thread.
     """
     config.validate()
-    _check_train_data(data)
     if config.mode == "ssdpkl" and (data.X_unlabeled is None or len(data.X_unlabeled) == 0):
         raise EmptyUnlabeledSet("ssdpkl mode needs a non-empty unlabeled pool")
     t_start = time.perf_counter()
-    X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64).reshape(-1)
-    seeds = derive_seeds(config.seed)
-    tr_idx, val_idx = _validation_split(X.shape[0], config.val_fraction, seeds["val_split"])
-    X_tr, y_tr = X[tr_idx], y[tr_idx]
-    X_val, y_val = X[val_idx], y[val_idx]
-
+    seeds, (X_tr, y_tr), (X_val, y_val), ensemble = _start(data, config, y)
     spec = config.kernel_spec()
-    arch = config.architecture(X.shape[1])
-    ensemble = net.init_ensemble(arch, config.m, seeds["init"])
     W = ensemble.flat()
     basis = _rff_basis_for(config) if config.kernel_mode == "rff" else None
-    opt = AdamState.zeros(config.m, arch.num_params)
+    opt = AdamState.zeros(*W.shape)
     # One gradient buffer for every epoch. A fresh one, freed at each epoch's
     # end next to the step's phi, let glibc trim the heap top and fault about
     # 6 MB back in every epoch at the paper sizes.
@@ -579,4 +579,4 @@ def fit(
         "regression", config, W, opt, run_epoch, val_metric, operator.lt, hook
     )
     report.total_seconds = time.perf_counter() - t_start
-    return net.ParticleEnsemble(arch, best, ensemble.seed), report
+    return net.ParticleEnsemble(ensemble.arch, best, ensemble.seed), report

@@ -168,9 +168,12 @@ class TestMalformed:
         ("normalization", lambda doc: doc["normalization"].update(y_std=-2.0)),
         ("noise_var", lambda doc: doc.update(noise_var=-1.0)),
         ("head", lambda doc: doc["head"]["thetas"].pop()),
+        # a non-finite parameter would predict NaN rows with exit 0
+        ("ensemble", lambda doc: doc["ensemble"]["particles"][1].__setitem__(2, float("nan"))),
+        ("head", lambda doc: doc["head"]["thetas"][1].__setitem__(2, float("inf"))),
     ], ids=["particle-rows-short", "train-X-extra-column", "train-y-short", "x-mean-long",
             "x-std-zero", "y-std-zero", "y-std-negative", "noise-var-negative",
-            "head-particles-short"])
+            "head-particles-short", "particle-nan", "head-weight-inf"])
     def test_inconsistent_field_is_named_and_exit_one(self, tmp_path, capsys, field, mutate):
         task = "classification" if field == "head" else "regression"
         path = tmp_path / "ckpt.json"

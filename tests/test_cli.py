@@ -114,7 +114,8 @@ class TestTrain:
                     "--mode", "ssdpkl", "--out", tmp_path / "run", *FAST])
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "ConfigError"
+        # fit's rule is the only one: the empty pool reaches it
+        assert record["error"] == "EmptyUnlabeledSet"
 
     def test_dkl_with_extra_particles_fails(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "sine.csv")
@@ -445,6 +446,14 @@ class TestBenchmark:
         assert named in record["message"]
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_exit_one_before_reading_data(self, tmp_path, capsys,
+                                                                     workers):
+        assert run(self.bench_args(tmp_path / "nope.csv", tmp_path / "bench", workers)) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and "--workers" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         out1, out3 = tmp_path / "b1", tmp_path / "b3"
@@ -660,6 +669,33 @@ class TestExitCodes:
         assert record["error"] == "ConfigError"
         assert "'learning_rat'" in record["message"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("error, argv", [
+        ("FileExistsError", lambda data, ckpt, path: [
+            "train", "--data", data, "--target", "y", "--n-labeled", "20", "--out", path, *FAST]),
+        ("IsADirectoryError", lambda data, ckpt, path: [
+            "predict", "--checkpoint", path, "--data", data, "--out", f"{path}.csv"]),
+        ("IsADirectoryError", lambda data, ckpt, path: [
+            "predict", "--checkpoint", ckpt, "--data", path, "--out", f"{path}.csv"]),
+    ], ids=["out-is-a-file", "checkpoint-is-a-directory", "data-is-a-directory"])
+    def test_path_error_is_exit_one(self, trained, tmp_path, capsys, error, argv):
+        data, ckpt = trained
+        path = tmp_path / "taken"
+        if error == "FileExistsError":
+            path.write_text("not a directory\n")
+        else:
+            path.mkdir()
+        assert run(argv(data, ckpt, path)) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error
+
+    def test_headerless_target_must_be_an_index(self, tmp_path, capsys):
+        data = tmp_path / "plain.csv"
+        data.write_text("".join(f"{i / 30},{i % 7}\n" for i in range(30)))
+        code = run(["train", "--data", data, "--no-header", "--target", "y",
+                    "--n-labeled", "20", "--out", tmp_path / "run", *FAST])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "MissingTarget" and "'y'" in record["message"]
 
     def test_unexpected_exception_is_exit_two(self, tmp_path, capsys, monkeypatch):
         from dpkl import cli

@@ -709,6 +709,8 @@ class TestConfigValidation:
 
 
 FITS = [
+    # TrainData raises as it is built, before either fit is called
+    pytest.param(lambda data: data, id="construction"),
     pytest.param(lambda data: fit(data, tiny_config(max_epochs=1)), id="fit"),
     pytest.param(lambda data: classify.fit_classifier(data, tiny_config(max_epochs=1)),
                  id="fit_classifier"),
@@ -722,7 +724,8 @@ def labeled_rows(n=30):
 
 @pytest.mark.parametrize("fit_fn", FITS)
 class TestInputChecks:
-    """Both fits reject mismatched or non-finite input before training, as user errors."""
+    """TrainData, and so both fits, reject mismatched or non-finite input before
+    training, as user errors."""
 
     @pytest.mark.parametrize("n_x, n_y", [(25, 30), (30, 25)])
     def test_row_counts_must_match(self, fit_fn, n_x, n_y):
@@ -743,6 +746,14 @@ class TestInputChecks:
         arrays[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} contains NaN or inf"):
             fit_fn(TrainData(**arrays))
+
+
+def test_train_data_copies_no_float64_array():
+    # each fit builds one per epoch
+    X, y = labeled_rows()
+    y = y.astype(float)
+    data = TrainData(X, y, X[:5])
+    assert data.X is X and data.y is y and np.shares_memory(data.X_unlabeled, X)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
