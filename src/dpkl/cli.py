@@ -31,6 +31,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DpklError,
+    EmptyUnlabeledSet,
     InternalConsistencyError,
 )
 from .threads import single_threaded_blas
@@ -287,6 +288,15 @@ def _run_training(
 # ---------------------------------------------------------------------------
 
 
+def _out_dir(args) -> Path:
+    """--out, refused before any data is read if it or its nearest existing parent is no directory."""
+    out_dir = Path(args.out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise FileExistsError(f"--out {out_dir}: {existing} exists and is not a directory")
+    return out_dir
+
+
 def _load_data(args) -> Dataset:
     """The --data CSV with its --target column, as train and benchmark read it."""
     if args.data is None or args.target is None:
@@ -298,6 +308,7 @@ def _load_data(args) -> Dataset:
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
     task, data_path, target = args.task, args.data, args.target
+    out_dir = _out_dir(args)
     ds = _load_data(args)
     ensemble, head, report, metrics, labeled_n, test_n, stats = _run_training(
         ds, cfg, task, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
@@ -321,7 +332,6 @@ def cmd_train(args) -> int:
         config=resolved,
         version=version,
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.json"
     save_checkpoint(ckpt_path, ckpt)
@@ -356,6 +366,10 @@ def cmd_predict(args) -> int:
     target = args.target if args.target is not None else ckpt.target_column
     D = ckpt.ensemble.arch.input_dim
     X = load_features(args.data, target, args.delimiter, not args.no_header)
+    if X.shape[1] != D and args.no_header and args.target is None and not str(target).isdigit():
+        # "0".."k-1" name a headerless file's columns: the target dropped none
+        raise ConfigError(f"checkpoint target column {target!r} names no column of a file without "
+                          "a header, so none was dropped; give --target as a 0-based index")
     if X.shape[1] != D:
         raise CheckpointError(
             f"query has {X.shape[1]} feature columns, checkpoint expects {D}"
@@ -402,6 +416,10 @@ def cmd_benchmark(args) -> int:
         raise ConfigError(f"repeated grid entries: {', '.join(repeated)}")
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
+    if "ssdpkl" in modes and n_unlabeled < 1:  # fit's own rule, before any cell trains
+        raise EmptyUnlabeledSet(f"ssdpkl mode needs a non-empty unlabeled pool, "
+                                f"got --n-unlabeled {n_unlabeled}")
+    out_dir = _out_dir(args)
 
     ds = _load_data(args)
     dataset_name = Path(str(data_path)).stem
@@ -423,7 +441,6 @@ def cmd_benchmark(args) -> int:
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]
 
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]
-    out_dir = Path(args.out)
     results_path = out_dir / "results.csv"
     previous = []  # an earlier run's rows: resumed, and summarized with this run's
     if results_path.exists():

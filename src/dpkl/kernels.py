@@ -4,13 +4,13 @@ A point x maps, through every particle, to a cloud of latent points; the
 distributional kernel between two points is the double particle-average of a
 base RBF kernel over their clouds. Two evaluation routes are provided:
 
-* exact: the full double sum over all m^2 n_a n_b pairs of particle images,
-  one route built from cache-sized blocks, each worker range filling its own
-  buffer. A pair costs one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a
-  clamp, a reduction). The backward chain builds each particle pair's block
-  once, m(m+1)/2 n^2 pairs in rows x columns tiles, and takes both the
-  block's row and its column sums from it. Working memory is
-  O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
+* exact: the double sum over the m^2 n_a n_b pairs of particle images, in
+  cache-sized blocks, each worker range filling its own buffer. A pair costs
+  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). On
+  one point set the training Gram and the backward chain share one tile loop
+  over the m(m+1)/2 n^2 pairs of particles l <= l': the Gram adds each
+  block and its transpose, the chain its row and its column sums. Working
+  memory is O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
@@ -20,7 +20,7 @@ output entry keeps its one-worker operations: by row blocks; by rows with every
 GEMM run whole in ``rff_feature_matrix`` (OpenBLAS can round a row differently
 in a product of fewer rows); by particles in the rff cotangent chain; by a
 fixed number of particle chunks, each summing into its own accumulator, in the
-exact one. The rff loops take their particles in groups: one stacked
+exact tile loop. The rff loops take their particles in groups: one stacked
 ``np.matmul`` (one GEMM a particle, as a per-particle loop makes) and one cos
 or sin over the group's phases, summed into R in particle order.
 """
@@ -46,12 +46,12 @@ _TRIG_ENTRIES = 1 << 20
 # A trig entry against threads._MIN_ENTRIES: cos and sin take about 26 ns an
 # entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
 _TRIG_COST = 1 << 8
-# Particle chunks of the exact cotangent chain: a constant, never the worker
-# count, so each chunk's sums, and their order, are the same at any count.
+# Particle chunks of the exact tile loop: a constant, never the worker count,
+# so each chunk's sums, and their order, are the same at any count.
 _CHUNKS = 2
-# A cotangent pair against threads._MIN_ENTRIES: an exp, a Csym product and
-# two inner-size d+1 GEMMs take about 3 ns a pair, so the 45-row paper chain
-# (1.3 million pairs a chunk) pays for a hand-off and a 30-row one does not.
+# A pair of the exact tile loop against threads._MIN_ENTRIES: the chain's exp,
+# Csym product and two inner-size d+1 GEMMs take about 3 ns, so the 45-row
+# paper loop (1.3 million pairs a chunk) pays for a hand-off, a 30-row one not.
 _PAIR_COST = 1 << 2
 
 
@@ -270,6 +270,67 @@ def rff_embedding_cotangents(
     return G
 
 
+def _tile_steps(m: int, n: int) -> tuple[int, int]:  # rows, columns of a _pair_tiles tile
+    rows_step = min(n, max(1, math.isqrt(_BLOCK_ENTRIES)))
+    return rows_step, min(m * n, max(1, _BLOCK_ENTRIES // rows_step))
+
+
+def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile) -> None:
+    """Run ``tile(k, l, r0, c0, E)`` on every exp tile of the particle pairs l <= l'.
+
+    E[i, c] = k(z_{r0+i}^(l), B_{c0+c}) / amplitude, B the (m n, d) stack of all
+    images: particle l's rows against the columns of particles l' >= l, in
+    tiles within _BLOCK_ENTRIES (square once n rows exceed it, so a tile's
+    column sums stay one inner-size-rows product), one GEMM and one exp each.
+    _CHUNKS fixed chunks k of whole particles, balanced by the m - l blocks
+    particle l owns, run on _split, their tiles in one order: a consumer that
+    sums chunk k into its own accumulator gets the same bits at any worker
+    count. E is reused once tile returns.
+    """
+    m, n, d = embeddings.shape
+    left = _augment(spec, embeddings)[0]
+    right_T = np.ascontiguousarray(_augment(spec, embeddings.reshape(-1, d))[1].T)
+    rows_step, cols_step = _tile_steps(m, n)
+    owned = np.cumsum(np.arange(m, 0, -1))
+    cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1, m]
+    def fill(k0, k1):  # the particles of chunks k0..k1-1
+        buf = np.empty(rows_step * cols_step)
+        for k in range(k0, k1):
+            for l in range(cuts[k], cuts[k + 1]):
+                for r0 in range(0, n, rows_step):
+                    r1 = min(r0 + rows_step, n)
+                    for c0 in range(l * n, m * n, cols_step):
+                        c1 = min(c0 + cols_step, m * n)
+                        E = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                        np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=E)
+                        tile(k, l, r0, c0, _exp_nonpositive(E))
+    _split(_CHUNKS, int(owned[-1]) * n * n // _CHUNKS * _PAIR_COST, fill)
+
+
+def _exact_gram(spec: LatentKernelSpec, embeddings: np.ndarray) -> np.ndarray:
+    """empirical_kernel_exact from the particle pairs l <= l' of _pair_tiles.
+
+    A chunk sums A = sum_l E_ll / 2 + sum_{l<l'} E_ll' into its own (n, n)
+    array, a tile's columns folded onto c mod n: the whole particles in it by
+    one ones-vector product, the cut ends of a particle by a slice each. K =
+    (A + A^T) amplitude / m^2 is symmetric by construction and agrees with the
+    full build to round-off, its pairs summed in another order.
+    """
+    m, n, _ = embeddings.shape
+    A, ones = np.zeros((_CHUNKS, n, n)), np.ones(m)
+    def tile(k, l, r0, c0, E):
+        E[:, : max(0, (l + 1) * n - c0)] *= 0.5  # the (l, l) block, which A + A^T adds twice
+        out, a = A[k, r0 : r0 + len(E)], c0 % n
+        h = min(E.shape[1], -c0 % n)  # the end of a particle cut at c0
+        w = h + (E.shape[1] - h) // n * n  # then whole particles, then a cut start
+        out[:, a : a + h] += E[:, :h]
+        out += ones[: (w - h) // n] @ E[:, h:w].reshape(len(E), -1, n)
+        out[:, : E.shape[1] - w] += E[:, w:]
+    _pair_tiles(spec, embeddings, tile)
+    A = A.sum(axis=0)
+    return (A + A.T) * (spec.amplitude / m**2)
+
+
 def kernel_embedding_cotangents(
     spec: LatentKernelSpec,
     embeddings: np.ndarray,
@@ -283,14 +344,12 @@ def kernel_embedding_cotangents(
 
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
 
-    Each particle pair's block is built once: particle l's rows against the
-    columns of particles l' >= l. A pair (i, c) of weight M_ic = k(z_i, B_c)
-    Csym_ic adds M_ic (z_i - B_c) to row i's sum and, as Csym is symmetric and
-    dk/db = -dk/da, M_ic (B_c - z_i) to column c's when c is in another
-    particle. Both are sums of M [B, 1] rows, so one (m n, d+1) accumulator
-    A = [sum M B, sum M] gives G = A[:, d] z - A[:, :d]. The particles go in
-    _CHUNKS fixed chunks, each summing into its own A, and the chunks' A are
-    added in chunk order, so every entry is the same at any worker count.
+    Each particle pair's block is built once, by _pair_tiles. A pair (i, c)
+    of weight M_ic = k(z_i, B_c) Csym_ic adds M_ic (z_i - B_c) to row i's sum
+    and, as Csym is symmetric and dk/db = -dk/da, M_ic (B_c - z_i) to column
+    c's when c is in another particle. Both are sums of M [B, 1] rows, so one
+    (m n, d+1) accumulator A = [sum M B, sum M] a chunk gives G = A[:, d] z -
+    A[:, :d], the chunks' A added in chunk order.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
@@ -299,43 +358,25 @@ def kernel_embedding_cotangents(
         raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n)}")
     B = embeddings.reshape(-1, d)
     B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
-    left = _augment(spec, embeddings)[0]
-    right_T = np.ascontiguousarray(_augment(spec, B)[1].T)
-    # tiles of rows x columns within _BLOCK_ENTRIES, square once n rows exceed
-    # it, so each tile's column sums stay one inner-size-rows product
-    rows_step = min(n, max(1, math.isqrt(_BLOCK_ENTRIES)))
-    cols_step = min(m * n, max(1, _BLOCK_ENTRIES // rows_step))
     # Csym repeated along its columns: a tile from column c0 takes the
     # cols_step columns from c0 mod n, cut inside a particle or not
-    Csym = np.empty((n, n + cols_step - 1))
+    Csym = np.empty((n, n + _tile_steps(m, n)[1] - 1))
     np.add(C, C.T, out=Csym[:, :n])
     c = n
     while c < Csym.shape[1]:  # doubling the filled columns each copy
         w = min(c, Csym.shape[1] - c)
         Csym[:, c : c + w] = Csym[:, :w]
         c += w
-    # whole particles a chunk, balanced by the m - l pair blocks particle l owns
-    owned = np.cumsum(np.arange(m, 0, -1))
-    cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1, m]
     A = np.zeros((_CHUNKS, m * n, d + 1))
-    def fill(k0, k1):  # the particles of chunks k0..k1-1
-        buf = np.empty(rows_step * cols_step)
-        for k in range(k0, k1):
-            for l in range(cuts[k], cuts[k + 1]):
-                for r0 in range(0, n, rows_step):
-                    r1 = min(r0 + rows_step, n)
-                    rows = slice(l * n + r0, l * n + r1)  # of A and B1
-                    for c0 in range(l * n, m * n, cols_step):
-                        c1 = min(c0 + cols_step, m * n)
-                        M = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                        np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=M)
-                        _exp_nonpositive(M)
-                        M *= Csym[r0:r1, c0 % n : c0 % n + c1 - c0]
-                        A[k, rows] += M @ B1[c0:c1]
-                        c_other = max(c0, (l + 1) * n)  # first column of a particle l' > l
-                        if c_other < c1:
-                            A[k, c_other:c1] += M[:, c_other - c0 :].T @ B1[rows]
-    _split(_CHUNKS, int(owned[-1]) * n * n // _CHUNKS * _PAIR_COST, fill)
+    def tile(k, l, r0, c0, M):
+        r1, c1 = r0 + M.shape[0], c0 + M.shape[1]
+        rows = slice(l * n + r0, l * n + r1)  # of A and B1
+        M *= Csym[r0:r1, c0 % n : c0 % n + c1 - c0]
+        A[k, rows] += M @ B1[c0:c1]
+        c_other = max(c0, (l + 1) * n)  # first column of a particle l' > l
+        if c_other < c1:
+            A[k, c_other:c1] += M[:, c_other - c0 :].T @ B1[rows]
+    _pair_tiles(spec, embeddings, tile)
     total = A.sum(axis=0)
     G = (total[:, d:] * B - total[:, :d]).reshape(m, n, d)
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)

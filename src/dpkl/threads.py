@@ -14,7 +14,7 @@ release the GIL, so ``_split`` runs their index ranges, while the caller
 waits, on a pool made on first use with one worker per CPU of the affinity
 mask, at most 2 (``taskset`` restricts them; no option). A split keeps every
 output entry's one-worker operations, or cuts the work into a fixed number of
-chunks summed in chunk order (the exact cotangent chain), so results are
+chunks summed in chunk order (the exact tile loop), so results are
 bitwise identical at any worker count; the gain assumes one BLAS thread a worker, which the pinning
 gives. Each worker is pinned at its start to its own CPU of the mask: left to
 the scheduler, a worker woken for a few milliseconds of work was often placed

@@ -254,7 +254,7 @@ def _objective_core(
         reg_value = float(np.trace(G_U) - np.sum(G_U * Q))
         BB = PG @ P.T
     else:
-        K_full = kernels.empirical_kernel_exact(spec, Z_all)
+        K_full = kernels._exact_gram(spec, Z_all)
         K_LL, K_LU, k_ss = K_full[:n_l, :n_l], K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
         state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
         B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)

@@ -2,6 +2,7 @@
 the per-particle, single-query and scalar forms of library routines that the
 library itself computes only in stacked or batched form."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,55 @@ def kernel_embedding_cotangents_all_blocks(spec, embeddings, C) -> np.ndarray:
         M *= Csym[rows, None, :]
         P = E @ B1
         G[l, rows] = P[:, d:] * embeddings[l][rows] - P[:, :d]
+    G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
+    return G
+
+
+# The exact cotangent chain with its own tile loop, before the loop was shared
+# with the training Gram: the library's chain must stay bitwise equal to it. One
+# thread runs the chunks in order, which the fixed chunks make the same bits as
+# any worker count.
+
+
+def kernel_embedding_cotangents_own_loop(spec, embeddings, C) -> np.ndarray:
+    """kernels.kernel_embedding_cotangents with the tile loop written inline."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    m, n, d = embeddings.shape
+    B = embeddings.reshape(-1, d)
+    B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
+    left = kernels._augment(spec, embeddings)[0]
+    right_T = np.ascontiguousarray(kernels._augment(spec, B)[1].T)
+    rows_step = min(n, max(1, math.isqrt(kernels._BLOCK_ENTRIES)))
+    cols_step = min(m * n, max(1, kernels._BLOCK_ENTRIES // rows_step))
+    Csym = np.empty((n, n + cols_step - 1))
+    np.add(C, C.T, out=Csym[:, :n])
+    c = n
+    while c < Csym.shape[1]:
+        w = min(c, Csym.shape[1] - c)
+        Csym[:, c : c + w] = Csym[:, :w]
+        c += w
+    chunks = kernels._CHUNKS
+    owned = np.cumsum(np.arange(m, 0, -1))
+    cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, chunks) / chunks) + 1, m]
+    A = np.zeros((chunks, m * n, d + 1))
+    buf = np.empty(rows_step * cols_step)
+    for k in range(chunks):
+        for l in range(cuts[k], cuts[k + 1]):
+            for r0 in range(0, n, rows_step):
+                r1 = min(r0 + rows_step, n)
+                rows = slice(l * n + r0, l * n + r1)
+                for c0 in range(l * n, m * n, cols_step):
+                    c1 = min(c0 + cols_step, m * n)
+                    M = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                    np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=M)
+                    kernels._exp_nonpositive(M)
+                    M *= Csym[r0:r1, c0 % n : c0 % n + c1 - c0]
+                    A[k, rows] += M @ B1[c0:c1]
+                    c_other = max(c0, (l + 1) * n)
+                    if c_other < c1:
+                        A[k, c_other:c1] += M[:, c_other - c0 :].T @ B1[rows]
+    total = A.sum(axis=0)
+    G = (total[:, d:] * B - total[:, :d]).reshape(m, n, d)
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
     return G
 

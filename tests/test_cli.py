@@ -260,6 +260,21 @@ class TestPredict:
         assert predictions == (tmp_path / "features_pred.csv").read_bytes()
         assert len(predictions.splitlines()) == 3
 
+    def test_headerless_query_without_target_blames_target(self, trained, tmp_path, capsys):
+        # the checkpoint's target "y" names no column "0".."k-1" of a headerless
+        # file, so no column is dropped: the error names --target, not the model
+        data, ckpt = trained
+        query = tmp_path / "plain.csv"
+        query.write_text("".join(data.read_text().splitlines(keepends=True)[1:]))
+        args = ["predict", "--checkpoint", ckpt, "--data", query, "--no-header",
+                "--out", tmp_path / "p.csv"]
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and "--target" in record["message"]
+        assert not (tmp_path / "p.csv").exists()
+        assert run([*args, "--target", "1"]) == 0
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 61
+
     def test_dimension_mismatch_fails(self, trained, tmp_path, capsys):
         _, ckpt = trained
         bad = write_regression_csv(tmp_path / "wide.csv", D=3)
@@ -444,6 +459,18 @@ class TestBenchmark:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert named in record["message"]
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("n_unlabeled", [None, "0"])
+    def test_ssdpkl_without_pool_is_exit_one_before_reading_data(self, tmp_path, capsys,
+                                                                n_unlabeled):
+        args = self.bench_args(tmp_path / "nope.csv", tmp_path / "bench")
+        args[args.index("--modes") + 1] = "dpkl,ssdpkl"
+        if n_unlabeled is not None:
+            args += ["--n-unlabeled", n_unlabeled]
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "EmptyUnlabeledSet" and "--n-unlabeled" in record["message"]
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -687,6 +714,26 @@ class TestExitCodes:
             path.mkdir()
         assert run(argv(data, ckpt, path)) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == error
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["file", "parent-is-a-file"])
+    def test_out_that_is_not_a_directory_is_refused_before_any_fit(self, tmp_path, capsys,
+                                                                  monkeypatch, command, out):
+        calls = []
+
+        def no_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("trained before --out was checked")
+
+        monkeypatch.setattr(cli, "_run_training", no_fit)
+        data = write_regression_csv(tmp_path / "sine.csv")
+        (tmp_path / "taken").write_text("not a directory\n")
+        sizes = ["--n-labeled", "20"] if command == "train" else ["--sizes", "20", "--trials", "1"]
+        code = run([command, "--data", data, "--target", "y", *sizes,
+                    "--out", tmp_path / out, *FAST])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "FileExistsError"
+        assert calls == []
 
     def test_headerless_target_must_be_an_index(self, tmp_path, capsys):
         data = tmp_path / "plain.csv"

@@ -16,6 +16,7 @@ from helpers import (
     empirical_cross_block_serial,
     kernel_cotangents_loop,
     kernel_embedding_cotangents_all_blocks,
+    kernel_embedding_cotangents_own_loop,
     kernel_quad_loop,
     rff_embedding_cotangents_serial,
     rff_feature_matrix_serial,
@@ -608,3 +609,103 @@ def test_import_starts_no_thread():
         "import dpkl, dpkl.cli; sys.exit(threading.active_count() != n)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestExactGram:
+    """_exact_gram, the training K_LL, sums the particle pairs l <= l' on the
+    cotangent chain's tile loop: close to empirical_kernel_exact, symmetric,
+    and the same bits at one worker and two."""
+
+    CASES = {  # m, n, _BLOCK_ENTRIES
+        "paper-size": (50, 45, 1 << 17),
+        "one-particle": (1, 6, 1 << 17),
+        # n above isqrt(_BLOCK_ENTRIES) = 362: two row tiles a particle, and
+        # 362-column tiles cut inside a particle's 400 columns
+        "n-above-a-square-tile": (2, 400, 1 << 17),
+        "one-particle-n-above-a-square-tile": (1, 400, 1 << 17),
+        # 5-row x 6-column tiles of 7-row particles, one spanning two particles
+        "tile-cuts-a-particle": (3, 7, 31),
+        "one-entry-tiles": (3, 5, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_close_to_the_full_kernel_and_symmetric(self, monkeypatch, case):
+        m, n, entries = self.CASES[case]
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        Z = np.random.default_rng(70).normal(size=(m, n, 2))
+        K = kernels_mod._exact_gram(SPEC, Z)
+        want = empirical_kernel_exact(SPEC, Z)
+        np.testing.assert_allclose(K, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_at_one_worker_and_two(self, monkeypatch, case):
+        m, n, entries = self.CASES[case]
+        monkeypatch.setattr(threads, "_WORKERS", 2)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        Z = np.random.default_rng(71).normal(size=(m, n, 2))
+        K = kernels_mod._exact_gram(SPEC, Z)
+        assert np.array_equal(K, at_one_worker(monkeypatch, kernels_mod._exact_gram, SPEC, Z))
+
+    def test_paper_size_splits_at_the_default_threshold(self, monkeypatch):
+        # m = 50, 45 training rows: both chunks run on their own worker
+        monkeypatch.setattr(threads, "_WORKERS", 2)
+        ranges = []
+
+        def recording_split(n, unit_entries, fn):
+            ranges.append([])
+            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        kernels_mod._exact_gram(SPEC, np.random.default_rng(72).normal(size=(50, 45, 2)))
+        assert ranges == [[0, 1]]
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # more workers than cores and thread switches as often as possible: a
+        # lost or torn add to a chunk's accumulator would show as a mismatch
+        monkeypatch.setattr(threads, "_WORKERS", 8)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 40)
+        Z = np.random.default_rng(75).normal(size=(6, 30, 2))
+        K_ref = at_one_worker(monkeypatch, kernels_mod._exact_gram, SPEC, Z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            for _ in range(20):
+                assert np.array_equal(kernels_mod._exact_gram(SPEC, Z), K_ref)
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("case", [*TestExactCotangentChain.CASES, "paper-size"])
+    def test_cotangent_chain_bits_unchanged_by_the_shared_loop(self, monkeypatch, case):
+        m, n, d, entries, kind = TestExactCotangentChain.CASES.get(
+            case, (50, 45, 2, 1 << 17, "asymmetric"))
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(73)
+        Z, C = rng.normal(size=(m, n, d)), TestExactCotangentChain.cotangent(kind, n, rng)
+        spec = TestExactCotangentChain.SPEC
+        assert np.array_equal(kernel_embedding_cotangents(spec, Z, C),
+                              kernel_embedding_cotangents_own_loop(spec, Z, C))
+
+    def test_working_memory_stays_far_below_one_pair_matrix(self):
+        # m = 50, n = 400: the chunks' (n, n) accumulators and one tile buffer
+        # a worker, never an (m n)^2 array of pairs
+        m, n, d = 50, 400, 2
+        Z = np.random.default_rng(74).normal(size=(m, n, d))
+        tracemalloc.start()
+        try:
+            kernels_mod._exact_gram(SPEC, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = kernels_mod._BLOCK_ENTRIES
+        bound = 8 * (
+            (kernels_mod._CHUNKS + 5) * n * n  # the chunks' A, their sum, A^T, K, temporaries
+            + max(threads._WORKERS, 1) * entries  # one tile buffer a worker
+            + 4 * m * n * (d + 2)  # augmented rows and their temporaries
+        )
+        assert peak < bound < 8 * (m * n) ** 2 / 100
