@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, classify, net, threads, trainer
-from .checkpoint import TASKS, Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import TASKS, Checkpoint, _write_atomic, load_checkpoint, save_checkpoint
 from .data import Dataset, SplitSpec, load_csv, load_features, normalize, split
 from .errors import (
     CheckpointError,
@@ -345,8 +345,7 @@ def cmd_train(args) -> int:
         "latent_mean_embeddings": latent.tolist(),
     }
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report_doc, fh, indent=2)
+    _write_atomic(report_path, json.dumps(report_doc, indent=2))
 
     print(
         json.dumps(

@@ -1,13 +1,16 @@
-"""Shared oracles for the test suite: finite differences, brute-force sums, and
+"""Shared oracles for the test suite: finite differences, brute-force sums,
 the per-particle, single-query and scalar forms of library routines that the
-library itself computes only in stacked or batched form."""
+library itself computes only in stacked or batched form, and the
+format_version 1 checkpoint writer."""
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from dpkl import classify, kernels, linalg, net, trainer
+from dpkl.checkpoint import FORMAT_NAME
 from dpkl.errors import (
     DimensionMismatch,
     EmptyUnlabeledSet,
@@ -508,3 +511,40 @@ def batch_objective(ensemble, head, X, labels) -> float:
     """
     probs = classify.predict_probs(ensemble, head, X)
     return classify.cross_entropy(probs, classify.one_hot(labels, head.C))
+
+
+def save_checkpoint_v1(path, ckpt) -> None:
+    """The format_version 1 writer: every array as JSON number lists."""
+    arch = ckpt.ensemble.arch
+    doc = {
+        "format": FORMAT_NAME,
+        "format_version": 1,
+        "version": ckpt.version,
+        "task": ckpt.task,
+        "target_column": ckpt.target_column,
+        "ensemble": {
+            "architecture": {
+                "input_dim": arch.input_dim,
+                "hidden_dims": list(arch.hidden_dims),
+                "latent_dim": arch.latent_dim,
+                "activation": arch.activation,
+            },
+            "m": ckpt.ensemble.m,
+            "seed": ckpt.ensemble.seed,
+            "particles": ckpt.ensemble.flat().tolist(),
+        },
+        "head": None
+        if ckpt.head is None
+        else {"C": ckpt.head.C, "thetas": ckpt.head.flat().tolist()},
+        "kernel": {
+            "amplitude": ckpt.kernel_spec.amplitude,
+            "bandwidth": ckpt.kernel_spec.bandwidth,
+        },
+        "rff_basis": None,
+        "noise_var": ckpt.noise_var,
+        "normalization": ckpt.stats.to_dict(),
+        "train_data": {"X": ckpt.X_train.tolist(), "y": ckpt.y_train.tolist()},
+        "config": ckpt.config,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
