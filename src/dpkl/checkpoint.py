@@ -90,11 +90,11 @@ def _unpack(v, ndim: int) -> np.ndarray:
 
 
 def _write_atomic(path, text: str) -> None:
-    """Write text to path whole or not at all: a temporary file beside it,
-    flushed and fsynced, then renamed over it, and removed on failure."""
+    """Write text to path as UTF-8, whole or not at all: a temporary file
+    beside it, flushed and fsynced, then renamed over it, and removed on failure."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())

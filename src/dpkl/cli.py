@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -61,24 +63,13 @@ def build_version() -> str:
     return base
 
 
-def _fmt_cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
-
-
-def write_csv(path, header, rows, append=False) -> None:
-    """Comma-delimited UTF-8 with a header row; floats use shortest repr.
-    With append, the rows go after an existing file's, which keeps its header."""
-    new_file = not (append and Path(path).exists())
-    with open(path, "w" if new_file else "a", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if new_file:
-            w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(v) for v in row])
+def write_csv(path: Path, header, rows, config: dict, extra: dict | None = None) -> None:
+    """Comma-delimited UTF-8 with a header row, then its sidecar, each written
+    whole. csv writes a float, numpy's included, as its shortest repr."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write_atomic(path, text.getvalue())
+    write_meta(path, config, extra)
 
 
 def environment() -> dict:
@@ -93,9 +84,7 @@ def write_meta(csv_path: Path, config: dict, extra: dict | None = None) -> None:
     meta = {"version": build_version(), "config": config, "environment": environment()}
     if extra:
         meta.update(extra)
-    meta_path = csv_path.with_suffix(".meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
+    _write_atomic(csv_path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
 
 
 def _error_record(kind: str, message: str) -> None:
@@ -383,7 +372,7 @@ def cmd_predict(args) -> int:
         )
         means = ckpt.stats.invert_y(means_n)
         variances = ckpt.stats.invert_variance(vars_n)
-        write_csv(out_path, ["mean", "variance"], zip(means, variances))
+        write_csv(out_path, ["mean", "variance"], zip(means, variances), ckpt.config)
     else:
         probs = classify.predict_probs(ckpt.ensemble, ckpt.head, X_n)
         entropy = classify.prediction_entropy(probs)
@@ -392,8 +381,7 @@ def cmd_predict(args) -> int:
             [int(p.argmax()), h, *p]
             for p, h in zip(probs, entropy)
         ]
-        write_csv(out_path, header, rows)
-    write_meta(out_path, ckpt.config)
+        write_csv(out_path, header, rows, ckpt.config)
     print(json.dumps({"predictions": str(out_path), "n": int(X.shape[0])}))
     return 0
 
@@ -413,8 +401,10 @@ def cmd_benchmark(args) -> int:
                 for v in dict.fromkeys(values) if values.count(v) > 1]
     if repeated:  # a repeated cell would train twice and read as two trials
         raise ConfigError(f"repeated grid entries: {', '.join(repeated)}")
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    below_one = [f"{flag} {v}" for flag, v in [*(("--sizes", n) for n in sizes),
+                 ("--n-test", args.n_test), ("--workers", workers)] if v is not None and v < 1]
+    if below_one:  # a cell needs labeled and test rows, and the grid a worker
+        raise ConfigError(f"must be >= 1: {', '.join(below_one)}")
     if "ssdpkl" in modes and n_unlabeled < 1:  # fit's own rule, before any cell trains
         raise EmptyUnlabeledSet(f"ssdpkl mode needs a non-empty unlabeled pool, "
                                 f"got --n-unlabeled {n_unlabeled}")
@@ -456,7 +446,9 @@ def cmd_benchmark(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"{results_path}: row {r} is not a results row: {exc}") from None
     existing = {tuple(r[:5]) for r in previous}
-    todo = [c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing]
+    # in results.csv's row order, so each row is appended once it and every row
+    # before it are done: a killed grid leaves a prefix of rows to resume from
+    todo = sorted(c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing)
 
     def attempt(cell):
         """The cell's results row (a list), or its failure record (a dict)."""
@@ -465,17 +457,22 @@ def cmd_benchmark(args) -> int:
         except Exception as exc:
             return {"cell": list(cell), "error": type(exc).__name__, "message": str(exc)}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, todo))
-    else:
-        outcomes = list(map(attempt, todo))
-    rows = [o for o in outcomes if isinstance(o, list)]
-    failures = [o for o in outcomes if isinstance(o, dict)]
-
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    rows, failures = [], []
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(results_path, _BENCH_HEADER, rows, append=True)
+    # one worker keeps the cells on this thread, the only one whose kernel
+    # loops threads._split spreads over the kernel workers
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool,
+          open(results_path, "a", newline="", encoding="utf-8") as fh):
+        results = csv.writer(fh)
+        if fh.tell() == 0:  # a new file
+            results.writerow(_BENCH_HEADER)
+        for outcome in (pool.map if pool else map)(attempt, todo):
+            if isinstance(outcome, dict):
+                failures.append(outcome)
+                continue
+            results.writerow(outcome)
+            fh.flush()
+            rows.append(outcome)
 
     # summary covers the whole results file, in its row order: mean and 1-std
     # error bars (a float written with repr reads back equal)
@@ -487,19 +484,14 @@ def cmd_benchmark(args) -> int:
         rmses, nlls = (np.asarray(column) for column in zip(*sel))
         summary.append([*key, len(sel), rmses.mean(), rmses.std(), nlls.mean(), nlls.std()])
     summary_path = out_dir / "summary.csv"
-    write_csv(
-        summary_path,
-        ["dataset", "mode", "n", "trials", "rmse_mean", "rmse_std", "nll_mean", "nll_std"],
-        summary,
-    )
-
     resolved = {
         "data": str(data_path), "target": str(target), "sizes": sizes, "modes": modes,
         "trials": trials, "seed": base_seed, "n_test": int(n_test),
         "n_unlabeled": n_unlabeled, "workers": workers,
     }
     write_meta(results_path, resolved, {"failures": failures})
-    write_meta(summary_path, resolved)
+    write_csv(summary_path, ["dataset", "mode", "n", "trials", "rmse_mean", "rmse_std",
+                             "nll_mean", "nll_std"], summary, resolved)
     for failure in failures:
         _error_record(failure["error"], f"cell {failure['cell']}: {failure['message']}")
     if todo and len(failures) == len(todo):
@@ -527,8 +519,7 @@ def cmd_report(args) -> int:
     latent = np.asarray(doc.get("latent_mean_embeddings", []))
     if latent.size:
         latent_path = out_dir / "latent.csv"
-        write_csv(latent_path, [f"z{i}" for i in range(latent.shape[1])], latent)
-        write_meta(latent_path, config)
+        write_csv(latent_path, [f"z{i}" for i in range(latent.shape[1])], latent, config)
         outputs["latent"] = str(latent_path)
 
     if "variance" in per_point:
@@ -542,8 +533,8 @@ def cmd_report(args) -> int:
             if len(b)
         ]
         cal_path = out_dir / "calibration.csv"
-        write_csv(cal_path, ["decile", "count", "mean_variance", "mean_squared_error"], rows)
-        write_meta(cal_path, config, {"spearman_variance_error": test.get("spearman_variance_error")})
+        write_csv(cal_path, ["decile", "count", "mean_variance", "mean_squared_error"], rows,
+                  config, {"spearman_variance_error": test.get("spearman_variance_error")})
         outputs["calibration"] = str(cal_path)
         outputs["spearman_variance_error"] = test.get("spearman_variance_error")
 
@@ -551,8 +542,8 @@ def cmd_report(args) -> int:
         ent = per_point["entropy"]
         err = per_point["error"]
         ent_path = out_dir / "entropy.csv"
-        write_csv(ent_path, ["entropy", "error"], zip(ent, err))
-        write_meta(ent_path, config, {"spearman_entropy_error": test.get("spearman_entropy_error")})
+        write_csv(ent_path, ["entropy", "error"], zip(ent, err),
+                  config, {"spearman_entropy_error": test.get("spearman_entropy_error")})
         outputs["entropy"] = str(ent_path)
         outputs["spearman_entropy_error"] = test.get("spearman_entropy_error")
 

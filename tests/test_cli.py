@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -488,6 +489,96 @@ class TestBenchmark:
         assert run(self.bench_args(data, out3, workers=3)) == 0
         assert (out1 / "results.csv").read_bytes() == (out3 / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_test", ["0", "-1"])
+    def test_n_test_below_one_is_exit_one_before_reading_data(self, tmp_path, capsys, n_test):
+        # no cell could report a test metric: refused before any cell trains
+        args = self.bench_args(tmp_path / "nope.csv", tmp_path / "bench")
+        args[args.index("--n-test") + 1] = n_test
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and f"--n-test {n_test}" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("sizes", ["0,14", "14,-2"])
+    def test_size_below_one_is_exit_one_before_reading_data(self, tmp_path, capsys, sizes):
+        args = self.bench_args(tmp_path / "nope.csv", tmp_path / "bench")
+        args[args.index("--sizes") + 1] = sizes
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        bad = next(v for v in sizes.split(",") if int(v) < 1)
+        assert record["error"] == "ConfigError" and f"--sizes {bad}" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
+    def test_one_worker_runs_every_cell_on_the_main_thread(self, tmp_path, monkeypatch):
+        # the kernel loops spread over the kernel workers only from the main thread
+        cell_threads, run_training = [], cli._run_training
+
+        def recording(*args, **kwargs):
+            cell_threads.append(threading.current_thread())
+            return run_training(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_training", recording)
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        assert run(self.bench_args(data, tmp_path / "bench")) == 0
+        assert cell_threads == [threading.main_thread()] * 8
+
+    # Run in a subprocess: the k-th cell in results.csv's row order (the k-th
+    # call at one worker) waits until the k - 1 rows before it are in the file,
+    # as they are at once with one worker, then ends the process unclean.
+    KILL_AT_CELL = """
+import json, os, sys, time
+from pathlib import Path
+from dpkl import cli
+
+cell, argv = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+results = Path(argv[argv.index("--out") + 1]) / "results.csv"
+run_training = cli._run_training
+
+def killing(ds, cfg, task, n_labeled, **kwargs):
+    if [cfg.mode, n_labeled, cfg.seed] == cell[:3]:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and (
+                not results.exists() or len(results.read_bytes().splitlines()) < cell[3]):
+            time.sleep(0.05)
+        os._exit(17)
+    return run_training(ds, cfg, task, n_labeled, **kwargs)
+
+cli._run_training = killing
+sys.exit(cli.main(argv))
+"""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_killed_grid_keeps_its_finished_rows_and_resumes(self, tmp_path, monkeypatch,
+                                                              workers):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        full, out = tmp_path / "full", tmp_path / "bench"
+        assert run(self.bench_args(data, full, workers)) == 0
+        # row order: mode, then size, then trial; seed is --seed 5 plus the trial
+        cells = [(mode, n, 5 + trial) for mode in ("dkl", "dpkl") for n in (14, 18)
+                 for trial in (0, 1)]
+        k = 4
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [str(a) for a in self.bench_args(data, out, workers)]
+        killed = subprocess.run([sys.executable, "-c", self.KILL_AT_CELL,
+                                 json.dumps([*cells[k - 1], k]), json.dumps(argv)], env=env)
+        assert killed.returncode == 17
+        full_rows = (full / "results.csv").read_bytes().splitlines(keepends=True)
+        # the header and the k - 1 rows before the killed cell, every one whole
+        assert (out / "results.csv").read_bytes() == b"".join(full_rows[:k])
+
+        trained, run_training = [], cli._run_training
+
+        def recording(ds, cfg, task, n_labeled, **kwargs):
+            trained.append((cfg.mode, n_labeled, cfg.seed))
+            return run_training(ds, cfg, task, n_labeled, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_training", recording)
+        assert run(self.bench_args(data, out, workers)) == 0
+        assert sorted(trained) == cells[k - 1:]
+        for name in ("results.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
 
 def _typed_flag_cases():
     """(command, dest, flag argv, config value) for every typed or on/off flag
@@ -597,6 +688,45 @@ class TestReport:
         code = run(["report", "--run-dir", tmp_path / "nothing"])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "CheckpointError"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_failed_rename_leaves_previous_outputs(self, trained, tmp_path, monkeypatch,
+                                                   capsys, command):
+        data, ckpt = trained
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "predict":
+            argv = ["predict", "--checkpoint", ckpt, "--data", data, "--out", out / "pred.csv"]
+            names = ["pred.csv", "pred.meta.json"]
+        else:
+            argv = ["report", "--run-dir", ckpt.parent, "--out", out]
+            names = ["latent.csv", "latent.meta.json", "calibration.csv", "calibration.meta.json"]
+        previous = {name: f"previous {name}\n".encode() for name in names}
+        for name, body in previous.items():
+            (out / name).write_bytes(body)
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_csv_cells_are_shortest_repr(self, tmp_path):
+        floats = [5e-324, 1e16, 1e-5, -0.0, 0.0, 3.0, -2.0, 1e300, 0.1]
+        ints = [0, -7, 2**62]
+        rows = [[np.float64(v), float(v)] for v in floats]
+        rows += [[np.int64(v), int(v)] for v in ints]
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], rows, {"k": 1})
+        expected = ["a,b"] + [f"{float(v)!r},{float(v)!r}" for v in floats]
+        expected += [f"{int(v)},{int(v)}" for v in ints]
+        assert (tmp_path / "t.csv").read_bytes() == "".join(
+            line + "\r\n" for line in expected).encode()
+        assert json.loads((tmp_path / "t.meta.json").read_text())["config"] == {"k": 1}
 
 
 class TestExitCodes:

@@ -707,6 +707,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{field} must be positive"):
             TrainConfig(**{field: value}).validate()
 
+    def test_ssdpkl_alpha_must_not_be_negative(self):
+        # a negative weight would reward pool posterior variance; 0 drops the term
+        with pytest.raises(ConfigError, match="ssdpkl_alpha must be >= 0"):
+            TrainConfig(mode="ssdpkl", ssdpkl_alpha=-1.0).validate()
+        TrainConfig(mode="ssdpkl", ssdpkl_alpha=0.0).validate()
+
 
 FITS = [
     # TrainData raises as it is built, before either fit is called
