@@ -20,7 +20,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -401,13 +401,19 @@ def cmd_benchmark(args) -> int:
                 for v in dict.fromkeys(values) if values.count(v) > 1]
     if repeated:  # a repeated cell would train twice and read as two trials
         raise ConfigError(f"repeated grid entries: {', '.join(repeated)}")
-    below_one = [f"{flag} {v}" for flag, v in [*(("--sizes", n) for n in sizes),
-                 ("--n-test", args.n_test), ("--workers", workers)] if v is not None and v < 1]
-    if below_one:  # a cell needs labeled and test rows, and the grid a worker
-        raise ConfigError(f"must be >= 1: {', '.join(below_one)}")
+    if min(sizes) < 1:  # a cell needs labeled rows
+        raise ConfigError(f"--sizes {min(sizes)} must be >= 1")
+    if args.n_test is not None and args.n_test < 1:  # and test rows to report on
+        raise ConfigError(f"--n-test {args.n_test} must be >= 1")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     if "ssdpkl" in modes and n_unlabeled < 1:  # fit's own rule, before any cell trains
         raise EmptyUnlabeledSet(f"ssdpkl mode needs a non-empty unlabeled pool, "
                                 f"got --n-unlabeled {n_unlabeled}")
+    # each mode's config, refused before any data is read; the grid's dkl
+    # cells are single networks even when --m sizes the others
+    configs = {mode: resolve_train_config(args, mode=mode, m=1 if mode == "dkl" else args.m)
+               for mode in modes}
     out_dir = _out_dir(args)
 
     ds = _load_data(args)
@@ -420,8 +426,7 @@ def cmd_benchmark(args) -> int:
 
     def run_cell(mode: str, n: int, trial: int):
         seed = base_seed + trial
-        # the grid's dkl cells are single networks even when --m sizes the others
-        cfg = resolve_train_config(args, mode=mode, seed=seed, m=1 if mode == "dkl" else args.m)
+        cfg = replace(configs[mode], seed=seed)
         # every mode carves out the pool, so a trial's cells share their test rows
         _, _, _, metrics, *_ = _run_training(
             ds, cfg, "regression", n_labeled=n, n_unlabeled=n_unlabeled, n_test=n_test,
@@ -464,8 +469,9 @@ def cmd_benchmark(args) -> int:
     with (ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool,
           open(results_path, "a", newline="", encoding="utf-8") as fh):
         results = csv.writer(fh)
-        if fh.tell() == 0:  # a new file
+        if fh.tell() == 0:  # a new file: its header is on disk before any cell runs
             results.writerow(_BENCH_HEADER)
+            fh.flush()
         for outcome in (pool.map if pool else map)(attempt, todo):
             if isinstance(outcome, dict):
                 failures.append(outcome)
@@ -533,19 +539,18 @@ def cmd_report(args) -> int:
             if len(b)
         ]
         cal_path = out_dir / "calibration.csv"
+        rho = {"spearman_variance_error": test.get("spearman_variance_error")}
         write_csv(cal_path, ["decile", "count", "mean_variance", "mean_squared_error"], rows,
-                  config, {"spearman_variance_error": test.get("spearman_variance_error")})
-        outputs["calibration"] = str(cal_path)
-        outputs["spearman_variance_error"] = test.get("spearman_variance_error")
+                  config, rho)
+        outputs.update(calibration=str(cal_path), **rho)
 
     if "entropy" in per_point:
         ent = per_point["entropy"]
         err = per_point["error"]
         ent_path = out_dir / "entropy.csv"
-        write_csv(ent_path, ["entropy", "error"], zip(ent, err),
-                  config, {"spearman_entropy_error": test.get("spearman_entropy_error")})
-        outputs["entropy"] = str(ent_path)
-        outputs["spearman_entropy_error"] = test.get("spearman_entropy_error")
+        rho = {"spearman_entropy_error": test.get("spearman_entropy_error")}
+        write_csv(ent_path, ["entropy", "error"], zip(ent, err), config, rho)
+        outputs.update(entropy=str(ent_path), **rho)
 
     if not outputs:
         raise CheckpointError("run directory has no test artifacts to report on")

@@ -123,10 +123,12 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
-        # a negative alpha would reward pool variance, not penalize it
-        for name in ("noise_var", "ssdpkl_alpha", "max_epochs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.noise_var < 0:
+            raise ConfigError("noise_var must be >= 0")
+        if self.max_epochs < 0:
+            raise ConfigError("max_epochs must be >= 0")
+        if self.ssdpkl_alpha < 0:  # it would reward pool variance, not penalize it
+            raise ConfigError("ssdpkl_alpha must be >= 0")
 
     def kernel_spec(self) -> kernels.LatentKernelSpec:
         return kernels.LatentKernelSpec(self.amplitude, self.bandwidth)

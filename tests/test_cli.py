@@ -509,6 +509,13 @@ class TestBenchmark:
         assert record["error"] == "ConfigError" and f"--sizes {bad}" in record["message"]
         assert not (tmp_path / "bench").exists()
 
+    def test_negative_alpha_is_exit_one_before_reading_data(self, tmp_path, capsys):
+        args = [*self.bench_args(tmp_path / "nope.csv", tmp_path / "bench"), "--alpha", "-1"]
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and "ssdpkl_alpha" in record["message"]
+        assert not (tmp_path / "bench").exists()
+
     def test_one_worker_runs_every_cell_on_the_main_thread(self, tmp_path, monkeypatch):
         # the kernel loops spread over the kernel workers only from the main thread
         cell_threads, run_training = [], cli._run_training
@@ -547,16 +554,17 @@ cli._run_training = killing
 sys.exit(cli.main(argv))
 """
 
+    # k = 1 is killed before any row: the file must still hold its header
+    @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_killed_grid_keeps_its_finished_rows_and_resumes(self, tmp_path, monkeypatch,
-                                                              workers):
+                                                              workers, k):
         data = write_regression_csv(tmp_path / "sine.csv", n=60)
         full, out = tmp_path / "full", tmp_path / "bench"
         assert run(self.bench_args(data, full, workers)) == 0
         # row order: mode, then size, then trial; seed is --seed 5 plus the trial
         cells = [(mode, n, 5 + trial) for mode in ("dkl", "dpkl") for n in (14, 18)
                  for trial in (0, 1)]
-        k = 4
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = [str(a) for a in self.bench_args(data, out, workers)]
