@@ -64,12 +64,14 @@ def build_version() -> str:
 
 
 def write_csv(path: Path, header, rows, config: dict, extra: dict | None = None) -> None:
-    """Comma-delimited UTF-8 with a header row, then its sidecar, each written
-    whole. csv writes a float, numpy's included, as its shortest repr."""
+    """Comma-delimited UTF-8 with a header row, then its .meta.json sidecar of the resolved
+    config, version and environment, each written whole. csv writes a float as its shortest repr."""
     text = io.StringIO()
     csv.writer(text).writerows([header, *rows])
     _write_atomic(path, text.getvalue())
-    write_meta(path, config, extra)
+    meta = {"version": build_version(), "config": config, "environment": environment(),
+            **(extra or {})}
+    _write_atomic(path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
 
 
 def environment() -> dict:
@@ -77,14 +79,6 @@ def environment() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas_threads": threads.pinned_blas_threads(),
             "kernel_workers": threads._WORKERS}
-
-
-def write_meta(csv_path: Path, config: dict, extra: dict | None = None) -> None:
-    """Sidecar with the resolved config, version and environment, so CSVs stay tidy."""
-    meta = {"version": build_version(), "config": config, "environment": environment()}
-    if extra:
-        meta.update(extra)
-    _write_atomic(csv_path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
 
 
 def _error_record(kind: str, message: str) -> None:
@@ -296,21 +290,22 @@ def _load_data(args) -> Dataset:
 
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
-    task, data_path, target = args.task, args.data, args.target
     out_dir = _out_dir(args)
     ds = _load_data(args)
     ensemble, head, report, metrics, labeled_n, test_n, stats = _run_training(
-        ds, cfg, task, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
+        ds, cfg, args.task, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
         n_test=args.n_test, normalize_features=not args.no_normalize_features,
     )
 
     # mean over particles of each test point's latent image, (n_test, d)
     latent = net.ensemble_embeddings(ensemble, test_n.X).mean(axis=0)
-    resolved = dict(asdict(cfg), task=task, data=str(data_path), target=str(target))
+    # every flag under its dest, the TrainConfig fields as resolved and n_test as split
+    flags = {k: v for k, v in vars(args).items() if k not in {*_TRAIN_CONFIG_KEYS, "func", "parser"}}
+    resolved = {**asdict(cfg), **flags, "n_test": int(test_n.n)}
     version = build_version()
     ckpt = Checkpoint(
-        task=task,
-        target_column=target,
+        task=args.task,
+        target_column=args.target,
         ensemble=ensemble,
         head=head,
         kernel_spec=cfg.kernel_spec(),
@@ -435,24 +430,35 @@ def cmd_benchmark(args) -> int:
         return [dataset_name, mode, n, trial, seed, metrics["rmse"], metrics["test_nll"]]
 
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]
+    # TrainConfig values as the sidecar reads them back (a tuple reads as a list)
+    train = json.loads(json.dumps({mode: asdict(cfg) for mode, cfg in configs.items()}))
     results_path = out_dir / "results.csv"
-    previous = []  # an earlier run's rows: resumed, and summarized with this run's
+    rows = []  # results.csv whole: an earlier run's rows, resumed, then this run's
     if results_path.exists():
         with open(results_path, newline="") as fh:
             reader = csv.reader(fh)
-            header, previous = next(reader, None), list(reader)
+            header, rows = next(reader, None), list(reader)
         if header != _BENCH_HEADER:
             raise ConfigError(f"{results_path} has header {header}, expected {_BENCH_HEADER}")
-        for r, row in enumerate(previous, start=2):  # a crash mid-append leaves a short row
+        for r, row in enumerate(rows, start=2):  # a hand-edited or cut-short row
             try:
                 if len(row) != len(_BENCH_HEADER):
                     raise ValueError(f"{len(row)} cells, expected {len(_BENCH_HEADER)}")
                 row[2:] = [*map(int, row[2:5]), *map(float, row[5:])]
             except ValueError as exc:
                 raise ConfigError(f"{results_path}: row {r} is not a results row: {exc}") from None
-    existing = {tuple(r[:5]) for r in previous}
-    # in results.csv's row order, so each row is appended once it and every row
-    # before it are done: a killed grid leaves a prefix of rows to resume from
+        # the training config of its rows' modes; none in a sidecar written before it was
+        meta = results_path.with_suffix(".meta.json")
+        recorded = json.loads(meta.read_text())["config"].get("train", {}) if meta.exists() else {}
+        for mode, old in recorded.items():
+            changed = [k for k, v in train.get(mode, {}).items() if k != "seed" and old.get(k, v) != v]
+            if changed:  # this run's rows would mix with rows of another config
+                raise ConfigError(f"{results_path} holds {mode} rows trained with another "
+                                  f"{', '.join(changed)}; use another --out")
+        train = {**recorded, **train}
+    existing = {tuple(r[:5]) for r in rows}
+    # in results.csv's row order, so the file is rewritten as each cell and every
+    # cell before it are done: a killed grid leaves a prefix of rows to resume from
     todo = sorted(c for c in cells if (dataset_name, *c, base_seed + c[2]) not in existing)
 
     def attempt(cell):
@@ -462,40 +468,34 @@ def cmd_benchmark(args) -> int:
         except Exception as exc:
             return {"cell": list(cell), "error": type(exc).__name__, "message": str(exc)}
 
-    rows, failures = [], []
+    resolved = {
+        "data": str(data_path), "target": str(target), "sizes": sizes, "modes": modes,
+        "trials": trials, "seed": base_seed, "n_test": int(n_test),
+        "n_unlabeled": n_unlabeled, "workers": workers, "train": train,
+    }
+    failures = []
     out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(results_path, _BENCH_HEADER, rows, resolved, {"failures": failures})
     # one worker keeps the cells on this thread, the only one whose kernel
     # loops threads._split spreads over the kernel workers
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool,
-          open(results_path, "a", newline="", encoding="utf-8") as fh):
-        results = csv.writer(fh)
-        if fh.tell() == 0:  # a new file: its header is on disk before any cell runs
-            results.writerow(_BENCH_HEADER)
-            fh.flush()
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for outcome in (pool.map if pool else map)(attempt, todo):
             if isinstance(outcome, dict):
                 failures.append(outcome)
-                continue
-            results.writerow(outcome)
-            fh.flush()
-            rows.append(outcome)
+            else:
+                rows.append(outcome)
+            write_csv(results_path, _BENCH_HEADER, rows, resolved, {"failures": failures})
 
     # summary covers the whole results file, in its row order: mean and 1-std
     # error bars (a float written with repr reads back equal)
     groups: dict[tuple, list] = {}
-    for dataset, mode, n, _, _, rmse, nll in [*previous, *rows]:
+    for dataset, mode, n, _, _, rmse, nll in rows:
         groups.setdefault((dataset, mode, n), []).append((rmse, nll))
     summary = []
     for key, sel in sorted(groups.items()):
         rmses, nlls = (np.asarray(column) for column in zip(*sel))
         summary.append([*key, len(sel), rmses.mean(), rmses.std(), nlls.mean(), nlls.std()])
     summary_path = out_dir / "summary.csv"
-    resolved = {
-        "data": str(data_path), "target": str(target), "sizes": sizes, "modes": modes,
-        "trials": trials, "seed": base_seed, "n_test": int(n_test),
-        "n_unlabeled": n_unlabeled, "workers": workers,
-    }
-    write_meta(results_path, resolved, {"failures": failures})
     write_csv(summary_path, ["dataset", "mode", "n", "trials", "rmse_mean", "rmse_std",
                              "nll_mean", "nll_std"], summary, resolved)
     for failure in failures:
@@ -504,7 +504,7 @@ def cmd_benchmark(args) -> int:
         _error_record("BenchmarkFailed", "every trial failed")
         return 1
     print(json.dumps({"results": str(results_path), "summary": str(summary_path),
-                      "new_rows": len(rows), "failures": len(failures)}))
+                      "new_rows": len(todo) - len(failures), "failures": len(failures)}))
     return 0
 
 

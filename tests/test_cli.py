@@ -206,6 +206,27 @@ class TestTrain:
         assert report["config"]["max_epochs"] == 2  # file beats default
         assert report["config"]["seed"] == 3
 
+    @pytest.mark.parametrize("split_flags, n_test", [
+        (["--n-test", "10", "--no-normalize-features"], 10),
+        ([], 25),  # every row not labeled or unlabeled
+    ], ids=["given", "resolved"])
+    def test_record_holds_the_split_and_data_flags(self, tmp_path, split_flags, n_test):
+        # the record reproduces its own split: sizes, the resolved n_test and how
+        # the data file was read and normalized
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--target", "y", "--n-labeled", "30",
+                    "--n-unlabeled", "5", *split_flags, "--out", out, *FAST]) == 0
+        expected = {"task": "regression", "data": str(data), "target": "y", "n_labeled": 30,
+                    "n_unlabeled": 5, "n_test": n_test, "delimiter": ",", "no_header": False,
+                    "skip_bad_rows": False, "no_normalize_features": bool(split_flags)}
+        report = json.loads((out / "report.json").read_text())["config"]
+        checkpoint = json.loads((out / "checkpoint.json").read_text())["config"]
+        for config in (report, checkpoint):
+            assert {k: config.get(k) for k in expected} == expected
+            assert config["m"] == 2 and config["max_epochs"] == 3
+        assert report == checkpoint
+
 
 @pytest.fixture
 def trained(tmp_path):
@@ -586,6 +607,110 @@ sys.exit(cli.main(argv))
         assert sorted(trained) == cells[k - 1:]
         for name in ("results.csv", "summary.csv"):
             assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_killed_grid_leaves_a_current_sidecar(self, tmp_path, workers):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [str(a) for a in self.bench_args(data, out, workers)]
+        # the 4th cell in row order: dkl, size 18, trial 1 (seed 5 + 1)
+        killed = subprocess.run([sys.executable, "-c", self.KILL_AT_CELL,
+                                 json.dumps(["dkl", 18, 6, 4]), json.dumps(argv)], env=env)
+        assert killed.returncode == 17
+        assert len((out / "results.csv").read_bytes().splitlines()) == 4  # header + 3 rows
+        meta = json.loads((out / "results.meta.json").read_text())
+        assert meta["failures"] == []
+        config = meta["config"]
+        assert (config["data"], config["sizes"], config["modes"], config["trials"],
+                config["seed"], config["n_test"], config["workers"]) == (
+                    str(data), [14, 18], ["dpkl", "dkl"], 2, 5, 20, workers)
+        assert config["train"]["dpkl"]["m"] == 2 and config["train"]["dkl"]["m"] == 1
+
+    def test_failure_is_in_the_sidecar_before_the_next_cell(self, tmp_path, monkeypatch):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        args = self.bench_args(data, out)
+        args[args.index("--modes") + 1] = "dkl"
+        args[args.index("--sizes") + 1] = "14"
+        sidecar_failures, run_training = [], cli._run_training
+
+        def first_cell_fails(ds, cfg, task, n_labeled, **kwargs):
+            if cfg.seed == 5:
+                raise ValueError("cell failed")
+            meta = json.loads((out / "results.meta.json").read_text())
+            sidecar_failures.append(meta["failures"])
+            return run_training(ds, cfg, task, n_labeled, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_training", first_cell_fails)
+        assert run(args) == 0  # one of the two cells trained
+        failure = {"cell": ["dkl", 14, 0], "error": "ValueError", "message": "cell failed"}
+        assert sidecar_failures == [[failure]]
+        assert json.loads((out / "results.meta.json").read_text())["failures"] == [failure]
+
+    # the last row unterminated too (a hand-edited file): this run's first row
+    # must still start on a line of its own
+    @pytest.mark.parametrize("end", [b"\r\n", b""], ids=["terminated", "unterminated"])
+    def test_previous_rows_keep_their_bytes(self, tmp_path, end):
+        # rows as dpkl writes them, each float in its shortest repr
+        previous = [b"dataset,mode,n,trial,seed,rmse,nll",
+                    b"other,dkl,14,0,5,5e-324,1e+16", b"other,dkl,14,1,6,1e-05,-0.0",
+                    b"other,dpkl,14,0,5,0.1,3.0"]
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        out.mkdir()
+        (out / "results.csv").write_bytes(b"\r\n".join(previous) + end)
+        assert run(self.bench_args(data, out)) == 0
+        lines = (out / "results.csv").read_bytes().splitlines()
+        assert lines[:len(previous)] == previous
+        assert len(lines) == len(previous) + 8
+        assert all(line.startswith(b"sine,") for line in lines[len(previous):])
+
+    def test_changed_training_config_is_exit_one_before_any_cell(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        assert run(self.bench_args(data, out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_training", no_cell)
+        # more trials too: the rerun would have cells to train under the new config
+        args = [*self.bench_args(data, out), "--max-epochs", "4"]
+        args[args.index("--trials") + 1] = "3"
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "dpkl rows" in record["message"] and "max_epochs" in record["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_under_the_same_training_config(self, tmp_path, capsys):
+        # more trials and another --seed under the same config add their cells,
+        # and a sidecar that predates the recorded config resumes as it did
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        args = self.bench_args(data, out)
+        args[args.index("--modes") + 1] = "dkl"
+        args[args.index("--sizes") + 1] = "14"
+        assert run(args) == 0
+        args[args.index("--trials") + 1] = "3"
+        assert run(args) == 0
+        args[args.index("--seed") + 1] = "9"
+        assert run(args) == 0
+        meta_path = out / "results.meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["config"]["train"]["dkl"]["seed"] == 9
+        del meta["config"]["train"]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run([*args, "--max-epochs", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["new_rows"] == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert [r["seed"] for r in csv.DictReader(fh)] == ["5", "6", "7", "9", "10", "11"]
 
 
 def _typed_flag_cases():
