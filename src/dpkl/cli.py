@@ -447,9 +447,22 @@ def cmd_benchmark(args) -> int:
                 row[2:] = [*map(int, row[2:5]), *map(float, row[5:])]
             except ValueError as exc:
                 raise ConfigError(f"{results_path}: row {r} is not a results row: {exc}") from None
-        # the training config of its rows' modes; none in a sidecar written before it was
+        # the config its rows were made under; no train record in a sidecar written before it was
         meta = results_path.with_suffix(".meta.json")
-        recorded = json.loads(meta.read_text())["config"].get("train", {}) if meta.exists() else {}
+        try:
+            old_config = json.loads(meta.read_text())["config"] if meta.exists() else {}
+            recorded = old_config.get("train", {})
+            old_data = Path(old_config.get("data", "")).stem
+            if not all(isinstance(old, dict) for old in recorded.values()):
+                raise TypeError
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise ConfigError(f"{meta} is not a dpkl benchmark sidecar; use another --out "
+                              f"or remove {meta.name}") from None
+        # the default n_test moves with --sizes; the sidecar holds the last run's dataset's
+        if rows and old_data == dataset_name and old_config.get("n_test", n_test) != n_test:
+            raise ConfigError(f"{results_path} rows were scored on {old_config['n_test']} test "
+                              f"rows, this run's on {n_test}; pass --n-test "
+                              f"{old_config['n_test']} or use another --out")
         for mode, old in recorded.items():
             changed = [k for k, v in train.get(mode, {}).items() if k != "seed" and old.get(k, v) != v]
             if changed:  # this run's rows would mix with rows of another config

@@ -6,13 +6,15 @@ from the median heuristic), and applies one Adam update per particle. With a
 single particle this is exactly gradient descent on the GP likelihood, i.e.
 the deterministic deep-kernel baseline. ``functional_gradient_step`` is the
 one update rule: it acts in place on an (m, P) particle matrix, and the
-softmax classifier in ``classify`` calls it too. Its Adam update is one pass
-over the matrix in chunks of ``_ADAM_CHUNK`` entries that stay in a core's
-L2, written into two reused chunk buffers, so it allocates no (m, P)
-array. Each chunk gets the unchunked update's elementwise operations in the
-same order, so the result is bitwise identical to it. The step also records
-the mean off-diagonal particle kernel, a particle-collapse signal, and the
-norms of the raw and mixed gradients.
+softmax classifier in ``classify`` calls it too. Its Adam update is Kingma &
+Ba's efficient form, one pass over the matrix in chunks of ``_ADAM_CHUNK``
+entries that stay in a core's L2, written into two reused chunk buffers, so
+it allocates no (m, P) array. Each chunk gets the unblocked update's
+elementwise operations in the same order, so the result is bitwise equal to
+that update in the same algebra, and equal to textbook Adam to round-off.
+The step also records the mean off-diagonal particle kernel, a
+particle-collapse signal, and the norms of the raw and mixed gradients; the
+raw gradient's squared norm doubles as its finiteness test.
 
 The objective's gradient is one grouped pass over the ensemble: embeddings
 and kernel cotangents are stacked (m, n, d) arrays, and the VJP of
@@ -173,9 +175,13 @@ def derive_seeds(seed: int) -> dict[str, int]:
 
 
 def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
-    sq = np.sum(flat * flat, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
-    return np.maximum(d2, 0.0)
+    """Squared distances between rows, with the norms from the Gram diagonal;
+    symmetric, non-negative, and exactly 0 on the diagonal."""
+    gram = flat @ flat.T
+    sq = np.diagonal(gram)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def median_heuristic(d2: np.ndarray) -> float:
@@ -322,11 +328,16 @@ def _require_finite(value, stage: str, step: int) -> None:
 def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainConfig) -> None:
     """One Adam step on W from the mixed gradient phi, in cache-sized chunks.
 
+    The step is Kingma & Ba's efficient form: with bias corrections c1, c2,
+    w -= s * m1 / (sqrt(m2) + eps_hat), where s = lr * sqrt(c2) / c1 and
+    eps_hat = eps * sqrt(c2). In real arithmetic that is textbook Adam, with
+    two fewer elementwise passes; m1 and m2 keep their meaning.
     Each chunk is a block of whole rows, or part of one row when a row exceeds
     _ADAM_CHUNK entries, so slicing never copies and a non-contiguous W is
     still written in place. Every chunk sees the same elementwise operations
-    in the same order as the unchunked update, so the result is bitwise equal
-    to it; the only working memory is two chunk buffers.
+    in the same order as the unblocked update in this algebra, so the result
+    is bitwise equal to it, and equal to textbook Adam to round-off; the only
+    working memory is two chunk buffers.
     """
     m, P = W.shape
     cols = min(P, _ADAM_CHUNK)
@@ -334,6 +345,7 @@ def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainCo
     buf_a, buf_b = np.empty((rows, cols)), np.empty((rows, cols))
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1, c2 = 1.0 - b1**opt.t, 1.0 - b2**opt.t
+    s, eps_hat = config.learning_rate * math.sqrt(c2) / c1, _ADAM_EPS * math.sqrt(c2)
     for i in range(0, m, rows):
         for j in range(0, P, cols):
             block = np.s_[i : i + rows, j : j + cols]
@@ -346,11 +358,9 @@ def _adam_update(W: np.ndarray, phi: np.ndarray, opt: AdamState, config: TrainCo
             np.multiply(1.0 - b2, g, out=a)
             a *= g
             m2 += a
-            np.divide(m1, c1, out=a)
-            a *= config.learning_rate
-            np.divide(m2, c2, out=b)
-            np.sqrt(b, out=b)
-            b += _ADAM_EPS
+            np.multiply(m1, s, out=a)
+            np.sqrt(m2, out=b)
+            b += eps_hat
             a /= b
             w -= a
 
@@ -368,12 +378,16 @@ def functional_gradient_step(
     from the median heuristic recomputed this step; one pairwise-distance
     matrix serves both. Updates W, opt.m1 and opt.m2 in place with one chunked
     Adam pass (``_adam_update``).
-    Raises InternalConsistencyError on a non-finite gradient or update.
+    Raises InternalConsistencyError on a non-finite gradient or update. G is
+    scanned for one only when its squared norm is not finite, so a finite G
+    whose squared norm overflows still takes the step.
     """
     if G.shape != W.shape:
         raise ValueError(f"gradient {G.shape} does not match particles {W.shape}")
     opt.t += 1
-    _require_finite(G, "gradient", opt.t)
+    grad_sq = float(np.vdot(G, G))
+    if not math.isfinite(grad_sq):
+        _require_finite(G, "gradient", opt.t)
     d2 = _pairwise_sq_dists(W)
     h = median_heuristic(d2)
     K = _kappa_matrix(d2, h)
@@ -383,7 +397,7 @@ def functional_gradient_step(
     opt.last_kappa_offdiag_mean = (
         float((K.sum() - np.trace(K)) / (m * (m - 1))) if m > 1 else None
     )
-    opt.last_grad_norm = math.sqrt(np.vdot(G, G))
+    opt.last_grad_norm = math.sqrt(grad_sq)
     opt.last_mixed_grad_norm = math.sqrt(np.vdot(phi, phi))
     _adam_update(W, phi, opt, config)
     _require_finite(W, "particle update", opt.t)

@@ -298,9 +298,41 @@ def particle_fd_gradient(ensemble, l: int, objective, step: float = 1e-5) -> np.
 def functional_gradient_step_unblocked(W, G, opt, config) -> None:
     """Reference for trainer.functional_gradient_step: Adam over whole arrays.
 
-    The same kappa mixing, then the update written with full (m, P)
+    The same kappa mixing and the same algebra (squared norms from the Gram
+    diagonal, Kingma & Ba's efficient Adam), written with full (m, P)
     temporaries and no chunking. The chunked in-place step must reproduce W,
     opt.m1, opt.m2 and opt.last_bandwidth bit for bit.
+    """
+    from dpkl.trainer import _kappa_matrix, median_heuristic
+
+    opt.t += 1
+    gram = W @ W.T
+    sq = np.diagonal(gram)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+    np.fill_diagonal(d2, 0.0)
+    h = median_heuristic(d2)
+    phi = _kappa_matrix(d2, h) @ G
+    opt.last_bandwidth = h
+
+    b1, b2 = 0.9, 0.999
+    c1, c2 = 1.0 - b1**opt.t, 1.0 - b2**opt.t
+    opt.m1 *= b1
+    opt.m1 += (1.0 - b1) * phi
+    opt.m2 *= b2
+    opt.m2 += (1.0 - b2) * phi * phi
+    step = opt.m1 * (config.learning_rate * math.sqrt(c2) / c1)
+    denom = np.sqrt(opt.m2)
+    denom += 1e-8 * math.sqrt(c2)
+    step /= denom
+    W -= step
+
+
+def functional_gradient_step_textbook(W, G, opt, config) -> None:
+    """Oracle for trainer.functional_gradient_step in textbook algebra.
+
+    Squared norms from a separate row-sum pass and Adam with bias-corrected
+    moments, lr * (m1 / c1) / (sqrt(m2 / c2) + eps). The step agrees with it
+    to round-off, not bit for bit.
     """
     from dpkl.trainer import _kappa_matrix, median_heuristic
 

@@ -712,6 +712,85 @@ sys.exit(cli.main(argv))
         with open(out / "results.csv", newline="") as fh:
             assert [r["seed"] for r in csv.DictReader(fh)] == ["5", "6", "7", "9", "10", "11"]
 
+    # a hand-edited sidecar, and one cut short by a kill under an older dpkl
+    @pytest.mark.parametrize("sidecar", ["{}", "[]", '{"config": ', '{"config": {"train": 5}}'],
+                             ids=["empty-object", "array", "truncated", "ill-typed-train"])
+    def test_broken_sidecar_is_exit_one_naming_it(self, tmp_path, capsys, monkeypatch, sidecar):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_training", no_cell)
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        out.mkdir()
+        results = b"dataset,mode,n,trial,seed,rmse,nll\r\nsine,dkl,14,0,5,0.5,1.0\r\n"
+        (out / "results.csv").write_bytes(results)
+        (out / "results.meta.json").write_text(sidecar)
+        assert run(self.bench_args(data, out)) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert str(out / "results.meta.json") in record["message"]
+        assert "--out" in record["message"]
+        assert (out / "results.csv").read_bytes() == results
+        assert (out / "results.meta.json").read_text() == sidecar
+
+    def test_resume_that_moves_the_default_n_test_is_exit_one(self, tmp_path, capsys):
+        # 60 rows: --sizes 14 tests on 46 of them, --sizes 14,18 would test on 42
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        args = self.bench_args(data, out)
+        args[args.index("--modes") + 1] = "dkl"
+        args[args.index("--trials") + 1] = "1"
+        del args[args.index("--n-test"):args.index("--n-test") + 2]
+        sizes = args.index("--sizes") + 1
+        args[sizes] = "14"
+        assert run(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        args[sizes] = "14,18"
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "on 46 test rows, this run's on 42" in record["message"]
+        assert "--n-test 46" in record["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # with the recorded n_test the rerun gets past the check; 18 labeled
+        # and 46 test rows are more than the file has, which the cell reports
+        assert run([*args, "--n-test", "46"]) == 1
+        failures = json.loads((out / "results.meta.json").read_text())["failures"]
+        assert failures == [{"cell": ["dkl", 18, 0], "error": "InsufficientRows",
+                             "message": "split needs 64 rows, dataset has 60"}]
+        assert (out / "results.csv").read_bytes() == before["results.csv"]
+
+    def test_resume_under_the_recorded_n_test(self, tmp_path, capsys):
+        # a smaller --sizes moves the default too; --n-test with the recorded
+        # value adds the new trial's cell
+        data = write_regression_csv(tmp_path / "sine.csv", n=60)
+        out = tmp_path / "bench"
+        args = self.bench_args(data, out)
+        args[args.index("--modes") + 1] = "dkl"
+        args[args.index("--trials") + 1] = "1"
+        del args[args.index("--n-test"):args.index("--n-test") + 2]
+        assert run(args) == 0  # sizes 14 and 18: 42 test rows
+        capsys.readouterr()
+        args[args.index("--sizes") + 1] = "14"
+        args[args.index("--trials") + 1] = "2"
+        assert run(args) == 1
+        assert "--n-test 42" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert run([*args, "--n-test", "42"]) == 0
+        assert json.loads(capsys.readouterr().out)["new_rows"] == 1
+        assert json.loads((out / "results.meta.json").read_text())["config"]["n_test"] == 42
+
+    def test_another_dataset_keeps_its_own_default_n_test(self, tmp_path, capsys):
+        # its rows never share a summary row with the first dataset's
+        out = tmp_path / "bench"
+        for name, n in (("sine", 60), ("smaller", 50)):
+            args = self.bench_args(write_regression_csv(tmp_path / f"{name}.csv", n=n), out)
+            del args[args.index("--n-test"):args.index("--n-test") + 2]
+            args[args.index("--sizes") + 1] = "14"
+            assert run(args) == 0
+        assert json.loads((out / "results.meta.json").read_text())["config"]["n_test"] == 36
+
 
 def _typed_flag_cases():
     """(command, dest, flag argv, config value) for every typed or on/off flag

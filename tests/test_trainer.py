@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    functional_gradient_step_textbook,
     functional_gradient_step_unblocked,
     objective_value,
     particle_fd_gradient,
@@ -395,6 +396,68 @@ class TestChunkedUpdate:
         classify.fit_classifier(TrainData(ds.X, ds.y), cfg)
         assert len(shapes) == 2 * 3  # 21 training rows in batches of 8
         assert set(shapes) == {(3, 26 + 3 * 2)}  # (m, P + C * d)
+
+
+class TestTextbookOracle:
+    """The step in its own algebra against textbook Adam with row-sum norms."""
+
+    def test_paper_size_ensemble_agrees_over_200_steps(self):
+        cfg = TrainConfig()  # the paper's m = 50 and MLP (100, 50, 50)
+        W = net.init_ensemble(cfg.architecture(1), cfg.m, 3).flat()
+        assert W.shape == (50, 7902)
+        W0, W_ref = W.copy(), W.copy()
+        opt, opt_ref = AdamState.zeros(*W.shape), AdamState.zeros(*W.shape)
+        rng = np.random.default_rng(4)
+        grads = [rng.normal(size=W.shape) * scale for scale in (1e-3, 1.0, 1e3)]
+        for k in range(200):
+            G = grads[k % 3] * (1.0 + k / 200)
+            functional_gradient_step(W, G, opt, cfg)
+            functional_gradient_step_textbook(W_ref, G, opt_ref, cfg)
+            assert opt.last_bandwidth == pytest.approx(opt_ref.last_bandwidth, rel=1e-12)
+        # rtol 1e-12, set before measuring: the two algebras round differently,
+        # about 1e-15 of the distance the particles moved
+        assert rel_err(W - W0, W_ref - W0) < 1e-12
+        assert rel_err(opt.m1, opt_ref.m1) < 1e-12
+        assert rel_err(opt.m2, opt_ref.m2) < 1e-12
+
+
+class TestStepGuards:
+    def stepped_state(self):
+        rng = np.random.default_rng(30)
+        W, opt, cfg = rng.normal(size=(3, 26)), AdamState.zeros(3, 26), tiny_config()
+        functional_gradient_step(W, rng.normal(size=W.shape), opt, cfg)
+        return W, opt, cfg
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_moves_nothing(self, bad):
+        W, opt, cfg = self.stepped_state()
+        before = W.copy(), opt.m1.copy(), opt.m2.copy()
+        G = np.ones_like(W)
+        G[2, 5] = bad
+        with pytest.raises(InternalConsistencyError, match="non-finite gradient at step 2"):
+            functional_gradient_step(W, G, opt, cfg)
+        for now, then in zip((W, opt.m1, opt.m2), before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_finite_gradient_with_overflowing_norm_takes_the_step(self):
+        # every entry is finite, but the squared norm is 78 * 1e400
+        W, opt, cfg = self.stepped_state()
+        with np.errstate(over="ignore"):
+            functional_gradient_step(W, np.full_like(W, 1e200), opt, cfg)
+        assert opt.t == 2
+        assert np.all(np.isfinite(W))
+        assert opt.last_grad_norm == math.inf
+
+    def test_pairwise_distances_are_symmetric_with_a_zero_diagonal(self):
+        # large norms against small distances: a norm from another summation
+        # order than the Gram diagonal's would leave a non-zero diagonal
+        W = 3.0 + np.random.default_rng(31).normal(size=(6, 1000))
+        d2 = _pairwise_sq_dists(W)
+        np.testing.assert_array_equal(d2, d2.T)
+        np.testing.assert_array_equal(np.diag(d2), 0.0)
+        assert np.all(d2 >= 0.0)
+        brute = ((W[:, None, :] - W[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_allclose(d2, brute, rtol=1e-10)
 
 
 class TestKappaDiagnostic:
