@@ -432,8 +432,12 @@ def cmd_benchmark(args) -> int:
     cells = [(mode, n, trial) for mode in modes for n in sizes for trial in range(trials)]
     # TrainConfig values as the sidecar reads them back (a tuple reads as a list)
     train = json.loads(json.dumps({mode: asdict(cfg) for mode, cfg in configs.items()}))
+    # what picks and scales a dataset's test rows, recorded for each dataset stem
+    split = {"n_test": int(n_test), "n_unlabeled": n_unlabeled, "target": str(target),
+             "normalize_features": not args.no_normalize_features}
     results_path = out_dir / "results.csv"
     rows = []  # results.csv whole: an earlier run's rows, resumed, then this run's
+    splits = {}  # each earlier dataset's split, by stem
     if results_path.exists():
         with open(results_path, newline="") as fh:
             reader = csv.reader(fh)
@@ -453,16 +457,23 @@ def cmd_benchmark(args) -> int:
             old_config = json.loads(meta.read_text())["config"] if meta.exists() else {}
             recorded = old_config.get("train", {})
             old_data = Path(old_config.get("data", "")).stem
-            if not all(isinstance(old, dict) for old in recorded.values()):
+            # a sidecar from before the per-dataset record: its last dataset's n_test
+            splits = old_config.get("datasets") or (
+                {old_data: {"n_test": old_config["n_test"]}} if "n_test" in old_config else {})
+            if not all(isinstance(old, dict) for old in (*recorded.values(), *splits.values())):
                 raise TypeError
         except (ValueError, KeyError, TypeError, AttributeError):
             raise ConfigError(f"{meta} is not a dpkl benchmark sidecar; use another --out "
                               f"or remove {meta.name}") from None
-        # the default n_test moves with --sizes; the sidecar holds the last run's dataset's
-        if rows and old_data == dataset_name and old_config.get("n_test", n_test) != n_test:
-            raise ConfigError(f"{results_path} rows were scored on {old_config['n_test']} test "
-                              f"rows, this run's on {n_test}; pass --n-test "
-                              f"{old_config['n_test']} or use another --out")
+        old = splits.get(dataset_name, {}) if any(r[0] == dataset_name for r in rows) else {}
+        for key, value in split.items():  # this run's rows would be scored on other rows
+            if key == "n_test" and old.get(key, value) != value:  # the default moves with --sizes
+                raise ConfigError(f"{results_path} rows were scored on {old[key]} test rows, "
+                                  f"this run's on {value}; pass --n-test {old[key]} or use "
+                                  f"another --out")
+            if old.get(key, value) != value:
+                raise ConfigError(f"{results_path} holds {dataset_name} rows made with {key} "
+                                  f"{old[key]!r}, this run's with {value!r}; use another --out")
         for mode, old in recorded.items():
             changed = [k for k, v in train.get(mode, {}).items() if k != "seed" and old.get(k, v) != v]
             if changed:  # this run's rows would mix with rows of another config
@@ -485,6 +496,7 @@ def cmd_benchmark(args) -> int:
         "data": str(data_path), "target": str(target), "sizes": sizes, "modes": modes,
         "trials": trials, "seed": base_seed, "n_test": int(n_test),
         "n_unlabeled": n_unlabeled, "workers": workers, "train": train,
+        "datasets": {**splits, dataset_name: split},
     }
     failures = []
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,10 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
   cache-sized blocks, each worker range filling its own buffer. A pair costs
   one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). On
   one point set the training Gram and the backward chain share one tile loop
-  over the m(m+1)/2 n^2 pairs of particles l <= l': the Gram adds each
-  block and its transpose, the chain its row and its column sums. Working
-  memory is O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
+  over the m(m+1)/2 n^2 pairs of particles l <= l', each tile rows of one
+  particle against whole particles: the Gram adds each block and its
+  transpose, the chain its row and its column sums. Working memory is
+  O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
@@ -27,7 +28,6 @@ or sin over the group's phases, summed into R in particle order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,8 +271,8 @@ def rff_embedding_cotangents(
 
 
 def _tile_steps(m: int, n: int) -> tuple[int, int]:  # rows, columns of a _pair_tiles tile
-    rows_step = min(n, max(1, math.isqrt(_BLOCK_ENTRIES)))
-    return rows_step, min(m * n, max(1, _BLOCK_ENTRIES // rows_step))
+    rows_step = min(n, max(1, _BLOCK_ENTRIES // n))
+    return rows_step, min(m, max(1, _BLOCK_ENTRIES // rows_step // n)) * n
 
 
 def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile) -> None:
@@ -280,12 +280,12 @@ def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile) -> None:
 
     E[i, c] = k(z_{r0+i}^(l), B_{c0+c}) / amplitude, B the (m n, d) stack of all
     images: particle l's rows against the columns of particles l' >= l, in
-    tiles within _BLOCK_ENTRIES (square once n rows exceed it, so a tile's
-    column sums stay one inner-size-rows product), one GEMM and one exp each.
-    _CHUNKS fixed chunks k of whole particles, balanced by the m - l blocks
-    particle l owns, run on _split, their tiles in one order: a consumer that
-    sums chunk k into its own accumulator gets the same bits at any worker
-    count. E is reused once tile returns.
+    tiles of whole particles (c0 a multiple of n) within max(_BLOCK_ENTRIES, n)
+    entries, one GEMM and one exp each. _CHUNKS fixed chunks k of whole
+    particles, balanced by the m - l blocks particle l owns, run on _split,
+    their tiles in one order: a consumer that sums chunk k into its own
+    accumulator gets the same bits at any worker count. E is reused once tile
+    returns.
     """
     m, n, d = embeddings.shape
     left = _augment(spec, embeddings)[0]
@@ -311,21 +311,16 @@ def _exact_gram(spec: LatentKernelSpec, embeddings: np.ndarray) -> np.ndarray:
     """empirical_kernel_exact from the particle pairs l <= l' of _pair_tiles.
 
     A chunk sums A = sum_l E_ll / 2 + sum_{l<l'} E_ll' into its own (n, n)
-    array, a tile's columns folded onto c mod n: the whole particles in it by
-    one ones-vector product, the cut ends of a particle by a slice each. K =
+    array, a tile's particles folded onto it by one ones-vector product. K =
     (A + A^T) amplitude / m^2 is symmetric by construction and agrees with the
     full build to round-off, its pairs summed in another order.
     """
     m, n, _ = embeddings.shape
     A, ones = np.zeros((_CHUNKS, n, n)), np.ones(m)
     def tile(k, l, r0, c0, E):
-        E[:, : max(0, (l + 1) * n - c0)] *= 0.5  # the (l, l) block, which A + A^T adds twice
-        out, a = A[k, r0 : r0 + len(E)], c0 % n
-        h = min(E.shape[1], -c0 % n)  # the end of a particle cut at c0
-        w = h + (E.shape[1] - h) // n * n  # then whole particles, then a cut start
-        out[:, a : a + h] += E[:, :h]
-        out += ones[: (w - h) // n] @ E[:, h:w].reshape(len(E), -1, n)
-        out[:, : E.shape[1] - w] += E[:, w:]
+        if c0 == l * n:  # the (l, l) block, which A + A^T adds twice
+            E[:, :n] *= 0.5
+        A[k, r0 : r0 + len(E)] += ones[: E.shape[1] // n] @ E.reshape(len(E), -1, n)
     _pair_tiles(spec, embeddings, tile)
     A = A.sum(axis=0)
     return (A + A.T) * (spec.amplitude / m**2)
@@ -345,11 +340,11 @@ def kernel_embedding_cotangents(
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
 
     Each particle pair's block is built once, by _pair_tiles. A pair (i, c)
-    of weight M_ic = k(z_i, B_c) Csym_ic adds M_ic (z_i - B_c) to row i's sum
-    and, as Csym is symmetric and dk/db = -dk/da, M_ic (B_c - z_i) to column
-    c's when c is in another particle. Both are sums of M [B, 1] rows, so one
-    (m n, d+1) accumulator A = [sum M B, sum M] a chunk gives G = A[:, d] z -
-    A[:, :d], the chunks' A added in chunk order.
+    of weight M_ic = k(z_i, B_c) Csym_i(c mod n) adds M_ic (z_i - B_c) to row i's
+    sum and, as Csym is symmetric and dk/db = -dk/da, M_ic (B_c - z_i) to
+    column c's when c is in another particle. Both are sums of M [B, 1] rows,
+    so one (m n, d+1) accumulator A = [sum M B, sum M] a chunk gives G =
+    A[:, d] z - A[:, :d], the chunks' A added in chunk order.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
@@ -358,20 +353,12 @@ def kernel_embedding_cotangents(
         raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n)}")
     B = embeddings.reshape(-1, d)
     B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
-    # Csym repeated along its columns: a tile from column c0 takes the
-    # cols_step columns from c0 mod n, cut inside a particle or not
-    Csym = np.empty((n, n + _tile_steps(m, n)[1] - 1))
-    np.add(C, C.T, out=Csym[:, :n])
-    c = n
-    while c < Csym.shape[1]:  # doubling the filled columns each copy
-        w = min(c, Csym.shape[1] - c)
-        Csym[:, c : c + w] = Csym[:, :w]
-        c += w
+    Csym = C + C.T
     A = np.zeros((_CHUNKS, m * n, d + 1))
     def tile(k, l, r0, c0, M):
         r1, c1 = r0 + M.shape[0], c0 + M.shape[1]
         rows = slice(l * n + r0, l * n + r1)  # of A and B1
-        M *= Csym[r0:r1, c0 % n : c0 % n + c1 - c0]
+        M.reshape(len(M), -1, n)[:] *= Csym[r0:r1, None]  # each particle's columns
         A[k, rows] += M @ B1[c0:c1]
         c_other = max(c0, (l + 1) * n)  # first column of a particle l' > l
         if c_other < c1:

@@ -182,7 +182,9 @@ def kernel_embedding_cotangents_all_blocks(spec, embeddings, C) -> np.ndarray:
 
 
 # The exact cotangent chain with its own tile loop, before the loop was shared
-# with the training Gram: the library's chain must stay bitwise equal to it. One
+# with the training Gram and before its tiles held whole particles: the library's
+# chain must stay bitwise equal to it where m n^2 <= _BLOCK_ENTRIES (the same
+# tiles), and equal to round-off where its tiles cut a particle's columns. One
 # thread runs the chunks in order, which the fixed chunks make the same bits as
 # any worker count.
 

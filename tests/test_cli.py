@@ -791,6 +791,60 @@ sys.exit(cli.main(argv))
             assert run(args) == 0
         assert json.loads((out / "results.meta.json").read_text())["config"]["n_test"] == 36
 
+    def refused_before_any_cell(self, out, args, monkeypatch, capsys):
+        """The ConfigError message of a rerun that neither trains a cell nor rewrites a file."""
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_training", no_cell)
+        assert run(args) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        return record["message"]
+
+    def test_resume_after_another_dataset_keeps_the_first_ones_n_test(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # sine at --sizes 14 tests on 46 rows; after another dataset's run, sine
+        # at --sizes 14,18 would test on 42
+        out = tmp_path / "bench"
+        sine = write_regression_csv(tmp_path / "sine.csv", n=60)
+        other = write_regression_csv(tmp_path / "other.csv", n=60, seed=1)
+        for data, sizes in ((sine, "14"), (other, "14"), (sine, "14,18")):
+            args = self.bench_args(data, out)
+            del args[args.index("--n-test"):args.index("--n-test") + 2]
+            args[args.index("--sizes") + 1] = sizes
+            if sizes == "14":
+                assert run(args) == 0
+        message = self.refused_before_any_cell(out, args, monkeypatch, capsys)
+        assert "on 46 test rows, this run's on 42" in message and "--n-test 46" in message
+
+    @pytest.mark.parametrize("key, flags, values", [
+        ("n_unlabeled", ["--n-unlabeled", "10"], "5, this run's with 10"),
+        ("target", ["--target", "y2"], "'y', this run's with 'y2'"),
+        ("normalize_features", ["--no-normalize-features"], "True, this run's with False"),
+    ], ids=["n_unlabeled", "target", "normalize_features"])
+    def test_resume_under_another_split_is_exit_one_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, key, flags, values):
+        ds = synth_regression("sine", n=60, D=1, noise_std=0.1, seed=0)
+        data = tmp_path / "sine.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x0", "y", "y2"])
+            w.writerows([*row, target, 2.0 * target] for row, target in zip(ds.X, ds.y))
+        out = tmp_path / "bench"
+        args = [*self.bench_args(data, out), "--n-unlabeled", "5"]
+        args[args.index("--modes") + 1] = "dkl"
+        args[args.index("--sizes") + 1] = "14"
+        args[args.index("--trials") + 1] = "1"
+        assert run(args) == 0
+        args[args.index("--trials") + 1] = "2"  # a new cell to train under the new split
+        message = self.refused_before_any_cell(out, [*args, *flags], monkeypatch, capsys)
+        assert f"sine rows made with {key} {values}" in message
+
 
 def _typed_flag_cases():
     """(command, dest, flag argv, config value) for every typed or on/off flag

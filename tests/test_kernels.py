@@ -413,8 +413,8 @@ class TestExactCotangentChain:
     CASES = {  # m, n, d, _BLOCK_ENTRIES, C
         "one-particle": (1, 6, 2, 1 << 17, "asymmetric"),  # no column term
         "two-particles": (2, 7, 2, 1 << 17, "asymmetric"),
-        # 5-row x 6-column tiles of 7-row particles: tiles cut inside a
-        # particle's rows and columns, and a tile spans two particles' columns
+        # 4-row x 7-column tiles of 7-row particles: a particle's rows cut
+        # over two row tiles, against one whole particle a tile
         "tile-cuts-a-particle": (3, 7, 2, 31, "asymmetric"),
         "one-entry-tiles": (3, 5, 2, 1, "asymmetric"),
         "many-tiles": (5, 40, 3, 300, "asymmetric"),
@@ -484,7 +484,7 @@ class TestExactCotangentChain:
         bound = 8 * (
             kernels_mod._CHUNKS * m * n * (d + 1)  # the chunks' accumulators
             + max(threads._WORKERS, 1) * entries  # one tile buffer a worker
-            + n * (n + math.isqrt(entries))  # C + C^T, repeated along a tile's columns
+            + n * n  # C + C^T
             + 8 * m * n * (d + 2)  # augmented rows, [B, 1], G and their temporaries
         )
         assert peak < bound < 8 * (m * n) ** 2 / 100
@@ -619,11 +619,11 @@ class TestExactGram:
     CASES = {  # m, n, _BLOCK_ENTRIES
         "paper-size": (50, 45, 1 << 17),
         "one-particle": (1, 6, 1 << 17),
-        # n above isqrt(_BLOCK_ENTRIES) = 362: two row tiles a particle, and
-        # 362-column tiles cut inside a particle's 400 columns
+        # n^2 above _BLOCK_ENTRIES: a particle's 400 rows cut into 327- and
+        # 73-row tiles, against one whole particle a tile
         "n-above-a-square-tile": (2, 400, 1 << 17),
         "one-particle-n-above-a-square-tile": (1, 400, 1 << 17),
-        # 5-row x 6-column tiles of 7-row particles, one spanning two particles
+        # 4- and 3-row tiles of 7-row particles, one whole particle a tile
         "tile-cuts-a-particle": (3, 7, 31),
         "one-entry-tiles": (3, 5, 1),
     }
@@ -688,8 +688,12 @@ class TestExactGram:
         rng = np.random.default_rng(73)
         Z, C = rng.normal(size=(m, n, d)), TestExactCotangentChain.cotangent(kind, n, rng)
         spec = TestExactCotangentChain.SPEC
-        assert np.array_equal(kernel_embedding_cotangents(spec, Z, C),
-                              kernel_embedding_cotangents_own_loop(spec, Z, C))
+        G = kernel_embedding_cotangents(spec, Z, C)
+        want = kernel_embedding_cotangents_own_loop(spec, Z, C)
+        if m * n * n <= entries:  # the oracle's tiles held whole particles too
+            assert np.array_equal(G, want)
+        else:  # its tiles cut particles' columns: the pairs summed over other tile widths
+            np.testing.assert_allclose(G, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_working_memory_stays_far_below_one_pair_matrix(self):
         # m = 50, n = 400: the chunks' (n, n) accumulators and one tile buffer
@@ -709,3 +713,45 @@ class TestExactGram:
             + 4 * m * n * (d + 2)  # augmented rows and their temporaries
         )
         assert peak < bound < 8 * (m * n) ** 2 / 100
+
+
+class TestPairTiles:
+    """_pair_tiles' tiles hold whole particles: rows of particle l against the
+    columns of whole particles l' >= l, each pair once, within
+    max(_BLOCK_ENTRIES, n) entries a tile."""
+
+    @pytest.mark.parametrize("entries", [1, 6, 31, 40, 300, 1 << 17])
+    def test_tile_steps_take_whole_particles(self, monkeypatch, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        for m in (1, 2, 3, 5, 50):
+            for n in (1, 5, 7, 11, 45, 52, 400):
+                rows, cols = kernels_mod._tile_steps(m, n)
+                assert 1 <= rows <= n
+                assert cols % n == 0 and n <= cols <= m * n
+                assert rows * cols <= max(entries, n)
+
+    def test_paper_size_tile_is_one_particle_against_all(self):
+        # m = 50, n = 45: the tile shape the fit-exact bits were made with
+        assert kernels_mod._tile_steps(50, 45) == (45, 2250)
+
+    @pytest.mark.parametrize("m, n, entries", [
+        (1, 6, 1 << 17), (3, 7, 31), (3, 5, 1), (5, 40, 300), (4, 11, 40),
+        (6, 9, 200),  # two-particle tiles, the last of a row one particle
+        (2, 400, 1 << 17),
+    ])
+    def test_each_pair_once_in_whole_particle_tiles(self, monkeypatch, m, n, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        Z = np.asarray(random_embeddings(m, n, 2, seed=80))
+        B = Z.reshape(-1, 2)
+        seen = np.zeros((m, n, m * n), dtype=int)  # particle l, its row, a column of B
+        def tile(k, l, r0, c0, E):
+            assert c0 % n == 0 and E.shape[1] % n == 0
+            assert E.size <= max(entries, n)
+            r1, c1 = r0 + len(E), c0 + E.shape[1]
+            seen[l, r0:r1, c0:c1] += 1
+            d2 = ((Z[l, r0:r1, None] - B[None, c0:c1]) ** 2).sum(axis=-1)
+            np.testing.assert_allclose(E, np.exp(-0.5 * d2), rtol=0, atol=1e-12)
+        kernels_mod._pair_tiles(SPEC, Z, tile)
+        upper = np.arange(m)[:, None] <= np.arange(m)  # the pairs l <= l'
+        want = np.broadcast_to(upper[:, None, :, None], (m, n, m, n)).reshape(m, n, m * n)
+        assert np.array_equal(seen, want)
