@@ -10,8 +10,10 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
   one point set the training Gram and the backward chain share one tile loop
   over the m(m+1)/2 n^2 pairs of particles l <= l', each tile rows of one
   particle against whole particles: the Gram adds each block and its
-  transpose, the chain its row and its column sums. Working memory is
-  O(workers _BLOCK_ENTRIES + m n d + n^2), never an (m n)^2 array;
+  transpose, the chain its row and its column sums. The same loop runs over
+  two point sets, all m^2 n_a n_b pairs, for an ssdpkl pool chunk's cross
+  block against the labeled rows and its cotangent to both sides. Working
+  memory is O(workers _BLOCK_ENTRIES + m n d + n n_b), never an (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
@@ -179,17 +181,36 @@ def cross_kernel_batch(
     """
     query_embeddings = _check_embeddings(query_embeddings)
     K_star = empirical_cross_block(spec, query_embeddings, train_embeddings)
-    m, nq, _ = query_embeddings.shape
-    left, right = _augment(spec, query_embeddings.transpose(1, 0, 2))  # (nq, m, d+2)
+    return K_star, _self_pairs(spec, query_embeddings)[0]
+
+
+def _self_pairs(spec: LatentKernelSpec, embeddings: np.ndarray, w: float | None = None):
+    """(k_**, G): each point's self-average over its m^2 pairs of images, and,
+    with a weight w, the (m, n, d) cotangents of w sum(k_**) (else None).
+
+    The self-pairs E[i, l, l'] = k(z_i^(l), z_i^(l')) / amplitude are the
+    diagonal of a point set's own kernel block, whose cotangent w I chains as
+    kernel_embedding_cotangents' would: G^(l)[i] = -(2 w a / m^2 h^2)
+    sum_l' E[i, l, l'] (z_i^(l) - z_i^(l')).
+    """
+    m, n, d = embeddings.shape
+    Z = embeddings.transpose(1, 0, 2)  # (n, m, d)
+    left, right = _augment(spec, Z)
     right_T = right.transpose(0, 2, 1)
     step = max(1, _BLOCK_ENTRIES // m**2)
-    k_ss = np.empty(nq)
+    k_ss = np.empty(n)
+    G = None if w is None else np.empty((n, m, d))
     def fill(b0, b1):
         for r0 in range(b0 * step, b1 * step, step):
             rows = slice(r0, r0 + step)
-            k_ss[rows] = _exp_nonpositive(left[rows] @ right_T[rows]).sum(axis=(1, 2))
-    _split(-(-nq // step), step * m * m, fill)
-    return K_star, k_ss * (spec.amplitude / m**2)
+            E = _exp_nonpositive(left[rows] @ right_T[rows])
+            k_ss[rows] = E.sum(axis=(1, 2))
+            if G is not None:
+                G[rows] = E.sum(axis=2)[..., None] * Z[rows] - E @ Z[rows]
+    _split(-(-n // step), step * m * m, fill)
+    if G is not None:
+        G = G.transpose(1, 0, 2) * (-2.0 * w * spec.amplitude / (m**2 * spec.bandwidth**2))
+    return k_ss * (spec.amplitude / m**2), G
 
 
 def sample_rff_basis(
@@ -270,28 +291,34 @@ def rff_embedding_cotangents(
     return G
 
 
-def _tile_steps(m: int, n: int) -> tuple[int, int]:  # rows, columns of a _pair_tiles tile
-    rows_step = min(n, max(1, _BLOCK_ENTRIES // n))
-    return rows_step, min(m, max(1, _BLOCK_ENTRIES // rows_step // n)) * n
+def _tile_steps(m: int, n: int, n_b: int | None = None) -> tuple[int, int]:
+    """Rows, columns of a _pair_tiles tile: n a-side rows against particles of n_b (default n)."""
+    n_b = n if n_b is None else n_b
+    rows_step = min(n, max(1, _BLOCK_ENTRIES // n_b))
+    return rows_step, min(m, max(1, _BLOCK_ENTRIES // rows_step // n_b)) * n_b
 
 
-def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile) -> None:
+def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile, embeddings_b=None) -> None:
     """Run ``tile(k, l, r0, c0, E)`` on every exp tile of the particle pairs l <= l'.
 
     E[i, c] = k(z_{r0+i}^(l), B_{c0+c}) / amplitude, B the (m n, d) stack of all
     images: particle l's rows against the columns of particles l' >= l, in
     tiles of whole particles (c0 a multiple of n) within max(_BLOCK_ENTRIES, n)
-    entries, one GEMM and one exp each. _CHUNKS fixed chunks k of whole
-    particles, balanced by the m - l blocks particle l owns, run on _split,
-    their tiles in one order: a consumer that sums chunk k into its own
-    accumulator gets the same bits at any worker count. E is reused once tile
-    returns.
+    entries, one GEMM and one exp each. With ``embeddings_b`` (m, n_b, d), B
+    stacks its images instead and every pair (l, l') runs, c0 a multiple of
+    n_b. _CHUNKS fixed chunks k of whole particles, balanced by the blocks
+    particle l owns, run on _split, their tiles in one order: a consumer that
+    sums chunk k into its own accumulator gets the same bits at any worker
+    count. E is reused once tile returns.
     """
     m, n, d = embeddings.shape
+    one_set = embeddings_b is None
+    Zb = embeddings if one_set else embeddings_b
+    n_b = Zb.shape[1]
     left = _augment(spec, embeddings)[0]
-    right_T = np.ascontiguousarray(_augment(spec, embeddings.reshape(-1, d))[1].T)
-    rows_step, cols_step = _tile_steps(m, n)
-    owned = np.cumsum(np.arange(m, 0, -1))
+    right_T = np.ascontiguousarray(_augment(spec, Zb.reshape(-1, d))[1].T)
+    rows_step, cols_step = _tile_steps(m, n, n_b)
+    owned = np.cumsum(np.arange(m, 0, -1) if one_set else np.full(m, m))
     cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1, m]
     def fill(k0, k1):  # the particles of chunks k0..k1-1
         buf = np.empty(rows_step * cols_step)
@@ -299,30 +326,35 @@ def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile) -> None:
             for l in range(cuts[k], cuts[k + 1]):
                 for r0 in range(0, n, rows_step):
                     r1 = min(r0 + rows_step, n)
-                    for c0 in range(l * n, m * n, cols_step):
-                        c1 = min(c0 + cols_step, m * n)
+                    for c0 in range(l * n_b if one_set else 0, m * n_b, cols_step):
+                        c1 = min(c0 + cols_step, m * n_b)
                         E = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
                         np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=E)
                         tile(k, l, r0, c0, _exp_nonpositive(E))
-    _split(_CHUNKS, int(owned[-1]) * n * n // _CHUNKS * _PAIR_COST, fill)
+    _split(_CHUNKS, int(owned[-1]) * n * n_b // _CHUNKS * _PAIR_COST, fill)
 
 
-def _exact_gram(spec: LatentKernelSpec, embeddings: np.ndarray) -> np.ndarray:
-    """empirical_kernel_exact from the particle pairs l <= l' of _pair_tiles.
+def _exact_gram(spec: LatentKernelSpec, embeddings: np.ndarray, embeddings_b=None) -> np.ndarray:
+    """empirical_kernel_exact from the particle pairs l <= l' of _pair_tiles, or,
+    with ``embeddings_b``, empirical_cross_block from all pairs of the two sets.
 
-    A chunk sums A = sum_l E_ll / 2 + sum_{l<l'} E_ll' into its own (n, n)
-    array, a tile's particles folded onto it by one ones-vector product. K =
-    (A + A^T) amplitude / m^2 is symmetric by construction and agrees with the
-    full build to round-off, its pairs summed in another order.
+    A chunk sums A = sum_l E_ll / 2 + sum_{l<l'} E_ll' (two sets: sum_{l,l'}
+    E_ll') into its own (n, n_b) array, a tile's particles folded onto it by one
+    ones-vector product. K = (A + A^T) amplitude / m^2 (two sets: A amplitude /
+    m^2) is symmetric by construction and agrees with the full build to
+    round-off, its pairs summed in another order.
     """
     m, n, _ = embeddings.shape
-    A, ones = np.zeros((_CHUNKS, n, n)), np.ones(m)
+    n_b = n if embeddings_b is None else embeddings_b.shape[1]
+    A, ones = np.zeros((_CHUNKS, n, n_b)), np.ones(m)
     def tile(k, l, r0, c0, E):
-        if c0 == l * n:  # the (l, l) block, which A + A^T adds twice
+        if embeddings_b is None and c0 == l * n:  # the (l, l) block, which A + A^T adds twice
             E[:, :n] *= 0.5
-        A[k, r0 : r0 + len(E)] += ones[: E.shape[1] // n] @ E.reshape(len(E), -1, n)
-    _pair_tiles(spec, embeddings, tile)
+        A[k, r0 : r0 + len(E)] += ones[: E.shape[1] // n_b] @ E.reshape(len(E), -1, n_b)
+    _pair_tiles(spec, embeddings, tile, embeddings_b)
     A = A.sum(axis=0)
+    if embeddings_b is not None:
+        return A * (spec.amplitude / m**2)
     return (A + A.T) * (spec.amplitude / m**2)
 
 
@@ -330,7 +362,8 @@ def kernel_embedding_cotangents(
     spec: LatentKernelSpec,
     embeddings: np.ndarray,
     C: np.ndarray,
-) -> np.ndarray:
+    embeddings_b: np.ndarray | None = None,
+):
     """Chain a cotangent on the exact kernel matrix back to the embeddings.
 
     Given C = dJ/dK for K = empirical_kernel_exact over one point set (C need
@@ -339,32 +372,44 @@ def kernel_embedding_cotangents(
 
         G^(l)[i] = (1/m^2) sum_{j,l'} (C_ij + C_ji) * dk/dz (z_i^(l), z_j^(l')).
 
+    With ``embeddings_b``, C = dJ/dK is (n, n_b) for K = empirical_cross_block
+    between the two sets, and the result is the pair (G_a, G_b), each side's
+    cotangents, C_ij taking the place of C_ij + C_ji.
+
     Each particle pair's block is built once, by _pair_tiles. A pair (i, c)
     of weight M_ic = k(z_i, B_c) Csym_i(c mod n) adds M_ic (z_i - B_c) to row i's
     sum and, as Csym is symmetric and dk/db = -dk/da, M_ic (B_c - z_i) to
-    column c's when c is in another particle. Both are sums of M [B, 1] rows,
-    so one (m n, d+1) accumulator A = [sum M B, sum M] a chunk gives G =
-    A[:, d] z - A[:, :d], the chunks' A added in chunk order.
+    column c's when c is in another particle (two sets: always). Both are sums
+    of M [B, 1] rows, so one accumulator A = [sum M B, sum M] over the stacked
+    images of both sides a chunk gives G = A[:, d] z - A[:, :d], the chunks' A
+    added in chunk order.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
+    one_set = embeddings_b is None
+    Zb = embeddings if one_set else _check_embeddings(embeddings_b)
+    n_b = Zb.shape[1]
     C = np.asarray(C, dtype=np.float64)
-    if C.shape != (n, n):
-        raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n)}")
-    B = embeddings.reshape(-1, d)
-    B1 = np.concatenate([B, np.ones((m * n, 1))], axis=1)
-    Csym = C + C.T
-    A = np.zeros((_CHUNKS, m * n, d + 1))
+    if C.shape != (n, n_b):
+        raise DimensionMismatch(f"cotangent shape {C.shape} != {(n, n_b)}")
+    off = 0 if one_set else m * n  # of b-side rows in A and B1
+    B = embeddings.reshape(-1, d) if one_set else np.concatenate(
+        [embeddings.reshape(-1, d), Zb.reshape(-1, d)])
+    B1 = np.concatenate([B, np.ones((len(B), 1))], axis=1)
+    Csym = C + C.T if one_set else C
+    A = np.zeros((_CHUNKS, len(B), d + 1))
     def tile(k, l, r0, c0, M):
         r1, c1 = r0 + M.shape[0], c0 + M.shape[1]
         rows = slice(l * n + r0, l * n + r1)  # of A and B1
-        M.reshape(len(M), -1, n)[:] *= Csym[r0:r1, None]  # each particle's columns
-        A[k, rows] += M @ B1[c0:c1]
-        c_other = max(c0, (l + 1) * n)  # first column of a particle l' > l
+        M.reshape(len(M), -1, n_b)[:] *= Csym[r0:r1, None]  # each particle's columns
+        A[k, rows] += M @ B1[off + c0 : off + c1]
+        c_other = max(c0, (l + 1) * n) if one_set else c0  # first column of a particle l' > l
         if c_other < c1:
-            A[k, c_other:c1] += M[:, c_other - c0 :].T @ B1[rows]
-    _pair_tiles(spec, embeddings, tile)
+            A[k, off + c_other : off + c1] += M[:, c_other - c0 :].T @ B1[rows]
+    _pair_tiles(spec, embeddings, tile, embeddings_b)
     total = A.sum(axis=0)
-    G = (total[:, d:] * B - total[:, :d]).reshape(m, n, d)
+    G = total[:, d:] * B - total[:, :d]
     G *= -spec.amplitude / (m**2 * spec.bandwidth**2)
-    return G
+    if one_set:
+        return G.reshape(m, n, d)
+    return G[:off].reshape(m, n, d), G[off:].reshape(m, n_b, d)

@@ -16,6 +16,8 @@ O(workers _GROUP_ENTRIES + m n d) for any input size; a large input goes one
 particle at a time. ``forward_vjp`` is the forward pass that a VJP follows: at
 the paper sizes it keeps the groups' activations (at most ``_TRACE_ENTRIES``)
 for its one backward pass, and above that the backward pass recomputes them.
+The trainer streams an ssdpkl pool through it in chunks sized to keep their
+trace, so only a large labeled set is recomputed.
 Per slice, the stacked GEMMs and reductions make the same calls as a
 per-particle loop, so the results are bitwise equal to it.
 
@@ -28,8 +30,8 @@ activation once it has been read. A pass that keeps no trace
 every group of a worker range into the range's one set of layer and delta
 buffers, which the range allocates and passes down to each group, so a
 pool-sized pass does not fault each group's arrays in afresh.
-On the rff route the rest of an ssdpkl pool's cost is O((n_l + n_u) q)
-values (``trainer``), which ``unlabeled_cap`` bounds.
+An ssdpkl pool's memory is a chunk's (``trainer``) and does not grow with its
+rows; ``unlabeled_cap`` bounds only its time.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ ACTIVATIONS = ("relu", "tanh")
 _GROUP_ENTRIES = 1 << 17
 # Entries of a whole forward trace that ``forward_vjp`` keeps for its VJP:
 # 2^20 float64 values (8 MB) hold the paper-size passes (457k entries at
-# n=45, m=50), not a pool of thousands of rows.
+# n=45, m=50) and each chunk of an ssdpkl pool, which the trainer sizes to it
+# (99 rows at the paper MLP with D=8).
 _TRACE_ENTRIES = 1 << 20
 
 

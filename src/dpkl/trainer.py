@@ -34,9 +34,11 @@ Three training modes, one objective path per kernel route:
   dpkl   — the same algebra on an empty pool with weights 1 and 0, which is
            the GP negative log likelihood over labeled data;
   dkl    — single-particle dpkl (deterministic network baseline).
-On the rff route the kernel R R^T has rank q, so the pool's variances and
-cotangents are q x q Gram algebra: the objective holds O((n_l + n_u) q)
-values and no n_l x n_u array, and ``unlabeled_cap`` bounds it.
+The pool is streamed after the labeled pass, in chunks of a constant row
+count that each keep their own forward trace (``_objective_core``), so pool
+memory does not grow with n_u on either route: O(n_l c) on the exact route
+for chunks of c rows, no n_l x n_u array, and on the rff route q x q Grams.
+``unlabeled_cap`` now bounds only the time an epoch takes.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .linalg import BASE_JITTER, solve_chol
-from .threads import single_threaded_blas
+from .threads import _split, single_threaded_blas
 
 MODES = ("dpkl", "ssdpkl", "dkl")
 KERNEL_MODES = ("exact", "rff")
@@ -226,6 +228,15 @@ def _rff_basis_for(config: TrainConfig) -> kernels.RffBasis:
     return kernels.sample_rff_basis(config.kernel_spec(), config.latent_dim, config.q, seed)
 
 
+def _pool_chunk_rows(config: TrainConfig, arch: net.MlpArchitecture, n_l: int) -> int:
+    """Rows of a pool chunk: the most whose forward trace fits net._TRACE_ENTRIES
+    and, on the exact route, whose (n_l, c) blocks and m^2 self-pairs a row do too."""
+    per_row = config.m * net._width(arch)
+    if config.kernel_mode == "exact":
+        per_row = max(per_row, n_l, config.m**2)
+    return max(1, net._TRACE_ENTRIES // per_row)
+
+
 def _objective_core(
     ensemble: net.ParticleEnsemble,
     data: TrainData,
@@ -235,7 +246,17 @@ def _objective_core(
 ) -> _ObjectiveResult:
     """c_nll * nll + w_reg * (sum of pool posterior variances) and its (m, P)
     gradient, written into out if given. Only ssdpkl has a pool: dpkl and dkl
-    run the same algebra on an empty one, whose zero-size blocks add exact zeros.
+    run the same algebra on an empty one, with zero pool chunks.
+
+    Three passes. The labeled pass factors the GP. Each pool row's variance
+    and cotangent need only that state and the row (Jean et al. 2018), so the
+    pool pass runs chunks of ``_pool_chunk_rows`` rows, each with its own
+    forward trace, and gathers what the labeled side needs: G_U = R_U^T R_U
+    (rff), or B B^T, the variances and the LU tiles' labeled-row cotangents
+    (exact). The chunks form kernels._CHUNKS fixed groups of equal row
+    counts, each run whole on the kernel workers into its own sums and (m, P)
+    gradient, added in group order: the same bits at any worker count. Last,
+    the labeled cotangent and VJP.
     """
     spec = config.kernel_spec()
     X_lab = data.X
@@ -246,47 +267,81 @@ def _objective_core(
         c_nll, w_reg = 1.0 / n_l, config.ssdpkl_alpha / len(X_pool)
     else:
         X_pool, c_nll, w_reg = X_lab[:0], 1.0, 0.0
-    Z_all, vjp = net.forward_vjp(ensemble, np.vstack([X_lab, X_pool]))
+    Z_L, vjp = net.forward_vjp(ensemble, X_lab)
     rff = config.kernel_mode == "rff"
-
     if rff:
-        # K = R R^T has rank q, so every pool term is a q x q Gram: with
-        # P = A^{-1} R_L, Q = R_L^T P and G_U = R_U^T R_U, the pool's
-        # B = A^{-1} K_LU is P R_U^T, and no n_l x n_u array is formed
-        R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
-        R_L, R_U = R_all[:n_l], R_all[n_l:]
+        # K = R R^T has rank q: with P = A^{-1} R_L and Q = R_L^T P, a chunk's
+        # B = A^{-1} K_LU is P R_U^T, and it reaches the labeled side only
+        # through its q x q Gram R_U^T R_U; no n_l x n_u array is formed
+        R_L = kernels.rff_feature_matrix(basis, Z_L, spec)
         state = gp.gp_state_exact(R_L @ R_L.T, y, config.noise_var, config.base_jitter)
         P = solve_chol(state.chol, R_L)
-        Q, G_U = R_L.T @ P, R_U.T @ R_U
+        Q = R_L.T @ P
+    else:
+        state = gp.gp_state_exact(kernels._exact_gram(spec, Z_L), y, config.noise_var,
+                                  config.base_jitter)
+
+    def chunk(X_c, grad):  # the chunk's sums for the labeled side; its VJP into grad
+        Z_c, vjp_c = net.forward_vjp(ensemble, X_c)
+        if rff:
+            R_c = kernels.rff_feature_matrix(basis, Z_c, spec)
+            T_c = R_c @ Q  # d objective / d R_c = 2w (R_c - R_c Q)
+            np.subtract(R_c, T_c, out=T_c)
+            T_c *= 2.0 * w_reg
+            vjp_c(kernels.rff_embedding_cotangents(basis, Z_c, spec, T_c), out=grad)
+            return (R_c.T @ R_c,)
+        K_Lc = kernels._exact_gram(spec, Z_L, Z_c)
+        B_c = solve_chol(state.chol, K_Lc)  # columns are A^{-1} k_*(u)
+        k_ss, G_c = kernels._self_pairs(spec, Z_c, w_reg)  # the pool block's w I
+        G_Lc, G_cL = kernels.kernel_embedding_cotangents(spec, Z_L, -2.0 * w_reg * B_c, Z_c)
+        G_c += G_cL
+        vjp_c(G_c, out=grad)
+        return B_c @ B_c.T, float(np.sum(k_ss) - np.sum(K_Lc * B_c)), G_Lc
+
+    n_u, c = len(X_pool), _pool_chunk_rows(config, ensemble.arch, n_l)
+    cuts = [n_u * k // kernels._CHUNKS for k in range(kernels._CHUNKS + 1)]
+    groups = [None] * kernels._CHUNKS  # (sums, (m, P) gradient) of each non-empty group
+
+    def run(k0, k1):  # groups k0..k1-1, their chunks in row order
+        scratch = np.empty(ensemble.flat().shape)  # the VJP of a group's later chunks
+        for k in range(k0, k1):
+            for r0 in range(cuts[k], cuts[k + 1], c):
+                X_c = X_pool[r0 : min(r0 + c, cuts[k + 1])]
+                if groups[k] is None:
+                    grad = np.empty_like(scratch)
+                    groups[k] = chunk(X_c, grad), grad
+                else:
+                    part, (sums, grad) = chunk(X_c, scratch), groups[k]
+                    grad += scratch
+                    groups[k] = tuple(map(operator.add, sums, part)), grad
+
+    if n_u:
+        per_row = config.m * (config.q * kernels._TRIG_COST if rff else config.m * n_l)
+        _split(kernels._CHUNKS, -(-n_u // kernels._CHUNKS) * per_row, run)
+    groups = [g for g in groups if g is not None]  # in group order; none on an empty pool
+    sums = [s for s, _ in groups]
+    if rff:
+        G_U = sum((s[0] for s in sums), np.zeros((config.q, config.q)))
         PG = P @ G_U
         reg_value = float(np.trace(G_U) - np.sum(G_U * Q))
         BB = PG @ P.T
     else:
-        K_full = kernels._exact_gram(spec, Z_all)
-        K_LL, K_LU, k_ss = K_full[:n_l, :n_l], K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
-        state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
-        B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
-        reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
-        BB = B @ B.T
+        BB = sum((s[0] for s in sums), np.zeros((n_l, n_l)))
+        reg_value = sum((s[1] for s in sums), 0.0)
 
     nll_value = gp.nll(state)
     objective = c_nll * nll_value + w_reg * reg_value
     # d objective / d K_LL, the cotangent of every labeled pair
     S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * BB
     if rff:
-        T = np.empty_like(R_all)  # d objective / d R: labeled rows, then the pool's
-        np.matmul(2.0 * S_LL, R_L, out=T[:n_l])
-        T[:n_l] -= 2.0 * w_reg * PG
-        np.matmul(R_U, Q, out=T[n_l:])
-        np.subtract(R_U, T[n_l:], out=T[n_l:])
-        T[n_l:] *= 2.0 * w_reg
-        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T)
+        T_L = np.matmul(2.0 * S_LL, R_L)  # d objective / d R_L
+        T_L -= 2.0 * w_reg * PG
+        G_L = kernels.rff_embedding_cotangents(basis, Z_L, spec, T_L)
     else:
-        C = np.block([[S_LL, -2.0 * w_reg * B],
-                      [np.zeros_like(B.T), w_reg * np.eye(len(X_pool))]])
-        G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
-
-    grads = vjp(G, out=out)
+        G_L = sum((s[2] for s in sums), kernels.kernel_embedding_cotangents(spec, Z_L, S_LL))
+    grads = vjp(G_L, out=out)
+    for _, grad in groups:
+        grads += grad
     chol_min_diag = float(np.min(np.diag(state.chol.L)))
     return _ObjectiveResult(objective, nll_value, grads, state.chol.jitter_used, chol_min_diag)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpkl import classify, kernels, linalg, net, trainer
+from dpkl import classify, gp, kernels, linalg, net, trainer
 from dpkl.checkpoint import FORMAT_NAME
 from dpkl.errors import (
     DimensionMismatch,
@@ -19,7 +19,9 @@ from dpkl.errors import (
 )
 from dpkl.gp import _VARIANCE_SLACK, GpState, nll_grad_kernel
 from dpkl.kernels import LatentKernelSpec, empirical_cross_block
+from dpkl.linalg import solve_chol
 from dpkl.net import MlpArchitecture
+from dpkl.trainer import TrainConfig, TrainData, _ObjectiveResult
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -181,6 +183,23 @@ def kernel_embedding_cotangents_all_blocks(spec, embeddings, C) -> np.ndarray:
     return G
 
 
+def cross_cotangents_all_blocks(spec, embeddings_a, embeddings_b, C):
+    """kernels.kernel_embedding_cotangents over two point sets, (G_a, G_b), from
+    every particle block (l, l') built dense, in one thread."""
+    Za = np.asarray(embeddings_a, dtype=np.float64)
+    Zb = np.asarray(embeddings_b, dtype=np.float64)
+    m = len(Za)
+    scale = 1.0 / (m**2 * spec.bandwidth**2)
+    G_a, G_b = np.zeros_like(Za), np.zeros_like(Zb)
+    for l in range(m):
+        for l2 in range(m):
+            diff = Za[l][:, None, :] - Zb[l2][None, :, :]  # (n_a, n_b, d)
+            M = C * spec.amplitude * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * spec.bandwidth**2))
+            G_a[l] -= scale * np.einsum("ij,ijd->id", M, diff)
+            G_b[l2] += scale * np.einsum("ij,ijd->jd", M, diff)
+    return G_a, G_b
+
+
 # The exact cotangent chain with its own tile loop, before the loop was shared
 # with the training Gram and before its tiles held whole particles: the library's
 # chain must stay bitwise equal to it where m n^2 <= _BLOCK_ENTRIES (the same
@@ -264,6 +283,78 @@ def rff_objective_dense_pool(ensemble, data, config, basis):
     T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
     G = kernels.rff_embedding_cotangents(basis, Z_all, spec, np.vstack([T_L, T_U]))
     return c_nll * nll_value + w_reg * reg_value, nll_value, vjp(G)
+
+
+# trainer._objective_core before it streamed the pool: the labeled rows and
+# the pool stacked into one forward pass and one kernel build, a dense
+# (n_l + n_u)^2 Gram and np.block cotangent on the exact route. The streamed
+# objective sums the pool chunk by chunk, so it matches this at a stated rtol;
+# on an empty pool the two make the same operations, bit for bit.
+
+
+def objective_core_whole_batch(
+    ensemble: net.ParticleEnsemble,
+    data: TrainData,
+    config: TrainConfig,
+    basis: kernels.RffBasis | None,
+    out: np.ndarray | None = None,
+) -> _ObjectiveResult:
+    """c_nll * nll + w_reg * (sum of pool posterior variances) and its (m, P)
+    gradient, written into out if given. Only ssdpkl has a pool: dpkl and dkl
+    run the same algebra on an empty one, whose zero-size blocks add exact zeros.
+    """
+    spec = config.kernel_spec()
+    X_lab = data.X
+    y = np.asarray(data.y, dtype=np.float64).reshape(-1)
+    n_l = X_lab.shape[0]
+    if config.mode == "ssdpkl":
+        X_pool = data.X_unlabeled
+        c_nll, w_reg = 1.0 / n_l, config.ssdpkl_alpha / len(X_pool)
+    else:
+        X_pool, c_nll, w_reg = X_lab[:0], 1.0, 0.0
+    Z_all, vjp = net.forward_vjp(ensemble, np.vstack([X_lab, X_pool]))
+    rff = config.kernel_mode == "rff"
+
+    if rff:
+        # K = R R^T has rank q, so every pool term is a q x q Gram: with
+        # P = A^{-1} R_L, Q = R_L^T P and G_U = R_U^T R_U, the pool's
+        # B = A^{-1} K_LU is P R_U^T, and no n_l x n_u array is formed
+        R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
+        R_L, R_U = R_all[:n_l], R_all[n_l:]
+        state = gp.gp_state_exact(R_L @ R_L.T, y, config.noise_var, config.base_jitter)
+        P = solve_chol(state.chol, R_L)
+        Q, G_U = R_L.T @ P, R_U.T @ R_U
+        PG = P @ G_U
+        reg_value = float(np.trace(G_U) - np.sum(G_U * Q))
+        BB = PG @ P.T
+    else:
+        K_full = kernels._exact_gram(spec, Z_all)
+        K_LL, K_LU, k_ss = K_full[:n_l, :n_l], K_full[:n_l, n_l:], np.diag(K_full[n_l:, n_l:])
+        state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
+        B = solve_chol(state.chol, K_LU)  # columns are A^{-1} k_*(u)
+        reg_value = float(np.sum(k_ss) - np.sum(K_LU * B))
+        BB = B @ B.T
+
+    nll_value = gp.nll(state)
+    objective = c_nll * nll_value + w_reg * reg_value
+    # d objective / d K_LL, the cotangent of every labeled pair
+    S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * BB
+    if rff:
+        T = np.empty_like(R_all)  # d objective / d R: labeled rows, then the pool's
+        np.matmul(2.0 * S_LL, R_L, out=T[:n_l])
+        T[:n_l] -= 2.0 * w_reg * PG
+        np.matmul(R_U, Q, out=T[n_l:])
+        np.subtract(R_U, T[n_l:], out=T[n_l:])
+        T[n_l:] *= 2.0 * w_reg
+        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T)
+    else:
+        C = np.block([[S_LL, -2.0 * w_reg * B],
+                      [np.zeros_like(B.T), w_reg * np.eye(len(X_pool))]])
+        G = kernels.kernel_embedding_cotangents(spec, Z_all, C)
+
+    grads = vjp(G, out=out)
+    chol_min_diag = float(np.min(np.diag(state.chol.L)))
+    return _ObjectiveResult(objective, nll_value, grads, state.chol.jitter_used, chol_min_diag)
 
 
 def fd_gradient(f, w0: np.ndarray, step: float = 1e-5) -> np.ndarray:

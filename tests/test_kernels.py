@@ -12,8 +12,10 @@ import pytest
 from helpers import (
     base_kernel,
     cross_kernel,
+    cross_cotangents_all_blocks,
     cross_kernel_batch_serial,
     empirical_cross_block_serial,
+    fd_gradient,
     kernel_cotangents_loop,
     kernel_embedding_cotangents_all_blocks,
     kernel_embedding_cotangents_own_loop,
@@ -755,3 +757,105 @@ class TestPairTiles:
         upper = np.arange(m)[:, None] <= np.arange(m)  # the pairs l <= l'
         want = np.broadcast_to(upper[:, None, :, None], (m, n, m, n)).reshape(m, n, m * n)
         assert np.array_equal(seen, want)
+
+    @pytest.mark.parametrize("m, n_a, n_b, entries", [
+        (1, 6, 4, 1 << 17), (3, 7, 5, 31), (3, 5, 4, 1), (5, 40, 11, 300),
+        (4, 11, 6, 40),
+        (6, 9, 4, 30),  # tiles of three b-particles of 4, the last of a row two
+        (2, 400, 99, 1 << 17),  # a labeled set's rows against a pool chunk's
+    ])
+    def test_two_sets_each_pair_once_in_whole_b_particle_tiles(self, monkeypatch, m, n_a, n_b, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        Za = np.asarray(random_embeddings(m, n_a, 2, seed=81))
+        Zb = np.asarray(random_embeddings(m, n_b, 2, seed=82))
+        B = Zb.reshape(-1, 2)
+        seen = np.zeros((m, n_a, m * n_b), dtype=int)  # a-particle l, its row, a column of B
+        def tile(k, l, r0, c0, E):
+            assert c0 % n_b == 0 and E.shape[1] % n_b == 0
+            assert E.size <= max(entries, n_b)
+            r1, c1 = r0 + len(E), c0 + E.shape[1]
+            seen[l, r0:r1, c0:c1] += 1
+            d2 = ((Za[l, r0:r1, None] - B[None, c0:c1]) ** 2).sum(axis=-1)
+            np.testing.assert_allclose(E, np.exp(-0.5 * d2), rtol=0, atol=1e-12)
+        kernels_mod._pair_tiles(SPEC, Za, tile, Zb)
+        assert np.array_equal(seen, np.ones_like(seen))  # every pair (l, l'), once
+
+
+class TestCrossBlockChains:
+    """The exact pool terms on two point sets: _exact_gram's cross block, the
+    cross-block cotangent chained to both sides, and the self-pairs' k_** and
+    their chain, against dense oracles and finite differences, and the same
+    bits at any worker count."""
+
+    SPEC = LatentKernelSpec(amplitude=0.7, bandwidth=1.3)
+    CASES = {  # m, n_a, n_b, d, _BLOCK_ENTRIES
+        "one-particle": (1, 6, 3, 2, 1 << 17),
+        "whole-sets": (3, 7, 5, 2, 1 << 17),
+        # tiles of 6 a-rows x one b-particle of 5: a particle's 7 a-rows cut
+        # over two row tiles
+        "tiles-cut-a-rows": (3, 7, 5, 2, 31),
+        # tiles of all 4 a-rows x two b-particles of 3, the last of a row one
+        "tiles-cut-the-b-particles": (5, 4, 3, 2, 30),
+        "one-entry-tiles": (3, 5, 4, 2, 1),
+        "many-tiles": (5, 40, 11, 3, 300),
+    }
+
+    def inputs(self, case, seed=90):
+        m, n_a, n_b, d, _ = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(m, n_a, d)), rng.normal(size=(m, n_b, d)), rng.normal(size=(n_a, n_b))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cross_gram_and_chain_match_dense_oracles(self, monkeypatch, case):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", self.CASES[case][-1])
+        Za, Zb, C = self.inputs(case)
+        K = kernels_mod._exact_gram(self.SPEC, Za, Zb)
+        want = empirical_cross_block(self.SPEC, Za, Zb)
+        np.testing.assert_allclose(K, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for G, G_want in zip(kernel_embedding_cotangents(self.SPEC, Za, C, Zb),
+                             cross_cotangents_all_blocks(self.SPEC, Za, Zb, C)):
+            np.testing.assert_allclose(G, G_want, rtol=1e-12, atol=1e-12 * np.abs(G_want).max())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_at_any_worker_count(self, monkeypatch, case):
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", self.CASES[case][-1])
+        Za, Zb, C = self.inputs(case, seed=91)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(threads, "_WORKERS", workers)
+            K = kernels_mod._exact_gram(self.SPEC, Za, Zb)
+            G_a, G_b = kernel_embedding_cotangents(self.SPEC, Za, C, Zb)
+            k_ss, G_s = kernels_mod._self_pairs(self.SPEC, Zb, 0.3)
+            results.append(b"".join(x.tobytes() for x in (K, G_a, G_b, k_ss, G_s)))
+        assert results[1:] == results[:1] * 2
+
+    def test_cross_chain_matches_finite_differences(self):
+        Za, Zb, C = self.inputs("whole-sets", seed=92)
+        G_a, G_b = kernel_embedding_cotangents(self.SPEC, Za, C, Zb)
+
+        def f(flat):
+            a, b = flat[: Za.size].reshape(Za.shape), flat[Za.size :].reshape(Zb.shape)
+            return float(np.sum(C * empirical_cross_block(self.SPEC, a, b)))
+
+        numeric = fd_gradient(f, np.concatenate([Za.ravel(), Zb.ravel()]))
+        np.testing.assert_allclose(np.concatenate([G_a.ravel(), G_b.ravel()]), numeric,
+                                   rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("entries", [1, 7, 1 << 17])  # one point a step, two, all
+    def test_self_pairs_are_the_diagonal_and_its_chain(self, monkeypatch, entries):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        m, n, d, w = 3, 6, 2, 0.3
+        Z = np.random.default_rng(93).normal(size=(m, n, d))
+        k_ss, G = kernels_mod._self_pairs(self.SPEC, Z, w)
+        # k_** is cross_kernel_batch's, bit for bit, and the own block's diagonal
+        assert k_ss.tobytes() == cross_kernel_batch_serial(self.SPEC, Z, Z)[1].tobytes()
+        np.testing.assert_allclose(k_ss, np.diag(empirical_kernel_exact(self.SPEC, Z)), rtol=1e-12)
+        # the chain of w I on the own block, and of w sum(k_**) by finite differences
+        want = kernel_embedding_cotangents(self.SPEC, Z, w * np.eye(n))
+        np.testing.assert_allclose(G, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        numeric = fd_gradient(
+            lambda flat: w * float(np.sum(kernels_mod._self_pairs(self.SPEC, flat.reshape(Z.shape))[0])),
+            Z.ravel())
+        np.testing.assert_allclose(G.ravel(), numeric, rtol=1e-6, atol=1e-9)
+        assert kernels_mod._self_pairs(self.SPEC, Z)[1] is None

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
     functional_gradient_step_textbook,
     functional_gradient_step_unblocked,
+    objective_core_whole_batch,
     objective_value,
     particle_fd_gradient,
     per_particle_loss_grads,
@@ -13,7 +20,7 @@ from helpers import (
     rff_objective_dense_pool,
 )
 
-from dpkl import classify, net, trainer
+from dpkl import classify, net, threads, trainer
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.errors import (
     ConfigError,
@@ -208,6 +215,175 @@ class TestRffPoolGrams:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+def assert_matches_whole_batch(got, want):
+    """The streamed objective against the whole-batch oracle at rtol 1e-12, the
+    gradient with an absolute floor of 1e-12 of its largest entry, as in
+    TestRffPoolGrams."""
+    np.testing.assert_allclose(got.objective, want.objective, rtol=1e-12)
+    np.testing.assert_allclose(got.nll, want.nll, rtol=1e-12)
+    np.testing.assert_allclose(got.grads, want.grads, rtol=1e-12,
+                               atol=1e-12 * np.abs(want.grads).max())
+
+
+class TestStreamedPool:
+    """_objective_core streams the pool in chunks after the labeled pass, on
+    both kernel routes: close to the whole-batch objective it replaced
+    (``helpers.objective_core_whole_batch``), at any chunk size, and the same
+    bits at any worker count."""
+
+    @staticmethod
+    def core_and_oracle(cfg, data, seed=31):
+        ens = net.init_ensemble(cfg.architecture(data.dim), cfg.m, seed)
+        basis = trainer._rff_basis_for(cfg) if cfg.kernel_mode == "rff" else None
+        return (trainer._objective_core(ens, data, cfg, basis),
+                objective_core_whole_batch(ens, data, cfg, basis))
+
+    @staticmethod
+    def chunks_of(monkeypatch, rows, cfg, n_l, arch):
+        """Force a pool chunk of ``rows`` rows through net._TRACE_ENTRIES."""
+        per_row = max(cfg.m * net._width(arch), n_l, cfg.m**2)
+        monkeypatch.setattr(net, "_TRACE_ENTRIES", rows * per_row)
+        assert trainer._pool_chunk_rows(cfg, arch, n_l) == rows
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    @pytest.mark.parametrize("n_l, n_u", [(6, 1), (6, 25), (15, 1), (15, 25)])
+    def test_matches_whole_batch_oracle(self, kernel_mode, n_l, n_u):
+        cfg = tiny_config(mode="ssdpkl", kernel_mode=kernel_mode, q=10)
+        assert_matches_whole_batch(*self.core_and_oracle(cfg, tiny_data(n=n_l, n_unlabeled=n_u)))
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    @pytest.mark.parametrize("mode", ["dpkl", "dkl"])
+    def test_empty_pool_is_bitwise(self, kernel_mode, mode):
+        cfg = tiny_config(mode=mode, kernel_mode=kernel_mode, m=1 if mode == "dkl" else 3)
+        got, want = self.core_and_oracle(cfg, tiny_data(n=9, n_unlabeled=4))
+        assert got.objective == want.objective == got.nll
+        assert got.grads.tobytes() == want.grads.tobytes()
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    @pytest.mark.parametrize("chunk", ["1", "g-1", "g", "g+1"])
+    def test_any_chunk_size_matches_the_oracle(self, monkeypatch, kernel_mode, chunk):
+        # a 10-row pool is two groups of g = 5 rows: chunks of 1 row, of 4 and
+        # then 1, one whole group, and one chunk larger than the group
+        cfg = tiny_config(mode="ssdpkl", kernel_mode=kernel_mode, q=10)
+        data = tiny_data(n=6, n_unlabeled=10)
+        rows = {"1": 1, "g-1": 4, "g": 5, "g+1": 6}[chunk]
+        self.chunks_of(monkeypatch, rows, cfg, 6, cfg.architecture(3))
+        forwarded, forward_vjp = [], net.forward_vjp
+        monkeypatch.setattr(net, "forward_vjp",
+                            lambda ens, X: forwarded.append(len(X)) or forward_vjp(ens, X))
+        got, want = self.core_and_oracle(cfg, data)
+        per_group = [rows] * (5 // rows) + ([5 % rows] if 5 % rows else [])
+        assert forwarded == [6, *per_group * 2, 16]  # labeled, the chunks, the oracle's
+        assert_matches_whole_batch(got, want)
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    def test_paper_mlp_pool_of_several_chunks(self, kernel_mode):
+        # the paper MLP at D = 8: 99-row chunks on the rff route, so a
+        # 250-row pool is two groups of 125 rows, each a 99- and a 26-row chunk
+        m = 50 if kernel_mode == "rff" else 6
+        cfg = TrainConfig(m=m, q=100, mode="ssdpkl", kernel_mode=kernel_mode)
+        rng = np.random.default_rng(32)
+        data = TrainData(rng.uniform(size=(45, 8)), rng.normal(size=45),
+                         rng.uniform(size=(250, 8)))
+        if kernel_mode == "rff":
+            assert trainer._pool_chunk_rows(cfg, cfg.architecture(8), 45) == 99
+        assert_matches_whole_batch(*self.core_and_oracle(cfg, data))
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    @pytest.mark.parametrize("n_u", [1, 10])
+    def test_same_bits_at_any_worker_count(self, monkeypatch, kernel_mode, n_u):
+        cfg = tiny_config(mode="ssdpkl", kernel_mode=kernel_mode, q=10)
+        data = tiny_data(n=6, n_unlabeled=n_u)
+        self.chunks_of(monkeypatch, 3, cfg, 6, cfg.architecture(3))
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        ranges, split = [], trainer._split
+        monkeypatch.setattr(trainer, "_split", lambda n, unit, fn: split(
+            n, unit, lambda a, b: (ranges.append(threading.current_thread().name), fn(a, b))))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(threads, "_WORKERS", workers)
+            ranges.clear()
+            got, want = self.core_and_oracle(cfg, data)
+            results.append((got.objective, got.grads.tobytes()))
+            # the groups run whole on the kernel workers, two of them here
+            assert len(ranges) == (1 if workers == 1 else 2)
+            assert workers == 1 or all(r.startswith("dpkl-kernel") for r in ranges)
+            assert_matches_whole_batch(got, want)
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("kernel_mode", ["exact", "rff"])
+    def test_many_workers_under_fast_switching(self, monkeypatch, kernel_mode):
+        # more workers than cores and thread switches as often as possible: a
+        # lost or torn write of a group's sums or gradient would show as a mismatch
+        cfg = tiny_config(mode="ssdpkl", kernel_mode=kernel_mode, q=10)
+        data = tiny_data(n=6, n_unlabeled=30)
+        self.chunks_of(monkeypatch, 2, cfg, 6, cfg.architecture(3))
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, 36)
+        basis = trainer._rff_basis_for(cfg) if kernel_mode == "rff" else None
+        monkeypatch.setattr(threads, "_WORKERS", 1)
+        want = trainer._objective_core(ens, data, cfg, basis).grads.tobytes()
+        monkeypatch.setattr(threads, "_WORKERS", 8)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            for _ in range(20):
+                assert trainer._objective_core(ens, data, cfg, basis).grads.tobytes() == want
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_working_memory_is_flat_in_pool_rows(self):
+        # one call at the paper MLP (m = 50, D = 8, 99-row chunks): every pool
+        # array is a chunk's, so from 2 to 8 chunks of pool the peak moves by
+        # under 1 MB (0.2-0.7 MB measured, with the worker timing); the
+        # whole-batch objective, whose pool arrays grow with the rows, moved
+        # 2.2 MB between the same pools
+        cfg = TrainConfig(mode="ssdpkl", kernel_mode="rff")
+        arch = cfg.architecture(8)
+        ens = net.init_ensemble(arch, cfg.m, 33)
+        basis = trainer._rff_basis_for(cfg)
+        c, rng = trainer._pool_chunk_rows(cfg, arch, 45), np.random.default_rng(34)
+        peaks = []
+        for rows in (2 * c, 8 * c):
+            data = TrainData(rng.uniform(size=(45, 8)), rng.normal(size=45),
+                             rng.uniform(size=(rows, 8)))
+            tracemalloc.start()
+            try:
+                trainer._objective_core(ens, data, cfg, basis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1e6
+
+
+def test_exact_ssdpkl_pool_memory_is_bounded_by_the_chunk():
+    # exact ssdpkl, m = 2, one epoch, 300 labeled rows and a 20 000-row pool:
+    # the dense (n_l + n_u)^2 Gram and cotangent would take 3.3 GB each; the
+    # streamed pool stays under a 400 MB budget, interpreter and numpy included
+    import dpkl
+
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = """
+import resource
+import numpy as np
+from dpkl.trainer import TrainConfig, TrainData, fit
+rng = np.random.default_rng(35)
+data = TrainData(rng.uniform(size=(300, 3)), rng.normal(size=300), rng.uniform(size=(20000, 3)))
+cfg = TrainConfig(m=2, q=10, mode="ssdpkl", kernel_mode="exact", hidden_dims=(6,), max_epochs=1)
+_, report = fit(data, cfg)
+assert np.isfinite(report.final_objective)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) * 1024 < 400e6  # ru_maxrss is in KB on Linux
 
 
 class TestFunctionalGradientStep:
