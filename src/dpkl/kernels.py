@@ -19,13 +19,16 @@ base RBF kernel over their clouds. Two evaluation routes are provided:
 Every function takes the particle images of a point set stacked (m, n, d).
 
 Exp and trig loops split over the kernel workers of ``threads`` so that each
-output entry keeps its one-worker operations: by row blocks; by rows with every
-GEMM run whole in ``rff_feature_matrix`` (OpenBLAS can round a row differently
-in a product of fewer rows); by particles in the rff cotangent chain; by a
-fixed number of particle chunks, each summing into its own accumulator, in the
-exact tile loop. The rff loops take their particles in groups: one stacked
-``np.matmul`` (one GEMM a particle, as a per-particle loop makes) and one cos
-or sin over the group's phases, summed into R in particle order.
+output entry keeps its one-worker operations: by row blocks; by rows of a
+particle group's rff phases, their GEMM run whole first (OpenBLAS can round a
+row differently in a product of fewer rows); by particles in the rff cotangent
+chain; by a fixed number of particle chunks, each summing into its own
+accumulator, in the exact tile loop. The rff loops take their particles in
+groups: one stacked ``np.matmul`` (one GEMM a particle, as a per-particle loop
+makes), then ``_sincos`` over L2-sized blocks, one Cody-Waite reduction (Cody &
+Waite 1980) for both cos and sin, in about half the time of np.cos plus
+np.sin. R sums the cosines in particle order; the sines, written over the
+phases, serve the VJP.
 """
 
 from __future__ import annotations
@@ -40,14 +43,19 @@ from .threads import _split
 # Entries in one exact-kernel block: 2^17 float64 values (1 MB) stay in a
 # core's L2 cache while the block is built and consumed.
 _BLOCK_ENTRIES = 1 << 17
-# Phase entries a trig call of the rff loops takes at most: a group of
-# particles' (g, n, q) phases, 2^20 float64 values (8 MB). One long call per
-# worker range holds the GIL off for its whole length, where a call a particle
-# made the workers take turns.
+# Phase entries of a particle group of the rff loops, 2^20 float64 values
+# (8 MB): all m n q sines of a pass within it are kept for its VJP, which holds
+# each ssdpkl pool chunk and the 45-row paper pass.
 _TRIG_ENTRIES = 1 << 20
-# A trig entry against threads._MIN_ENTRIES: cos and sin take about 26 ns an
-# entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
+# A trig entry against threads._MIN_ENTRIES: _sincos and the sum into R take
+# about 18 ns an entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
 _TRIG_COST = 1 << 8
+# pi/2 = _PIO2_HI + _PIO2_LO, fdlibm's 33-bit pio2_1 and its tail: k _PIO2_HI is
+# exact for quadrants |k| <= 2^20. A _sincos block of 2^15 phases keeps its
+# temporaries, about 40 bytes a phase, in L2; on two workers, blocks of 2^13
+# (more, shorter calls) made the ssdpkl-pool objective about 10% slower.
+_PIO2_HI, _PIO2_LO, _K_MAX = 1.57079632673412561417e+00, 6.07710050650619224932e-11, 2.0**20
+_QUADRANTS, _SINCOS_ENTRIES = np.array([1, 1j, -1, -1j]), 1 << 15  # i^(k mod 4); phases a block
 # Particle chunks of the exact tile loop: a constant, never the worker count,
 # so each chunk's sums, and their order, are the same at any count.
 _CHUNKS = 2
@@ -230,13 +238,54 @@ def sample_rff_basis(
     return RffBasis(V=V, b=b)
 
 
-def rff_feature_matrix(
-    basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec
-) -> np.ndarray:
-    """Particle-averaged feature matrix R (n, q) with R R^T ~= the exact kernel.
+def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos(theta) + i sin(theta) into out, complex, spending theta: cos and sin
+    of r = (theta - k P1) - k P2, k = rint(2 theta / pi) and pi/2 = P1 + P2,
+    turned by the exact product with i^(k mod 4). Entry by entry, a NaN, an
+    inf or a quadrant |k| > 2^20, where k P1 is inexact, gets libm's own."""
+    k = np.multiply(theta, 2 / np.pi)
+    np.rint(k, out=k)
+    if not np.abs(k).max(initial=0.0) <= _K_MAX:  # a NaN fails it too
+        ok = np.abs(k) <= _K_MAX
+        with np.errstate(invalid="ignore"):
+            out[...] = np.cos(theta) + 1j * np.sin(theta)
+        out[ok] = _sincos(theta[ok], np.empty(np.count_nonzero(ok), complex))
+        return out
+    theta -= k * _PIO2_HI  # r, in place
+    theta -= k * _PIO2_LO
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    k = k.astype(np.intp)
+    k &= 3
+    out *= _QUADRANTS[k]
+    return out
+
+
+def _sines_over_phases(P: np.ndarray, R: np.ndarray, r0: int, r1: int) -> None:
+    """Write the sines of the (g, n, q) phases P[:, r0:r1] over them, adding
+    their cosines to R[r0:r1] in particle order; one _sincos a block."""
+    g, _, q = P.shape
+    rows = max(1, min(r1 - r0, _SINCOS_ENTRIES // q))
+    parts = min(g, max(1, _SINCOS_ENTRIES // (rows * q)))
+    buf = np.empty(parts * rows * q, complex)
+    for r in range(r0, r1, rows):
+        rs = slice(r, min(r + rows, r1))
+        for l0 in range(0, g, parts):
+            blk = P[l0 : l0 + parts, rs]
+            E = _sincos(blk, buf[: blk.size].reshape(blk.shape))
+            for c in E.real:  # particle order, as one particle at a time
+                R[rs] += c
+            blk[...] = E.imag
+
+
+def rff_features_vjp(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec):
+    """(R, vjp): the particle-averaged feature matrix R (n, q), R R^T ~= the
+    exact kernel, and ``vjp(T) = rff_embedding_cotangents(..., T)``, bitwise.
 
     R_ij = sqrt(a) * (1/m) * sum_l sqrt(2/q) cos(v_j . z_i^(l) + b_j); the
-    sqrt(a) factor carries the kernel amplitude into the factorization.
+    sqrt(a) factor carries the kernel amplitude into the factorization. The
+    first ``vjp`` spends R's sines when all m n q fit one particle group;
+    else it rebuilds them, and no (m, n, q) array outlives this call.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
@@ -246,18 +295,37 @@ def rff_feature_matrix(
         )
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
-    g = _trig_group(n, basis.q)
-    def fill(r0, r1):  # R += cos(Z V^T + b) on rows r0..r1-1, one cos a particle group
-        buf = np.empty((min(g, m), n, basis.q))
-        for l0 in range(0, m, g):
-            P = buf[: min(g, m - l0)]
-            np.matmul(embeddings[l0 : l0 + g], basis.V.T, out=P)  # every row, see the module doc
-            C = P[:, r0:r1]
-            np.cos(np.add(C, basis.b, out=C), out=C)
-            for c in C:  # particle order, as one particle at a time
-                R[r0:r1] += c
-    _split(n, m * basis.q * _TRIG_COST, fill)
-    return scale * R
+    # the sines are kept, one group, when all m n q fit _TRIG_ENTRIES; else R
+    # takes groups of _BLOCK_ENTRIES: a larger buffer stayed in the caller's heap
+    keep = m * n * basis.q <= _TRIG_ENTRIES
+    g = m if keep else max(1, _BLOCK_ENTRIES // (n * basis.q))
+    S = np.empty((min(g, m), n, basis.q))  # a group's phases, then their sines
+    for l0 in range(0, m, g):
+        P = S[: min(g, m - l0)]
+        np.matmul(embeddings[l0 : l0 + g], basis.V.T, out=P)  # every row, see the module doc
+        P += basis.b
+        _split(n, len(P) * basis.q * _TRIG_COST, lambda r0, r1: _sines_over_phases(P, R, r0, r1))
+    kept = [S] if keep else []
+
+    def vjp(T: np.ndarray) -> np.ndarray:
+        if not kept:
+            return rff_embedding_cotangents(basis, embeddings, spec, T)
+        T, S = _rff_cotangent(T, n, basis.q), kept.pop()
+        return -scale * (np.multiply(S, T, out=S) @ basis.V)
+
+    return scale * R, vjp
+
+
+def rff_feature_matrix(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec) -> np.ndarray:
+    """The R of rff_features_vjp."""
+    return rff_features_vjp(basis, embeddings, spec)[0]
+
+
+def _rff_cotangent(T, n: int, q: int) -> np.ndarray:
+    T = np.asarray(T, dtype=np.float64)
+    if T.shape != (n, q):
+        raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, q)}")
+    return T
 
 
 def rff_embedding_cotangents(
@@ -269,23 +337,23 @@ def rff_embedding_cotangents(
     """Chain a cotangent on R back to each particle's embedding matrix.
 
     Given T = dJ/dR for R = rff_feature_matrix(...), returns the stacked
-    (m, n, d) cotangents G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V.
+    (m, n, d) cotangents G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V,
+    the sines rebuilt as R's pass makes them.
     """
     embeddings = _check_embeddings(embeddings)
     m, n, d = embeddings.shape
-    T = np.asarray(T, dtype=np.float64)
-    if T.shape != (n, basis.q):
-        raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, basis.q)}")
+    T = _rff_cotangent(T, n, basis.q)
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     G = np.empty((m, n, d))
     g = _trig_group(n, basis.q)
-    def fill(l0, l1):  # G[l] for l in l0..l1-1, one sin a particle group
+    def fill(l0, l1):  # G[l] for l in l0..l1-1, one phase GEMM a particle group
         buf = np.empty((min(g, l1 - l0), n, basis.q))
         for s0 in range(l0, l1, g):
             S = buf[: min(g, l1 - s0)]
             np.matmul(embeddings[s0 : s0 + len(S)], basis.V.T, out=S)
             S += basis.b
-            np.multiply(np.sin(S, out=S), T, out=S)
+            _sines_over_phases(S, np.zeros((n, basis.q)), 0, n)  # and cosines nobody reads
+            np.multiply(S, T, out=S)
             G[s0 : s0 + len(S)] = scale * (S @ basis.V)
     _split(m, n * basis.q * _TRIG_COST, fill)
     return G

@@ -273,7 +273,7 @@ def _objective_core(
         # K = R R^T has rank q: with P = A^{-1} R_L and Q = R_L^T P, a chunk's
         # B = A^{-1} K_LU is P R_U^T, and it reaches the labeled side only
         # through its q x q Gram R_U^T R_U; no n_l x n_u array is formed
-        R_L = kernels.rff_feature_matrix(basis, Z_L, spec)
+        R_L, rff_vjp = kernels.rff_features_vjp(basis, Z_L, spec)
         state = gp.gp_state_exact(R_L @ R_L.T, y, config.noise_var, config.base_jitter)
         P = solve_chol(state.chol, R_L)
         Q = R_L.T @ P
@@ -284,11 +284,11 @@ def _objective_core(
     def chunk(X_c, grad):  # the chunk's sums for the labeled side; its VJP into grad
         Z_c, vjp_c = net.forward_vjp(ensemble, X_c)
         if rff:
-            R_c = kernels.rff_feature_matrix(basis, Z_c, spec)
+            R_c, rff_vjp_c = kernels.rff_features_vjp(basis, Z_c, spec)
             T_c = R_c @ Q  # d objective / d R_c = 2w (R_c - R_c Q)
             np.subtract(R_c, T_c, out=T_c)
             T_c *= 2.0 * w_reg
-            vjp_c(kernels.rff_embedding_cotangents(basis, Z_c, spec, T_c), out=grad)
+            vjp_c(rff_vjp_c(T_c), out=grad)
             return (R_c.T @ R_c,)
         K_Lc = kernels._exact_gram(spec, Z_L, Z_c)
         B_c = solve_chol(state.chol, K_Lc)  # columns are A^{-1} k_*(u)
@@ -336,7 +336,7 @@ def _objective_core(
     if rff:
         T_L = np.matmul(2.0 * S_LL, R_L)  # d objective / d R_L
         T_L -= 2.0 * w_reg * PG
-        G_L = kernels.rff_embedding_cotangents(basis, Z_L, spec, T_L)
+        G_L = rff_vjp(T_L)
     else:
         G_L = sum((s[2] for s in sums), kernels.kernel_embedding_cotangents(spec, Z_L, S_LL))
     grads = vjp(G_L, out=out)

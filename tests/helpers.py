@@ -139,26 +139,53 @@ def cross_kernel_batch_serial(spec, train_embeddings, query_embeddings):
     return K_star, k_ss * (spec.amplitude / m**2)
 
 
-def rff_feature_matrix_serial(basis, embeddings, spec) -> np.ndarray:
-    """One-thread kernels.rff_feature_matrix, one whole (n, q) phase matrix a particle."""
+def rff_feature_matrix_serial(basis, embeddings, spec, cos=np.cos) -> np.ndarray:
+    """One-thread kernels.rff_feature_matrix, one whole (n, q) phase matrix a
+    particle, with libm's cos (or ``cos``)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     m, n, _ = embeddings.shape
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
     for Z in embeddings:
-        R += np.cos(Z @ basis.V.T + basis.b)
+        R += cos(Z @ basis.V.T + basis.b)
     return scale * R
 
 
-def rff_embedding_cotangents_serial(basis, embeddings, spec, T) -> np.ndarray:
-    """One-thread kernels.rff_embedding_cotangents."""
+def rff_embedding_cotangents_serial(basis, embeddings, spec, T, sin=np.sin) -> np.ndarray:
+    """One-thread kernels.rff_embedding_cotangents with libm's sin (or ``sin``)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     m, n, d = embeddings.shape
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     G = np.empty((m, n, d))
     for l, Z in enumerate(embeddings):
-        G[l] = scale * ((T * np.sin(Z @ basis.V.T + basis.b)) @ basis.V)
+        G[l] = scale * ((T * sin(Z @ basis.V.T + basis.b)) @ basis.V)
     return G
+
+
+def libm_sincos(theta, out):
+    """kernels._sincos from np.cos and np.sin: the trig of the rff loops before
+    they shared one reduction."""
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _sincos(theta):  # on a phase matrix the caller no longer needs
+    return kernels._sincos(theta, np.empty(theta.shape, complex))
+
+
+# The library's own trig in the per-particle one-thread forms above: its loops
+# split rows, particles and blocks, and must give these bits at any worker count.
+
+
+def rff_feature_matrix_sincos_serial(basis, embeddings, spec) -> np.ndarray:
+    """rff_feature_matrix_serial with kernels._sincos's cosines."""
+    return rff_feature_matrix_serial(basis, embeddings, spec, cos=lambda P: _sincos(P).real)
+
+
+def rff_embedding_cotangents_sincos_serial(basis, embeddings, spec, T) -> np.ndarray:
+    """rff_embedding_cotangents_serial with kernels._sincos's sines."""
+    return rff_embedding_cotangents_serial(basis, embeddings, spec, T, sin=lambda P: _sincos(P).imag)
 
 
 # The exact cotangent chain before it built each particle pair's block once:

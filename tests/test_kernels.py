@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from helpers import (
     kernel_embedding_cotangents_own_loop,
     kernel_quad_loop,
     rff_embedding_cotangents_serial,
+    rff_embedding_cotangents_sincos_serial,
     rff_feature_matrix_serial,
+    rff_feature_matrix_sincos_serial,
 )
 
 import dpkl.kernels as kernels_mod
@@ -36,6 +39,7 @@ from dpkl.kernels import (
     kernel_embedding_cotangents,
     rff_embedding_cotangents,
     rff_feature_matrix,
+    rff_features_vjp,
     sample_rff_basis,
 )
 
@@ -270,6 +274,59 @@ class TestRffFeatures:
             rff_feature_matrix(basis, [np.zeros((4, 2))], SPEC)
 
 
+class TestSincos:
+    """kernels._sincos, one Cody-Waite reduction for both cos and sin, against
+    np.cos and np.sin: within 2 * 2^-53 up to its bound, libm's own past it."""
+
+    ULPS = 2 * 2.0**-53
+    BOUND = 2.0**20 * np.pi / 2  # past it, k P1 is no longer exact
+
+    @staticmethod
+    def sincos(theta):
+        theta = np.array(theta, dtype=np.float64)  # a copy: _sincos spends it
+        return kernels_mod._sincos(theta, np.empty(theta.shape, complex))
+
+    def assert_near_libm(self, theta):
+        E = self.sincos(theta)
+        assert np.abs(E.real - np.cos(theta)).max() <= self.ULPS
+        assert np.abs(E.imag - np.sin(theta)).max() <= self.ULPS
+
+    def test_dense_grid_up_to_the_bound(self):
+        rng = np.random.default_rng(70)
+        self.assert_near_libm(np.linspace(-self.BOUND, self.BOUND, 2_000_001))
+        self.assert_near_libm(np.linspace(-20.0, 20.0, 400_001))
+        self.assert_near_libm(rng.uniform(-self.BOUND, self.BOUND, 400_000))
+        self.assert_near_libm(np.geomspace(1e-300, self.BOUND, 100_000))
+
+    def test_multiples_of_pi_over_4_and_each_side_of_a_quadrant_boundary(self):
+        # j pi/4: the even j are the quadrant centres, the odd j the boundaries
+        # where rint(2 theta / pi) moves on, every k mod 4 near 0 and the bound
+        j = np.concatenate([np.arange(-64, 65), 2**21 - np.arange(16), np.arange(16) - 2**21])
+        theta = j * (np.pi / 4)
+        assert sorted(set(np.rint(theta * (2 / np.pi)).astype(int) % 4)) == [0, 1, 2, 3]
+        for side in (theta, np.nextafter(theta, -np.inf), np.nextafter(theta, np.inf)):
+            self.assert_near_libm(side)
+        E = self.sincos(np.arange(8) * (np.pi / 2))  # i^k, to round-off
+        np.testing.assert_allclose(E, [1, 1j, -1, -1j] * 2, atol=4e-15)
+
+    def test_non_finite_and_past_the_bound_take_libm_unwarned(self):
+        special = np.array([np.nan, np.inf, -np.inf, (2**20 + 1) * np.pi / 2, -3 * self.BOUND,
+                            1e300, -1e22])
+        finite = np.linspace(-5.0, 5.0, 11)
+        theta = np.concatenate([special, finite])  # one block: each entry keeps its own value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = self.sincos(theta)
+        with np.errstate(invalid="ignore"):
+            cos, sin = np.cos(special), np.sin(special)
+        np.testing.assert_array_equal(E.real[: len(special)], cos)
+        np.testing.assert_array_equal(E.imag[: len(special)], sin)
+        assert np.array_equal(E[len(special) :], self.sincos(finite))
+
+    def test_empty(self):
+        assert self.sincos(np.empty((0, 3))).shape == (0, 3)
+
+
 class TestCotangentChains:
     """The backward maps through both kernel routes, against finite differences."""
 
@@ -305,6 +362,73 @@ class TestCotangentChains:
         v0 = embeddings[l][i, axis]
         numeric = (f(v0 + 1e-6) - f(v0 - 1e-6)) / 2e-6
         np.testing.assert_allclose(G[l][i, axis], numeric, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("sines", ["kept", "rebuilt"])
+    def test_rff_vjp_matches_fd(self, monkeypatch, sines):
+        # the VJP of rff_features_vjp, its sines kept from R's pass or, with a
+        # budget below the m n q = 96 of them, rebuilt by rff_embedding_cotangents
+        embeddings = random_embeddings(3, 4, 2, seed=28)
+        basis = sample_rff_basis(SPEC, 2, 8, seed=6)
+        T = np.random.default_rng(29).normal(size=(4, 8))
+        if sines == "rebuilt":
+            monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", 3 * 4 * 8 - 1)
+        rebuilds, chain = [], kernels_mod.rff_embedding_cotangents
+        monkeypatch.setattr(kernels_mod, "rff_embedding_cotangents",
+                            lambda *args: rebuilds.append(1) or chain(*args))
+        R, vjp = rff_features_vjp(basis, embeddings, SPEC)
+        G = vjp(T)
+        assert len(rebuilds) == (sines == "rebuilt")
+        assert np.array_equal(R, rff_feature_matrix(basis, embeddings, SPEC))
+        assert np.array_equal(G, chain(basis, embeddings, SPEC, T))
+        # the kept sines are spent: a second product rebuilds them, to the same bits
+        assert np.array_equal(vjp(T), G)
+        l, i, axis = 2, 0, 1
+
+        def f(v):
+            perturbed = [Z.copy() for Z in embeddings]
+            perturbed[l][i, axis] = v
+            return float(np.sum(T * rff_feature_matrix(basis, perturbed, SPEC)))
+
+        v0 = embeddings[l][i, axis]
+        numeric = (f(v0 + 1e-6) - f(v0 - 1e-6)) / 2e-6
+        np.testing.assert_allclose(G[l][i, axis], numeric, rtol=1e-6, atol=1e-10)
+
+    def test_vjp_rejects_a_cotangent_of_another_shape(self):
+        basis = sample_rff_basis(SPEC, 2, 8, seed=6)
+        _, vjp = rff_features_vjp(basis, random_embeddings(3, 4, 2, seed=28), SPEC)
+        with pytest.raises(DimensionMismatch):
+            vjp(np.ones(8))
+
+    def test_no_sines_outlive_the_call_above_the_budget(self, monkeypatch):
+        # the paper pass's 225 000 sines (1.8 MB) are held for the VJP within
+        # the budget, and one below it only R and the VJP's references are
+        m, n, q = 50, 45, 100
+        Z = np.random.default_rng(66).normal(size=(m, n, 2))
+        basis = sample_rff_basis(SPEC, 2, q, seed=67)
+        held = {}
+        for budget in (m * n * q, m * n * q - 1):
+            monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", budget)
+            tracemalloc.start()
+            try:
+                R, vjp = rff_features_vjp(basis, Z, SPEC)
+                held[budget] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del R, vjp
+        assert held[m * n * q] >= 8 * m * n * q
+        assert held[m * n * q - 1] < 8 * m * n * q / 10
+
+
+def assert_close_to_libm(basis, embeddings, T):
+    """R, the VJP and rff_embedding_cotangents against the np.cos / np.sin
+    oracles at rtol 1e-12, with an absolute floor of 1e-12 of the largest
+    entry: _sincos is within 2^-52 of libm, entry by entry."""
+    R, vjp = rff_features_vjp(basis, embeddings, SPEC)
+    R_libm = rff_feature_matrix_serial(basis, embeddings, SPEC)
+    G_libm = rff_embedding_cotangents_serial(basis, embeddings, SPEC, T)
+    for got, want in [(R, R_libm), (vjp(T), G_libm),
+                      (rff_embedding_cotangents(basis, embeddings, SPEC, T), G_libm)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def assert_close_to_all_blocks(G, spec, embeddings, C):
@@ -364,14 +488,15 @@ class TestKernelWorkers:
             (empirical_cross_block(SPEC, a, b), empirical_cross_block_serial(SPEC, a, b)),
             (K_star, K_star_ref),
             (k_ss, k_ss_ref),
-            (rff_feature_matrix(basis, a, SPEC), rff_feature_matrix_serial(basis, a, SPEC)),
+            (rff_feature_matrix(basis, a, SPEC), rff_feature_matrix_sincos_serial(basis, a, SPEC)),
             (
                 rff_embedding_cotangents(basis, a, SPEC, T),
-                rff_embedding_cotangents_serial(basis, a, SPEC, T),
+                rff_embedding_cotangents_sincos_serial(basis, a, SPEC, T),
             ),
         ]
         for got, want in pairs:
             assert np.array_equal(got, want)
+        assert_close_to_libm(basis, a, T)
         # the exact chain sums in fixed particle chunks: equal to its own
         # one-worker result, and close to the chain over all m^2 blocks
         G = kernel_embedding_cotangents(SPEC, a, C)
@@ -390,7 +515,7 @@ class TestKernelWorkers:
         basis = sample_rff_basis(SPEC, 2, 10, seed=63)
         C = rng.normal(size=(30, 30))
         K_ref = empirical_cross_block_serial(SPEC, a, b)
-        R_ref = rff_feature_matrix_serial(basis, a, SPEC)
+        R_ref = rff_feature_matrix_sincos_serial(basis, a, SPEC)
         G_ref = at_one_worker(monkeypatch, kernel_embedding_cotangents, SPEC, a, C)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -493,8 +618,9 @@ class TestExactCotangentChain:
 
 
 class TestRffWorkers:
-    """The rff loops at the paper sizes, one trig call a particle group, against
-    their per-particle one-thread forms, bit for bit at any worker count."""
+    """The rff loops at the paper sizes, one phase GEMM a particle group and one
+    _sincos a block, against their per-particle one-thread forms on the same
+    _sincos, bit for bit at any worker count, and close to libm's cos and sin."""
 
     M, Q = 50, 100
 
@@ -522,14 +648,18 @@ class TestRffWorkers:
         T = rng.normal(size=(n, self.Q))
         basis = sample_rff_basis(SPEC, 2, self.Q, seed=65)
         assert np.array_equal(
-            rff_feature_matrix(basis, Z, SPEC), rff_feature_matrix_serial(basis, Z, SPEC)
+            rff_feature_matrix(basis, Z, SPEC), rff_feature_matrix_sincos_serial(basis, Z, SPEC)
         )
-        assert np.array_equal(
-            rff_embedding_cotangents(basis, Z, SPEC, T),
-            rff_embedding_cotangents_serial(basis, Z, SPEC, T),
-        )
-        # the default threshold splits the paper-size calls too
-        assert [len(r) for r in ranges] == [workers, workers]
+        G_want = rff_embedding_cotangents_sincos_serial(basis, Z, SPEC, T)
+        assert np.array_equal(rff_embedding_cotangents(basis, Z, SPEC, T), G_want)
+        # one split a particle group: at the default budget the paper-size
+        # calls are one group each, and the default threshold splits them too
+        if trig_entries is None:
+            assert [len(r) for r in ranges] == [workers, workers]
+        R, vjp = rff_features_vjp(basis, Z, SPEC)
+        assert np.array_equal(R, rff_feature_matrix_sincos_serial(basis, Z, SPEC))
+        assert np.array_equal(vjp(T), G_want)
+        assert_close_to_libm(basis, Z, T)
 
 
 class TestSplit:

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     functional_gradient_step_textbook,
     functional_gradient_step_unblocked,
+    libm_sincos,
     objective_core_whole_batch,
     objective_value,
     particle_fd_gradient,
@@ -20,7 +21,7 @@ from helpers import (
     rff_objective_dense_pool,
 )
 
-from dpkl import classify, net, threads, trainer
+from dpkl import classify, kernels, net, threads, trainer
 from dpkl.data import synth_blobs, synth_regression
 from dpkl.errors import (
     ConfigError,
@@ -198,6 +199,27 @@ class TestRffPoolGrams:
         for l in range(cfg.m):
             numeric = particle_fd_gradient(ens, l, lambda: objective_value(ens, data, cfg))
             assert rel_err(grads[l], numeric) < 1e-6
+
+    @pytest.mark.parametrize("sines", ["kept", "rebuilt"])
+    @pytest.mark.parametrize("n_l, n_u", [(6, 25), (15, 1)])
+    def test_close_to_libm_trig(self, monkeypatch, sines, n_l, n_u):
+        # the objective on _sincos against the same objective on np.cos and
+        # np.sin, at rtol 1e-12 with the gradient's absolute floor; the VJPs
+        # keep R's sines, or rebuild them one particle at a time
+        if sines == "rebuilt":
+            monkeypatch.setattr(kernels, "_TRIG_ENTRIES", 1)
+        cfg = tiny_config(mode="ssdpkl", kernel_mode="rff", q=10)
+        data = tiny_data(n=n_l, n_unlabeled=n_u)
+        ens = net.init_ensemble(cfg.architecture(3), cfg.m, 24)
+        basis = trainer._rff_basis_for(cfg)
+        got = trainer._objective_core(ens, data, cfg, basis)
+        monkeypatch.setattr(kernels, "_sincos", libm_sincos)
+        want = trainer._objective_core(ens, data, cfg, basis)
+        np.testing.assert_allclose(got.objective, want.objective, rtol=1e-12)
+        np.testing.assert_allclose(got.nll, want.nll, rtol=1e-12)
+        np.testing.assert_allclose(got.grads, want.grads, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.grads).max())
+        assert got.grads.tobytes() != want.grads.tobytes()  # the trig did change
 
     def test_pool_memory_is_linear_in_rows(self):
         # n_l x n_u arrays at 300 x 20 000 would take 48 MB each; the Gram
