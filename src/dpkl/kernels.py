@@ -43,17 +43,18 @@ from .threads import _split
 # Entries in one exact-kernel block: 2^17 float64 values (1 MB) stay in a
 # core's L2 cache while the block is built and consumed.
 _BLOCK_ENTRIES = 1 << 17
-# Phase entries of a particle group of the rff loops, 2^20 float64 values
-# (8 MB): all m n q sines of a pass within it are kept for its VJP, which holds
-# each ssdpkl pool chunk and the 45-row paper pass.
+# Phases of an rff particle group, 2^20 float64 values (8 MB). A pass within
+# one group keeps its sines for its VJP (each ssdpkl pool chunk, the 45-row
+# paper pass); above it the VJP rebuilds them in such groups, while R's pass
+# takes groups of _BLOCK_ENTRIES (ROADMAP, "Measured and left out").
 _TRIG_ENTRIES = 1 << 20
 # A trig entry against threads._MIN_ENTRIES: _sincos and the sum into R take
-# about 18 ns an entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
+# about 20 ns an entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
 _TRIG_COST = 1 << 8
 # pi/2 = _PIO2_HI + _PIO2_LO, fdlibm's 33-bit pio2_1 and its tail: k _PIO2_HI is
 # exact for quadrants |k| <= 2^20. A _sincos block of 2^15 phases keeps its
-# temporaries, about 40 bytes a phase, in L2; on two workers, blocks of 2^13
-# (more, shorter calls) made the ssdpkl-pool objective about 10% slower.
+# complex output and temporaries, 32 bytes a phase, in L2; blocks of 2^14
+# (more, shorter calls) held 1 MB less on ssdpkl-pool but cut its gain by a third.
 _PIO2_HI, _PIO2_LO, _K_MAX = 1.57079632673412561417e+00, 6.07710050650619224932e-11, 2.0**20
 _QUADRANTS, _SINCOS_ENTRIES = np.array([1, 1j, -1, -1j]), 1 << 15  # i^(k mod 4); phases a block
 # Particle chunks of the exact tile loop: a constant, never the worker count,
@@ -239,10 +240,11 @@ def sample_rff_basis(
 
 
 def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """cos(theta) + i sin(theta) into out, complex, spending theta: cos and sin
-    of r = (theta - k P1) - k P2, k = rint(2 theta / pi) and pi/2 = P1 + P2,
-    turned by the exact product with i^(k mod 4). Entry by entry, a NaN, an
-    inf or a quadrant |k| > 2^20, where k P1 is inexact, gets libm's own."""
+    """cos(theta) + i sin(theta) into out, contiguous complex, spending theta:
+    cos and sin of r = (theta - k P1) - k P2, k = rint(2 theta / pi) and
+    pi/2 = P1 + P2, turned by the exact product with i^(k mod 4). Entry by
+    entry, a NaN, an inf or a quadrant |k| > 2^20, where k P1 is inexact,
+    gets libm's own."""
     k = np.multiply(theta, 2 / np.pi)
     np.rint(k, out=k)
     if not np.abs(k).max(initial=0.0) <= _K_MAX:  # a NaN fails it too
@@ -255,15 +257,19 @@ def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     theta -= k * _PIO2_LO
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
-    k = k.astype(np.intp)
+    k = k.astype(np.intp).reshape(-1)
     k &= 3
-    out *= _QUADRANTS[k]
+    o = out.reshape(-1)
+    for j in range(4):  # a quarter block's factors at a time: fewer temporaries
+        q = slice(len(k) * j // 4, len(k) * (j + 1) // 4)
+        o[q] *= _QUADRANTS[k[q]]
     return out
 
 
-def _sines_over_phases(P: np.ndarray, R: np.ndarray, r0: int, r1: int) -> None:
+def _sines_over_phases(P: np.ndarray, R: np.ndarray | None, r0: int, r1: int) -> None:
     """Write the sines of the (g, n, q) phases P[:, r0:r1] over them, adding
-    their cosines to R[r0:r1] in particle order; one _sincos a block."""
+    their cosines to R[r0:r1] in particle order unless R is None; one _sincos
+    a block."""
     g, _, q = P.shape
     rows = max(1, min(r1 - r0, _SINCOS_ENTRIES // q))
     parts = min(g, max(1, _SINCOS_ENTRIES // (rows * q)))
@@ -273,8 +279,9 @@ def _sines_over_phases(P: np.ndarray, R: np.ndarray, r0: int, r1: int) -> None:
         for l0 in range(0, g, parts):
             blk = P[l0 : l0 + parts, rs]
             E = _sincos(blk, buf[: blk.size].reshape(blk.shape))
-            for c in E.real:  # particle order, as one particle at a time
-                R[rs] += c
+            if R is not None:
+                for c in E.real:  # particle order, as one particle at a time
+                    R[rs] += c
             blk[...] = E.imag
 
 
@@ -284,7 +291,7 @@ def rff_features_vjp(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernel
 
     R_ij = sqrt(a) * (1/m) * sum_l sqrt(2/q) cos(v_j . z_i^(l) + b_j); the
     sqrt(a) factor carries the kernel amplitude into the factorization. The
-    first ``vjp`` spends R's sines when all m n q fit one particle group;
+    first ``vjp`` spends R's sines when all m n q fit ``_TRIG_ENTRIES``;
     else it rebuilds them, and no (m, n, q) array outlives this call.
     """
     embeddings = _check_embeddings(embeddings)
@@ -295,9 +302,7 @@ def rff_features_vjp(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernel
         )
     scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
     R = np.zeros((n, basis.q))
-    # the sines are kept, one group, when all m n q fit _TRIG_ENTRIES; else R
-    # takes groups of _BLOCK_ENTRIES: a larger buffer stayed in the caller's heap
-    keep = m * n * basis.q <= _TRIG_ENTRIES
+    keep = m * n * basis.q <= _TRIG_ENTRIES  # the sines, one group, for the VJP
     g = m if keep else max(1, _BLOCK_ENTRIES // (n * basis.q))
     S = np.empty((min(g, m), n, basis.q))  # a group's phases, then their sines
     for l0 in range(0, m, g):
@@ -352,7 +357,7 @@ def rff_embedding_cotangents(
             S = buf[: min(g, l1 - s0)]
             np.matmul(embeddings[s0 : s0 + len(S)], basis.V.T, out=S)
             S += basis.b
-            _sines_over_phases(S, np.zeros((n, basis.q)), 0, n)  # and cosines nobody reads
+            _sines_over_phases(S, None, 0, n)
             np.multiply(S, T, out=S)
             G[s0 : s0 + len(S)] = scale * (S @ basis.V)
     _split(m, n * basis.q * _TRIG_COST, fill)

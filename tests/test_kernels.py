@@ -634,8 +634,9 @@ class TestRffWorkers:
         monkeypatch.setattr(threads, "_WORKERS", workers)
         if min_entries is not None:
             monkeypatch.setattr(threads, "_MIN_ENTRIES", min_entries)
-        if trig_entries is not None:
+        if trig_entries is not None:  # the sines rebuilt, in groups of this many phases
             monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", trig_entries)
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", trig_entries)
         ranges = []
 
         def recording_split(n, unit_entries, fn):
@@ -652,10 +653,13 @@ class TestRffWorkers:
         )
         G_want = rff_embedding_cotangents_sincos_serial(basis, Z, SPEC, T)
         assert np.array_equal(rff_embedding_cotangents(basis, Z, SPEC, T), G_want)
-        # one split a particle group: at the default budget the paper-size
-        # calls are one group each, and the default threshold splits them too
-        if trig_entries is None:
-            assert [len(r) for r in ranges] == [workers, workers]
+        # one split a particle group of R's pass, then one for the cotangents:
+        # at the default budget R's pass is one group, and the default
+        # threshold splits every call over all workers; it leaves a group of
+        # g = 1 or 3 to 8 particles (ragged) on the caller
+        g = self.M if trig_entries is None else max(1, trig_entries // (n * self.Q))
+        split = workers if min_entries == 0 or trig_entries is None else 1
+        assert [len(r) for r in ranges] == [split] * -(-self.M // g) + [workers]
         R, vjp = rff_features_vjp(basis, Z, SPEC)
         assert np.array_equal(R, rff_feature_matrix_sincos_serial(basis, Z, SPEC))
         assert np.array_equal(vjp(T), G_want)
