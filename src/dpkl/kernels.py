@@ -4,31 +4,32 @@ A point x maps, through every particle, to a cloud of latent points; the
 distributional kernel between two points is the double particle-average of a
 base RBF kernel over their clouds. Two evaluation routes are provided:
 
-* exact: the double sum over the m^2 n_a n_b pairs of particle images, in
-  cache-sized blocks, each worker range filling its own buffer. A pair costs
-  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). On
-  one point set the training Gram and the backward chain share one tile loop
-  over the m(m+1)/2 n^2 pairs of particles l <= l', each tile rows of one
-  particle against whole particles: the Gram adds each block and its
-  transpose, the chain its row and its column sums. The same loop runs over
-  two point sets, all m^2 n_a n_b pairs, for an ssdpkl pool chunk's cross
+* exact: the double sum over the m^2 n_a n_b pairs of particle images, on one
+  tile loop, each worker range filling its own cache-sized tile. A pair costs
+  one exp and 2d+7 FLOPs (an inner-size d+2 GEMM, a clamp, a reduction). A
+  tile is rows of one particle against every later particle of its own point
+  set, the m(m+1)/2 n^2 pairs l <= l' of the training Gram and the backward
+  chain (the Gram adds each block and its transpose, the chain its row and
+  its column sums), or against every particle of a second set: the m^2 n_a
+  n_b pairs of prediction's K_LL and K_*, and of an ssdpkl pool chunk's cross
   block against the labeled rows and its cotangent to both sides. Working
-  memory is O(workers _BLOCK_ENTRIES + m n d + n n_b), never an (m n)^2 array;
+  memory is O(workers max(_BLOCK_ENTRIES, m n_b) + m n d + n n_b), never an
+  (m n)^2 array;
 * random Fourier features: a factor R with R R^T ~= K, O(n m q) to build.
 
 Every function takes the particle images of a point set stacked (m, n, d).
 
 Exp and trig loops split over the kernel workers of ``threads`` so that each
-output entry keeps its one-worker operations: by row blocks; by rows of a
-particle group's rff phases, their GEMM run whole first (OpenBLAS can round a
-row differently in a product of fewer rows); by particles in the rff cotangent
-chain; by a fixed number of particle chunks, each summing into its own
-accumulator, in the exact tile loop. The rff loops take their particles in
+output entry keeps its one-worker operations: by points in the self-pairs; by
+rows of a particle group's rff phases, their GEMM run whole first (OpenBLAS can
+round a row differently in a product of fewer rows); by particles in the rff
+cotangent chain; by a fixed number of particle chunks, each summing into its
+own accumulator, in the exact tile loop. The rff loops take their particles in
 groups: one stacked ``np.matmul`` (one GEMM a particle, as a per-particle loop
 makes), then ``_sincos`` over L2-sized blocks, one Cody-Waite reduction (Cody &
-Waite 1980) for both cos and sin, in about half the time of np.cos plus
-np.sin. R sums the cosines in particle order; the sines, written over the
-phases, serve the VJP.
+Waite 1980) for both cos and sin, in about half the time of np.cos plus np.sin.
+R sums the cosines in particle order; the sines, written over the phases, serve
+the VJP.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ _QUADRANTS, _SINCOS_ENTRIES = np.array([1, 1j, -1, -1j]), 1 << 15  # i^(k mod 4)
 # so each chunk's sums, and their order, are the same at any count.
 _CHUNKS = 2
 # A pair of the exact tile loop against threads._MIN_ENTRIES: the chain's exp,
-# Csym product and two inner-size d+1 GEMMs take about 3 ns, so the 45-row
-# paper loop (1.3 million pairs a chunk) pays for a hand-off, a 30-row one not.
+# Csym product and two inner-size d+1 GEMMs take about 3 ns, a block's about 2.
+# The 45-row paper Gram and chain (1.3 million pairs a chunk) pay for a hand-off,
+# a 30-row one not; so does a 45-row cross block, the validation check's K_LL.
 _PAIR_COST = 1 << 2
 
 
@@ -118,10 +120,6 @@ def _exp_nonpositive(blk: np.ndarray) -> np.ndarray:
     return np.exp(blk, out=blk)
 
 
-def _block_rows(n_b: int) -> int:  # a-side rows of a block against n_b b-side images
-    return max(1, _BLOCK_ENTRIES // max(n_b, 1))
-
-
 def _trig_group(n: int, q: int) -> int:  # particles per trig call
     return max(1, _TRIG_ENTRIES // max(n * q, 1))
 
@@ -141,33 +139,16 @@ def empirical_cross_block(
 ) -> np.ndarray:
     """Double particle-average kernel block between two point sets.
 
-    Entry (i, j) is (1/m^2) sum_{l,l'} k(za_i^(l), zb_j^(l')). The a-side
-    particle sum runs in index order and each block reduces through the same
-    BLAS calls, so results are deterministic.
+    Entry (i, j) is (1/m^2) sum_{l,l'} k(za_i^(l), zb_j^(l')), summed by the
+    two-set tiles of _exact_gram: the same bits at any worker count.
     """
     embeddings_a = _check_embeddings(embeddings_a)
     embeddings_b = _check_embeddings(embeddings_b)
-    m, na, d = embeddings_a.shape
-    if embeddings_b.shape[2] != d:
+    if embeddings_b.shape[2] != embeddings_a.shape[2]:
         raise DimensionMismatch("latent dimensions differ between point sets")
-    if embeddings_b.shape[0] != m:
+    if embeddings_b.shape[0] != embeddings_a.shape[0]:
         raise DimensionMismatch("both sides must come from the same particle count")
-    nb = embeddings_b.shape[1]
-    left = _augment(spec, embeddings_a)[0]
-    right_T = np.ascontiguousarray(_augment(spec, embeddings_b.reshape(-1, d))[1].T)
-    ones = np.ones(m)
-    out = np.zeros((na, nb))
-    step = _block_rows(m * nb)
-    def fill(b0, b1):  # row blocks b0..b1-1, cut where one worker cuts them
-        buf = np.empty((min(step, na), m * nb))
-        for r0 in range(b0 * step, min(b1 * step, na), step):
-            rows = slice(r0, min(r0 + step, na))
-            E = buf[: rows.stop - r0]  # E[i, c] = k(za_i^(l), zb_c) / amplitude
-            for l in range(m):  # a-side particles in index order
-                np.matmul(left[l, rows], right_T, out=E)
-                out[rows] += ones @ _exp_nonpositive(E).reshape(-1, m, nb)
-    _split(-(-na // step), step * m * m * nb, fill)
-    return out * (spec.amplitude / m**2)
+    return _exact_gram(spec, embeddings_a, embeddings_b)
 
 
 def empirical_kernel_exact(
@@ -364,25 +345,23 @@ def rff_embedding_cotangents(
     return G
 
 
-def _tile_steps(m: int, n: int, n_b: int | None = None) -> tuple[int, int]:
-    """Rows, columns of a _pair_tiles tile: n a-side rows against particles of n_b (default n)."""
-    n_b = n if n_b is None else n_b
-    rows_step = min(n, max(1, _BLOCK_ENTRIES // n_b))
-    return rows_step, min(m, max(1, _BLOCK_ENTRIES // rows_step // n_b)) * n_b
+def _tile_rows(m: int, n: int, n_b: int) -> int:
+    """Rows of a _pair_tiles tile: n a-side rows against all m particles of n_b."""
+    return max(1, min(n, _BLOCK_ENTRIES // max(m * n_b, 1)))
 
 
 def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile, embeddings_b=None) -> None:
-    """Run ``tile(k, l, r0, c0, E)`` on every exp tile of the particle pairs l <= l'.
+    """Run ``tile(k, l, r0, E)`` on every exp tile of the particle pairs l <= l'.
 
-    E[i, c] = k(z_{r0+i}^(l), B_{c0+c}) / amplitude, B the (m n, d) stack of all
-    images: particle l's rows against the columns of particles l' >= l, in
-    tiles of whole particles (c0 a multiple of n) within max(_BLOCK_ENTRIES, n)
-    entries, one GEMM and one exp each. With ``embeddings_b`` (m, n_b, d), B
-    stacks its images instead and every pair (l, l') runs, c0 a multiple of
-    n_b. _CHUNKS fixed chunks k of whole particles, balanced by the blocks
-    particle l owns, run on _split, their tiles in one order: a consumer that
-    sums chunk k into its own accumulator gets the same bits at any worker
-    count. E is reused once tile returns.
+    E[i, c] = k(z_{r0+i}^(l), B_{l n + c}) / amplitude, B the (m n, d) stack of
+    all images: _tile_rows rows of particle l against every particle l' >= l,
+    within max(_BLOCK_ENTRIES, m n_b) entries, one GEMM and one exp each. With
+    ``embeddings_b`` (m, n_b, d), B stacks its images instead and a tile's rows
+    run against every particle, E[i, c] = k(z_{r0+i}^(l), B_c). _CHUNKS fixed
+    chunks k of whole particles, balanced by the pairs particle l owns, run on
+    _split, their tiles in one order: a consumer that sums chunk k into its
+    own accumulator gets the same bits at any worker count. E is reused once
+    tile returns.
     """
     m, n, d = embeddings.shape
     one_set = embeddings_b is None
@@ -390,45 +369,47 @@ def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile, embeddings
     n_b = Zb.shape[1]
     left = _augment(spec, embeddings)[0]
     right_T = np.ascontiguousarray(_augment(spec, Zb.reshape(-1, d))[1].T)
-    rows_step, cols_step = _tile_steps(m, n, n_b)
+    step = _tile_rows(m, n, n_b)
     owned = np.cumsum(np.arange(m, 0, -1) if one_set else np.full(m, m))
     cuts = [0, *np.searchsorted(owned, owned[-1] * np.arange(1, _CHUNKS) / _CHUNKS) + 1, m]
     def fill(k0, k1):  # the particles of chunks k0..k1-1
-        buf = np.empty(rows_step * cols_step)
+        buf = np.empty(step * m * n_b)
         for k in range(k0, k1):
             for l in range(cuts[k], cuts[k + 1]):
-                for r0 in range(0, n, rows_step):
-                    r1 = min(r0 + rows_step, n)
-                    for c0 in range(l * n_b if one_set else 0, m * n_b, cols_step):
-                        c1 = min(c0 + cols_step, m * n_b)
-                        E = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                        np.matmul(left[l, r0:r1], right_T[:, c0:c1], out=E)
-                        tile(k, l, r0, c0, _exp_nonpositive(E))
+                cols = right_T[:, l * n_b if one_set else 0 :]
+                for r0 in range(0, n, step):
+                    E = buf[: min(step, n - r0) * cols.shape[1]].reshape(-1, cols.shape[1])
+                    np.matmul(left[l, r0 : r0 + len(E)], cols, out=E)
+                    tile(k, l, r0, _exp_nonpositive(E))
     _split(_CHUNKS, int(owned[-1]) * n * n_b // _CHUNKS * _PAIR_COST, fill)
 
 
 def _exact_gram(spec: LatentKernelSpec, embeddings: np.ndarray, embeddings_b=None) -> np.ndarray:
-    """empirical_kernel_exact from the particle pairs l <= l' of _pair_tiles, or,
-    with ``embeddings_b``, empirical_cross_block from all pairs of the two sets.
+    """The training K_LL from the particle pairs l <= l' of _pair_tiles, or, with
+    ``embeddings_b``, empirical_cross_block from all pairs of the two sets.
 
     A chunk sums A = sum_l E_ll / 2 + sum_{l<l'} E_ll' (two sets: sum_{l,l'}
     E_ll') into its own (n, n_b) array, a tile's particles folded onto it by one
-    ones-vector product. K = (A + A^T) amplitude / m^2 (two sets: A amplitude /
-    m^2) is symmetric by construction and agrees with the full build to
-    round-off, its pairs summed in another order.
+    ones-vector product; the chunks' A add in chunk order. K = (A + A^T) amplitude
+    / m^2, symmetric by construction, agrees with empirical_kernel_exact to
+    round-off; two sets give K = A amplitude / m^2.
     """
     m, n, _ = embeddings.shape
-    n_b = n if embeddings_b is None else embeddings_b.shape[1]
-    A, ones = np.zeros((_CHUNKS, n, n_b)), np.ones(m)
-    def tile(k, l, r0, c0, E):
-        if embeddings_b is None and c0 == l * n:  # the (l, l) block, which A + A^T adds twice
+    one_set = embeddings_b is None
+    n_b = n if one_set else embeddings_b.shape[1]
+    A, ones = [np.zeros((n, n_b)) for _ in range(_CHUNKS)], np.ones(m)
+    def tile(k, l, r0, E):
+        if one_set:  # the (l, l) block opens the tile, and A + A^T adds it twice
             E[:, :n] *= 0.5
-        A[k, r0 : r0 + len(E)] += ones[: E.shape[1] // n_b] @ E.reshape(len(E), -1, n_b)
+        A[k][r0 : r0 + len(E)] += ones[l if one_set else 0 :] @ E.reshape(len(E), -1, n_b)
     _pair_tiles(spec, embeddings, tile, embeddings_b)
-    A = A.sum(axis=0)
-    if embeddings_b is not None:
-        return A * (spec.amplitude / m**2)
-    return (A + A.T) * (spec.amplitude / m**2)
+    K = A[0]
+    for a in A[1:]:  # into the first: no third (n, n_b) array
+        K += a
+    if one_set:
+        K = K + K.T
+    K *= spec.amplitude / m**2
+    return K
 
 
 def kernel_embedding_cotangents(
@@ -471,14 +452,13 @@ def kernel_embedding_cotangents(
     B1 = np.concatenate([B, np.ones((len(B), 1))], axis=1)
     Csym = C + C.T if one_set else C
     A = np.zeros((_CHUNKS, len(B), d + 1))
-    def tile(k, l, r0, c0, M):
-        r1, c1 = r0 + M.shape[0], c0 + M.shape[1]
-        rows = slice(l * n + r0, l * n + r1)  # of A and B1
-        M.reshape(len(M), -1, n_b)[:] *= Csym[r0:r1, None]  # each particle's columns
-        A[k, rows] += M @ B1[off + c0 : off + c1]
-        c_other = max(c0, (l + 1) * n) if one_set else c0  # first column of a particle l' > l
-        if c_other < c1:
-            A[k, off + c_other : off + c1] += M[:, c_other - c0 :].T @ B1[rows]
+    def tile(k, l, r0, M):
+        rows = slice(l * n + r0, l * n + r0 + len(M))  # of A and B1
+        c0 = off + (l * n if one_set else 0)  # the tile's first column, in A and B1
+        M.reshape(len(M), -1, n_b)[:] *= Csym[r0 : r0 + len(M), None]  # each particle's columns
+        A[k, rows] += M @ B1[c0:]
+        own = n if one_set else 0  # particle l's own columns, which its row sums hold
+        A[k, c0 + own :] += M[:, own:].T @ B1[rows]
     _pair_tiles(spec, embeddings, tile, embeddings_b)
     total = A.sum(axis=0)
     G = total[:, d:] * B - total[:, :d]

@@ -97,7 +97,8 @@ def kernel_cotangents_loop(spec, embeddings, C) -> list[np.ndarray]:
 
 
 def _serial_particle_blocks(spec, embeddings_a, B):
-    """All (l, rows, E) exp blocks of kernels.empirical_cross_block, in one loop."""
+    """All (l, rows, E) exp blocks of the one-loop cross block: row blocks of
+    each a-side particle against every b-side image."""
     na = embeddings_a.shape[1]
     right_T = np.ascontiguousarray(kernels._augment(spec, B)[1].T)
     step = max(1, kernels._BLOCK_ENTRIES // max(B.shape[0], 1))
@@ -112,7 +113,9 @@ def _serial_particle_blocks(spec, embeddings_a, B):
 
 
 def empirical_cross_block_serial(spec, embeddings_a, embeddings_b) -> np.ndarray:
-    """One-thread kernels.empirical_cross_block."""
+    """kernels.empirical_cross_block as one loop, the a-side particles summed in
+    index order: bitwise equal to it up to m = 3, where its chunk cut falls
+    after the first chunk's particles are summed, and to round-off above."""
     embeddings_a = np.asarray(embeddings_a, dtype=np.float64)
     embeddings_b = np.asarray(embeddings_b, dtype=np.float64)
     m, na, d = embeddings_a.shape
@@ -125,7 +128,8 @@ def empirical_cross_block_serial(spec, embeddings_a, embeddings_b) -> np.ndarray
 
 
 def cross_kernel_batch_serial(spec, train_embeddings, query_embeddings):
-    """One-thread kernels.cross_kernel_batch."""
+    """kernels.cross_kernel_batch from empirical_cross_block_serial and one loop
+    over the self-pairs."""
     query_embeddings = np.asarray(query_embeddings, dtype=np.float64)
     K_star = empirical_cross_block_serial(spec, query_embeddings, train_embeddings)
     m, nq, _ = query_embeddings.shape

@@ -483,11 +483,16 @@ class TestKernelWorkers:
         basis = sample_rff_basis(SPEC, d, q, seed=61)
         T, C = rng.normal(size=(na, q)), rng.normal(size=(na, na))
         K_star, k_ss = cross_kernel_batch(SPEC, b, a)
-        K_star_ref, k_ss_ref = cross_kernel_batch_serial(SPEC, b, a)
+        K_star_ref, k_ss_ref = at_one_worker(monkeypatch, cross_kernel_batch, SPEC, b, a)
+        K = empirical_cross_block(SPEC, a, b)
+        # the exact blocks sum in fixed particle chunks: equal to their own
+        # one-worker result, and close to the one-loop form
+        np.testing.assert_allclose(K, empirical_cross_block_serial(SPEC, a, b), rtol=1e-12)
         pairs = [
-            (empirical_cross_block(SPEC, a, b), empirical_cross_block_serial(SPEC, a, b)),
+            (K, at_one_worker(monkeypatch, empirical_cross_block, SPEC, a, b)),
             (K_star, K_star_ref),
             (k_ss, k_ss_ref),
+            (k_ss, cross_kernel_batch_serial(SPEC, b, a)[1]),
             (rff_feature_matrix(basis, a, SPEC), rff_feature_matrix_sincos_serial(basis, a, SPEC)),
             (
                 rff_embedding_cotangents(basis, a, SPEC, T),
@@ -514,7 +519,7 @@ class TestKernelWorkers:
         a, b = rng.normal(size=(4, 30, 2)), rng.normal(size=(4, 9, 2))
         basis = sample_rff_basis(SPEC, 2, 10, seed=63)
         C = rng.normal(size=(30, 30))
-        K_ref = empirical_cross_block_serial(SPEC, a, b)
+        K_ref = at_one_worker(monkeypatch, empirical_cross_block, SPEC, a, b)
         R_ref = rff_feature_matrix_sincos_serial(basis, a, SPEC)
         G_ref = at_one_worker(monkeypatch, kernel_embedding_cotangents, SPEC, a, C)
         interval = sys.getswitchinterval()
@@ -533,15 +538,14 @@ class TestKernelWorkers:
 
 class TestExactCotangentChain:
     """kernel_embedding_cotangents builds each particle pair's block once, in
-    row x column tiles and fixed particle chunks: bitwise the same at any
-    worker count, and close to the chain over all m^2 blocks."""
+    row tiles against every later particle and fixed particle chunks: bitwise
+    the same at any worker count, and close to the chain over all m^2 blocks."""
 
     SPEC = LatentKernelSpec(amplitude=0.7, bandwidth=1.3)
     CASES = {  # m, n, d, _BLOCK_ENTRIES, C
         "one-particle": (1, 6, 2, 1 << 17, "asymmetric"),  # no column term
         "two-particles": (2, 7, 2, 1 << 17, "asymmetric"),
-        # 4-row x 7-column tiles of 7-row particles: a particle's rows cut
-        # over two row tiles, against one whole particle a tile
+        # one-row tiles of 7-row particles
         "tile-cuts-a-particle": (3, 7, 2, 31, "asymmetric"),
         "one-entry-tiles": (3, 5, 2, 1, "asymmetric"),
         "many-tiles": (5, 40, 3, 300, "asymmetric"),
@@ -755,11 +759,11 @@ class TestExactGram:
     CASES = {  # m, n, _BLOCK_ENTRIES
         "paper-size": (50, 45, 1 << 17),
         "one-particle": (1, 6, 1 << 17),
-        # n^2 above _BLOCK_ENTRIES: a particle's 400 rows cut into 327- and
-        # 73-row tiles, against one whole particle a tile
+        # m n^2 above _BLOCK_ENTRIES: a particle's 400 rows cut into tiles of
+        # 163, 163 and 74 rows (one particle: 327 and 73)
         "n-above-a-square-tile": (2, 400, 1 << 17),
         "one-particle-n-above-a-square-tile": (1, 400, 1 << 17),
-        # 4- and 3-row tiles of 7-row particles, one whole particle a tile
+        # one-row tiles of 7-row particles
         "tile-cuts-a-particle": (3, 7, 31),
         "one-entry-tiles": (3, 5, 1),
     }
@@ -826,7 +830,7 @@ class TestExactGram:
         spec = TestExactCotangentChain.SPEC
         G = kernel_embedding_cotangents(spec, Z, C)
         want = kernel_embedding_cotangents_own_loop(spec, Z, C)
-        if m * n * n <= entries:  # the oracle's tiles held whole particles too
+        if m * n * n <= entries:  # the oracle's tiles are the library's: n rows, every later particle
             assert np.array_equal(G, want)
         else:  # its tiles cut particles' columns: the pairs summed over other tile widths
             np.testing.assert_allclose(G, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -852,42 +856,60 @@ class TestExactGram:
 
 
 class TestPairTiles:
-    """_pair_tiles' tiles hold whole particles: rows of particle l against the
-    columns of whole particles l' >= l, each pair once, within
-    max(_BLOCK_ENTRIES, n) entries a tile."""
+    """_pair_tiles' tiles are rows of particle l against every particle l' >= l
+    (two sets: every particle), each pair once, within max(_BLOCK_ENTRIES, m n_b)
+    entries a tile, the bound of empirical_cross_block's own row blocks."""
 
     @pytest.mark.parametrize("entries", [1, 6, 31, 40, 300, 1 << 17])
     def test_tile_steps_take_whole_particles(self, monkeypatch, entries):
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
         for m in (1, 2, 3, 5, 50):
-            for n in (1, 5, 7, 11, 45, 52, 400):
-                rows, cols = kernels_mod._tile_steps(m, n)
-                assert 1 <= rows <= n
-                assert cols % n == 0 and n <= cols <= m * n
-                assert rows * cols <= max(entries, n)
+            for n in (0, 1, 5, 7, 11, 45, 52, 400):
+                for n_b in (0, 1, 4, n):
+                    rows = kernels_mod._tile_rows(m, n, n_b)
+                    assert 1 <= rows <= max(n, 1)  # a step of at least 1 on empty sets too
+                    if n_b:  # as many rows as fit, up to all n of them
+                        assert rows * m * n_b <= max(entries, m * n_b)
+                        assert rows in (n, 1) or (rows + 1) * m * n_b > entries
 
     def test_paper_size_tile_is_one_particle_against_all(self):
-        # m = 50, n = 45: the tile shape the fit-exact bits were made with
-        assert kernels_mod._tile_steps(50, 45) == (45, 2250)
+        # m = 50, n = 45: the tile shape the fit-exact bits were made with, the
+        # first particle's 45 rows against all 2250 columns
+        assert kernels_mod._tile_rows(50, 45, 45) == 45
+        shapes = {}  # particle l: its tiles' shapes
+        kernels_mod._pair_tiles(SPEC, np.zeros((50, 45, 1)),
+                                lambda k, l, r0, E: shapes.setdefault(l, []).append(E.shape))
+        assert shapes == {l: [(45, 45 * (50 - l))] for l in range(50)}
+
+    @staticmethod
+    def record_tiles(monkeypatch, entries, Za, Zb=None):
+        """seen[l, i, c]: the times row i of a-particle l met column c of the
+        b-side stack; every tile is checked against the base kernel as it runs."""
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        m, n, _ = Za.shape
+        B = (Za if Zb is None else Zb).reshape(m * (n if Zb is None else Zb.shape[1]), -1)
+        n_b = len(B) // m
+        seen = np.zeros((m, n, m * n_b), dtype=int)
+        rows = kernels_mod._tile_rows(m, n, n_b)
+        def tile(k, l, r0, E):
+            c0 = l * n_b if Zb is None else 0  # rows against every remaining particle
+            assert E.shape == (min(rows, n - r0), m * n_b - c0) and r0 % rows == 0
+            assert E.size <= max(entries, m * n_b)
+            r1 = r0 + len(E)
+            seen[l, r0:r1, c0:] += 1
+            d2 = ((Za[l, r0:r1, None] - B[None, c0:]) ** 2).sum(axis=-1)
+            np.testing.assert_allclose(E, np.exp(-0.5 * d2), rtol=0, atol=1e-12)
+        kernels_mod._pair_tiles(SPEC, Za, tile, Zb)
+        return seen
 
     @pytest.mark.parametrize("m, n, entries", [
         (1, 6, 1 << 17), (3, 7, 31), (3, 5, 1), (5, 40, 300), (4, 11, 40),
-        (6, 9, 200),  # two-particle tiles, the last of a row one particle
-        (2, 400, 1 << 17),
+        (6, 9, 200),  # 3-row tiles
+        (2, 400, 1 << 17),  # 163-row tiles, the last 74 rows
     ])
     def test_each_pair_once_in_whole_particle_tiles(self, monkeypatch, m, n, entries):
-        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
         Z = np.asarray(random_embeddings(m, n, 2, seed=80))
-        B = Z.reshape(-1, 2)
-        seen = np.zeros((m, n, m * n), dtype=int)  # particle l, its row, a column of B
-        def tile(k, l, r0, c0, E):
-            assert c0 % n == 0 and E.shape[1] % n == 0
-            assert E.size <= max(entries, n)
-            r1, c1 = r0 + len(E), c0 + E.shape[1]
-            seen[l, r0:r1, c0:c1] += 1
-            d2 = ((Z[l, r0:r1, None] - B[None, c0:c1]) ** 2).sum(axis=-1)
-            np.testing.assert_allclose(E, np.exp(-0.5 * d2), rtol=0, atol=1e-12)
-        kernels_mod._pair_tiles(SPEC, Z, tile)
+        seen = self.record_tiles(monkeypatch, entries, Z)
         upper = np.arange(m)[:, None] <= np.arange(m)  # the pairs l <= l'
         want = np.broadcast_to(upper[:, None, :, None], (m, n, m, n)).reshape(m, n, m * n)
         assert np.array_equal(seen, want)
@@ -895,24 +917,64 @@ class TestPairTiles:
     @pytest.mark.parametrize("m, n_a, n_b, entries", [
         (1, 6, 4, 1 << 17), (3, 7, 5, 31), (3, 5, 4, 1), (5, 40, 11, 300),
         (4, 11, 6, 40),
-        (6, 9, 4, 30),  # tiles of three b-particles of 4, the last of a row two
+        (6, 9, 4, 30),  # one-row tiles, each 24 entries
         (2, 400, 99, 1 << 17),  # a labeled set's rows against a pool chunk's
     ])
     def test_two_sets_each_pair_once_in_whole_b_particle_tiles(self, monkeypatch, m, n_a, n_b, entries):
-        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
         Za = np.asarray(random_embeddings(m, n_a, 2, seed=81))
         Zb = np.asarray(random_embeddings(m, n_b, 2, seed=82))
-        B = Zb.reshape(-1, 2)
-        seen = np.zeros((m, n_a, m * n_b), dtype=int)  # a-particle l, its row, a column of B
-        def tile(k, l, r0, c0, E):
-            assert c0 % n_b == 0 and E.shape[1] % n_b == 0
-            assert E.size <= max(entries, n_b)
-            r1, c1 = r0 + len(E), c0 + E.shape[1]
-            seen[l, r0:r1, c0:c1] += 1
-            d2 = ((Za[l, r0:r1, None] - B[None, c0:c1]) ** 2).sum(axis=-1)
-            np.testing.assert_allclose(E, np.exp(-0.5 * d2), rtol=0, atol=1e-12)
-        kernels_mod._pair_tiles(SPEC, Za, tile, Zb)
+        seen = self.record_tiles(monkeypatch, entries, Za, Zb)
         assert np.array_equal(seen, np.ones_like(seen))  # every pair (l, l'), once
+
+
+class TestCrossBlockOnTheTileLoop:
+    """empirical_cross_block is _exact_gram's two-set mode: its l-sum splits at
+    the _CHUNKS particle cut, so it is bitwise equal to the one-loop form up to
+    m = 3 (one particle a chunk, or the first chunk's two summed first, as that
+    form does) and equal to it to round-off above."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("entries", [1, 31, 1 << 17])
+    def test_bitwise_equal_to_the_one_loop_form_up_to_three_particles(self, monkeypatch, workers, m, entries):
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(84)
+        a, b = rng.normal(size=(m, 13, 2)), rng.normal(size=(m, 5, 2))
+        K, K_ref = empirical_cross_block(SPEC, a, b), empirical_cross_block_serial(SPEC, a, b)
+        assert K.tobytes() == K_ref.tobytes()
+        K_star, k_ss = cross_kernel_batch(SPEC, b, a)
+        K_star_ref, k_ss_ref = cross_kernel_batch_serial(SPEC, b, a)
+        assert K_star.tobytes() == K_star_ref.tobytes() and k_ss.tobytes() == k_ss_ref.tobytes()
+
+    def test_paper_size_close_to_the_one_loop_form(self):
+        # m = 50: prediction's K_* of 2000 query rows against 100 training rows
+        rng = np.random.default_rng(85)
+        q, tr = rng.normal(size=(50, 200, 2)), rng.normal(size=(50, 100, 2))
+        np.testing.assert_allclose(
+            empirical_cross_block(SPEC, q, tr), empirical_cross_block_serial(SPEC, q, tr), rtol=1e-12)
+
+    def test_validation_k_ll_splits_at_the_default_threshold(self, monkeypatch):
+        # n = 45 at m = 50: the full m^2-pair K_LL of a validation check runs
+        # both chunks, each on its own worker
+        monkeypatch.setattr(threads, "_WORKERS", 2)
+        ranges = []
+
+        def recording_split(n, unit_entries, fn):
+            ranges.append([])
+            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
+
+        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        empirical_kernel_exact(SPEC, np.random.default_rng(86).normal(size=(50, 45, 2)))
+        assert ranges == [[0, 1]]
+
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_no_query_rows(self, m):
+        train = np.random.default_rng(87).normal(size=(m, 4, 2))
+        K_star, k_ss = cross_kernel_batch(SPEC, train, np.empty((m, 0, 2)))
+        assert K_star.shape == (0, 4) and k_ss.shape == (0,)
+        assert empirical_cross_block(SPEC, np.empty((m, 0, 2)), np.empty((m, 0, 2))).shape == (0, 0)
 
 
 class TestCrossBlockChains:
@@ -925,10 +987,11 @@ class TestCrossBlockChains:
     CASES = {  # m, n_a, n_b, d, _BLOCK_ENTRIES
         "one-particle": (1, 6, 3, 2, 1 << 17),
         "whole-sets": (3, 7, 5, 2, 1 << 17),
-        # tiles of 6 a-rows x one b-particle of 5: a particle's 7 a-rows cut
-        # over two row tiles
+        # tiles of 2 a-rows against all three b-particles: a particle's 7
+        # a-rows cut over four row tiles
         "tiles-cut-a-rows": (3, 7, 5, 2, 31),
-        # tiles of all 4 a-rows x two b-particles of 3, the last of a row one
+        # tiles of 2 a-rows against all five b-particles of 3 (named for
+        # the column tiles the loop once took)
         "tiles-cut-the-b-particles": (5, 4, 3, 2, 30),
         "one-entry-tiles": (3, 5, 4, 2, 1),
         "many-tiles": (5, 40, 11, 3, 300),

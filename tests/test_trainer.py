@@ -1035,3 +1035,11 @@ def test_non_finite_query_is_a_value_error(bad):
     ens, head, _ = classify.fit_classifier(TrainData(X, y), cfg)
     with pytest.raises(ValueError, match="X contains NaN or inf"):
         classify.predict_probs(ens, head, query)
+
+
+def test_empty_query_set_predicts_no_rows():
+    X, y = labeled_rows()
+    cfg = tiny_config(max_epochs=0)
+    ens, _ = fit(TrainData(X, y), cfg)
+    means, variances = trainer.predict_regression(ens, cfg.kernel_spec(), X, y, X[:0], cfg.noise_var)
+    assert means.shape == (0,) and variances.shape == (0,)
