@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -169,18 +168,24 @@ def resolve_train_config(args, **overrides) -> TrainConfig:
     return cfg
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of theirs, as
+    scipy.stats.rankdata(method="average") ranks them: the ties of v take
+    ranks #(< v) + 1 ... #(<= v)."""
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
+
+
 def _spearman(x: np.ndarray, y: np.ndarray):
-    """Spearman rank correlation, None when undefined (constant input)."""
+    """Spearman rank correlation, None when undefined (n < 2, a constant
+    input or a NaN). scipy.stats.spearmanr's value bit for bit: its
+    np.corrcoef over the same ranks, on which every sum is exact."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]) or np.isnan(np.r_[x, y]).any():
         return None
-    # imported here: scipy.stats takes most of a second to import, and only
-    # this statistic needs it
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(x, y).statistic
-    return None if rho is None or math.isnan(rho) else float(rho)
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 # ---------------------------------------------------------------------------

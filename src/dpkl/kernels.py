@@ -367,6 +367,8 @@ def _pair_tiles(spec: LatentKernelSpec, embeddings: np.ndarray, tile, embeddings
     one_set = embeddings_b is None
     Zb = embeddings if one_set else embeddings_b
     n_b = Zb.shape[1]
+    if n_b == 0:  # no pair, so no tile
+        return
     left = _augment(spec, embeddings)[0]
     right_T = np.ascontiguousarray(_augment(spec, Zb.reshape(-1, d))[1].T)
     step = _tile_rows(m, n, n_b)

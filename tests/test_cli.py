@@ -1241,11 +1241,101 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the CLI's import time and only the Spearman
-    # statistic needs it, so importing dpkl.cli must not load it
+    # scipy.stats would be most of the CLI's import time and no part of dpkl
+    # uses it, so importing dpkl.cli must not load it
     import dpkl
 
     src = str(Path(dpkl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, dpkl.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_commands_leave_scipy_stats_unloaded(tmp_path):
+    # train and benchmark score their test rows with cli._spearman, which is
+    # numpy's: a regression and a classification train and a one-cell
+    # benchmark run in one process, and none of them loads scipy.stats
+    import dpkl
+
+    reg = write_regression_csv(tmp_path / "sine.csv")
+    blobs = write_blobs_csv(tmp_path / "blobs.csv")
+    commands = [
+        ["train", "--data", reg, "--target", "y", "--n-labeled", "30", *FAST,
+         "--out", tmp_path / "reg"],
+        ["train", "--task", "classification", "--data", blobs, "--target", "label",
+         "--n-labeled", "40", *FAST, "--out", tmp_path / "cls"],
+        ["benchmark", "--data", reg, "--target", "y", "--sizes", "20", "--trials", "1",
+         "--modes", "dpkl", *FAST, "--out", tmp_path / "bench"],
+    ]
+    commands = [[str(a) for a in argv] for argv in commands]
+    code = ("import sys\nfrom dpkl.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "sys.exit(codes != [0, 0, 0] or 'scipy.stats' in sys.modules)")
+    src = str(Path(dpkl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # the statistic was computed, not skipped as undefined
+    report = json.loads((tmp_path / "reg" / "report.json").read_text())
+    assert isinstance(report["test"]["spearman_variance_error"], float)
+
+
+class TestSpearman:
+    """cli._spearman against scipy.stats.spearmanr, bit for bit."""
+
+    @staticmethod
+    def check(x, y):
+        from scipy.stats import spearmanr
+
+        rho = cli._spearman(x, y)
+        assert isinstance(rho, float)
+        assert np.float64(rho).tobytes() == np.float64(spearmanr(x, y).statistic).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_random(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            self.check(*rng.normal(size=(2, n)))
+
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    def test_rounded_ties(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(50):
+            x, y = np.round(rng.normal(size=(2, n)), 1)
+            if len(set(x)) > 1 and len(set(y)) > 1:
+                self.check(x, y)
+
+    @pytest.mark.parametrize("n", [6, 20, 60])
+    def test_three_values(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(50):
+            x = rng.choice([-1.5, 0.0, 2.0], size=n)
+            y = rng.choice([0.0, 1.0, 7.0], size=n)
+            x[:3], y[:3] = [-1.5, 0.0, 2.0], [7.0, 1.0, 0.0]  # no constant input
+            self.check(x, y)
+
+    def test_infinities(self):
+        rng = np.random.default_rng(300)
+        for _ in range(50):
+            x, y = rng.normal(size=(2, 20))
+            x[rng.integers(0, 20, 3)] = np.inf
+            y[rng.integers(0, 20, 3)] = -np.inf
+            x[0] = -np.inf
+            self.check(x, y)
+
+    def test_near_monotone(self):
+        rng = np.random.default_rng(400)
+        for n in (2, 3, 20, 60):
+            x = np.sort(rng.normal(size=n))
+            self.check(x, x + 1e-12 * rng.normal(size=n))
+            self.check(x, -x)
+            y = x.copy()
+            y[[0, -1]] = y[[-1, 0]]  # one swap
+            self.check(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        ([], []), ([1.0], [2.0]),
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0]),
+    ], ids=["empty", "one", "constant-x", "constant-y", "nan-x", "nan-y"])
+    def test_undefined_is_none(self, x, y):
+        assert cli._spearman(np.array(x), np.array(y)) is None

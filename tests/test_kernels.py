@@ -976,6 +976,26 @@ class TestCrossBlockOnTheTileLoop:
         assert K_star.shape == (0, 4) and k_ss.shape == (0,)
         assert empirical_cross_block(SPEC, np.empty((m, 0, 2)), np.empty((m, 0, 2))).shape == (0, 0)
 
+    # an empty b side has no pair and so no tile: empty blocks and zero cotangents
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_cross_block_of_no_b_rows(self, m):
+        a = np.random.default_rng(88).normal(size=(m, 4, 2))
+        assert empirical_cross_block(SPEC, a, np.empty((m, 0, 2))).shape == (4, 0)
+
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_no_train_rows(self, m):
+        query = np.random.default_rng(89).normal(size=(m, 5, 2))
+        K_star, k_ss = cross_kernel_batch(SPEC, np.empty((m, 0, 2)), query)
+        assert K_star.shape == (5, 0)
+        np.testing.assert_array_equal(k_ss, cross_kernel_batch(SPEC, query[:, :1], query)[1])
+
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_cotangents_of_no_b_rows(self, m):
+        a = np.random.default_rng(90).normal(size=(m, 4, 2))
+        G_a, G_b = kernel_embedding_cotangents(SPEC, a, np.empty((4, 0)), np.empty((m, 0, 2)))
+        np.testing.assert_array_equal(G_a, np.zeros((m, 4, 2)))
+        assert G_b.shape == (m, 0, 2)
+
 
 class TestCrossBlockChains:
     """The exact pool terms on two point sets: _exact_gram's cross block, the
