@@ -543,47 +543,42 @@ def cmd_report(args) -> int:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise CheckpointError(f"{report_path} not found; run `dpkl train` first")
-    with open(report_path) as fh:
-        doc = json.load(fh)
+    tables = {}  # name -> (header, rows, sidecar extras), all built before one is written
+    try:
+        doc = json.loads(report_path.read_text())
+        config, test = doc.get("config", {}), doc.get("test", {})
+        per_point = test.get("per_point", {})
+        latent = np.asarray(doc.get("latent_mean_embeddings", []), dtype=np.float64)
+        if latent.size:
+            tables["latent"] = ([f"z{i}" for i in range(latent.shape[1])], latent, {})
+        if "variance" in per_point:
+            var, sq = (np.asarray(per_point[k], dtype=np.float64)
+                       for k in ("variance", "squared_error"))
+            if var.ndim != 1 or var.shape != sq.shape:
+                raise ValueError(f"variance {var.shape} and squared_error {sq.shape} columns")
+            order = np.argsort(var, kind="stable")
+            bins = np.array_split(order, min(10, len(order)))
+            rows = [[i + 1, len(b), float(var[b].mean()), float(sq[b].mean())]
+                    for i, b in enumerate(bins) if len(b)]
+            rho = {"spearman_variance_error": test.get("spearman_variance_error")}
+            tables["calibration"] = (["decile", "count", "mean_variance", "mean_squared_error"],
+                                     rows, rho)
+        if "entropy" in per_point:
+            rows = list(zip(per_point["entropy"], per_point["error"], strict=True))
+            rho = {"spearman_entropy_error": test.get("spearman_entropy_error")}
+            tables["entropy"] = (["entropy", "error"], rows, rho)
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise CheckpointError(f"{report_path} is not a dpkl report: "
+                              f"{type(exc).__name__}: {exc}") from None
+    if not tables:
+        raise CheckpointError("run directory has no test artifacts to report on")
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = doc.get("config", {})
-    test = doc.get("test", {})
-    per_point = test.get("per_point", {})
     outputs = {}
-
-    latent = np.asarray(doc.get("latent_mean_embeddings", []))
-    if latent.size:
-        latent_path = out_dir / "latent.csv"
-        write_csv(latent_path, [f"z{i}" for i in range(latent.shape[1])], latent, config)
-        outputs["latent"] = str(latent_path)
-
-    if "variance" in per_point:
-        var = np.asarray(per_point["variance"])
-        sq = np.asarray(per_point["squared_error"])
-        order = np.argsort(var, kind="stable")
-        bins = np.array_split(order, min(10, len(order)))
-        rows = [
-            [i + 1, len(b), float(var[b].mean()), float(sq[b].mean())]
-            for i, b in enumerate(bins)
-            if len(b)
-        ]
-        cal_path = out_dir / "calibration.csv"
-        rho = {"spearman_variance_error": test.get("spearman_variance_error")}
-        write_csv(cal_path, ["decile", "count", "mean_variance", "mean_squared_error"], rows,
-                  config, rho)
-        outputs.update(calibration=str(cal_path), **rho)
-
-    if "entropy" in per_point:
-        ent = per_point["entropy"]
-        err = per_point["error"]
-        ent_path = out_dir / "entropy.csv"
-        rho = {"spearman_entropy_error": test.get("spearman_entropy_error")}
-        write_csv(ent_path, ["entropy", "error"], zip(ent, err), config, rho)
-        outputs.update(entropy=str(ent_path), **rho)
-
-    if not outputs:
-        raise CheckpointError("run directory has no test artifacts to report on")
+    for name, (header, rows, extra) in tables.items():
+        path = out_dir / f"{name}.csv"
+        write_csv(path, header, rows, config, extra)
+        outputs.update({name: str(path)}, **extra)
     print(json.dumps(outputs))
     return 0
 

@@ -22,14 +22,14 @@ Every function takes the particle images of a point set stacked (m, n, d).
 Exp and trig loops split over the kernel workers of ``threads`` so that each
 output entry keeps its one-worker operations: by points in the self-pairs; by
 rows of a particle group's rff phases, their GEMM run whole first (OpenBLAS can
-round a row differently in a product of fewer rows); by particles in the rff
-cotangent chain; by a fixed number of particle chunks, each summing into its
-own accumulator, in the exact tile loop. The rff loops take their particles in
-groups: one stacked ``np.matmul`` (one GEMM a particle, as a per-particle loop
-makes), then ``_sincos`` over L2-sized blocks, one Cody-Waite reduction (Cody &
-Waite 1980) for both cos and sin, in about half the time of np.cos plus np.sin.
-R sums the cosines in particle order; the sines, written over the phases, serve
-the VJP.
+round a row differently in a product of fewer rows); by particles where the rff
+VJP rebuilds its sines; by a fixed number of particle chunks, each summing into
+its own accumulator, in the exact tile loop. The rff route has one phase loop,
+over particle groups: one stacked ``np.matmul`` (one GEMM a particle, as a
+per-particle loop makes), then ``_sincos`` over L2-sized blocks, one Cody-Waite
+reduction (Cody & Waite 1980) for both cos and sin, in about half the time of
+np.cos plus np.sin. R sums the cosines in particle order; the sines, written
+over the phases, serve the VJP.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ def _exp_nonpositive(blk: np.ndarray) -> np.ndarray:
     squared distance negative."""
     np.minimum(blk, 0.0, out=blk)
     return np.exp(blk, out=blk)
-
-
-def _trig_group(n: int, q: int) -> int:  # particles per trig call
-    return max(1, _TRIG_ENTRIES // max(n * q, 1))
 
 
 def _check_embeddings(embeddings) -> np.ndarray:
@@ -266,38 +262,61 @@ def _sines_over_phases(P: np.ndarray, R: np.ndarray | None, r0: int, r1: int) ->
             blk[...] = E.imag
 
 
+def _phase_groups(basis: RffBasis, embeddings: np.ndarray, g: int, R=None, consume=None):
+    """The sines of the phases Z^(l) V^T + b of the (m, n, d) stack, g particles
+    a group: its GEMM whole (see the module doc), then its sines written over
+    its phases by rows on the kernel workers, their cosines added to R unless R
+    is None, and the group handed to ``consume(l0, S)``. Returns the group buffer."""
+    m, n, _ = embeddings.shape
+    S = np.empty((min(g, m), n, basis.q))
+    for l0 in range(0, m, g):
+        P = S[: min(g, m - l0)]
+        np.matmul(embeddings[l0 : l0 + len(P)], basis.V.T, out=P)
+        P += basis.b
+        _split(n, len(P) * basis.q * _TRIG_COST, lambda r0, r1: _sines_over_phases(P, R, r0, r1))
+        if consume is not None:
+            consume(l0, P)
+    return S
+
+
 def rff_features_vjp(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec):
     """(R, vjp): the particle-averaged feature matrix R (n, q), R R^T ~= the
-    exact kernel, and ``vjp(T) = rff_embedding_cotangents(..., T)``, bitwise.
+    exact kernel, and ``vjp(T)``, the (m, n, d) cotangents of a cotangent T on R.
 
     R_ij = sqrt(a) * (1/m) * sum_l sqrt(2/q) cos(v_j . z_i^(l) + b_j); the
-    sqrt(a) factor carries the kernel amplitude into the factorization. The
-    first ``vjp`` spends R's sines when all m n q fit ``_TRIG_ENTRIES``;
-    else it rebuilds them, and no (m, n, q) array outlives this call.
+    sqrt(a) factor carries the kernel amplitude into the factorization, and
+    vjp(T)^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V. The first
+    ``vjp`` spends R's sines when all m n q fit ``_TRIG_ENTRIES``; else it
+    rebuilds them, by particles on the kernel workers, each range in groups of
+    ``_TRIG_ENTRIES``, and no (m, n, q) array outlives this call.
     """
     embeddings = _check_embeddings(embeddings)
-    m, n, d = embeddings.shape
+    (m, n, d), q = embeddings.shape, basis.q
     if d != basis.d:
         raise DimensionMismatch(
             f"basis dimension {basis.d} does not match embeddings dimension {d}"
         )
-    scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
-    R = np.zeros((n, basis.q))
-    keep = m * n * basis.q <= _TRIG_ENTRIES  # the sines, one group, for the VJP
-    g = m if keep else max(1, _BLOCK_ENTRIES // (n * basis.q))
-    S = np.empty((min(g, m), n, basis.q))  # a group's phases, then their sines
-    for l0 in range(0, m, g):
-        P = S[: min(g, m - l0)]
-        np.matmul(embeddings[l0 : l0 + g], basis.V.T, out=P)  # every row, see the module doc
-        P += basis.b
-        _split(n, len(P) * basis.q * _TRIG_COST, lambda r0, r1: _sines_over_phases(P, R, r0, r1))
+    scale = np.sqrt(spec.amplitude) * np.sqrt(2.0 / q) / m
+    R = np.zeros((n, q))
+    keep = m * n * q <= _TRIG_ENTRIES  # the sines, one group, for the VJP
+    S = _phase_groups(basis, embeddings, m if keep else max(1, _BLOCK_ENTRIES // (n * q)), R)
     kept = [S] if keep else []
 
     def vjp(T: np.ndarray) -> np.ndarray:
-        if not kept:
-            return rff_embedding_cotangents(basis, embeddings, spec, T)
-        T, S = _rff_cotangent(T, n, basis.q), kept.pop()
-        return -scale * (np.multiply(S, T, out=S) @ basis.V)
+        T = np.asarray(T, dtype=np.float64)
+        if T.shape != (n, q):
+            raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, q)}")
+        G = np.empty((m, n, d))
+        def consume(l0, S):  # the group's rows of G
+            np.matmul(np.multiply(S, T, out=S), basis.V, out=G[l0 : l0 + len(S)])
+        if kept:
+            consume(0, kept.pop())
+        else:
+            g = max(1, _TRIG_ENTRIES // max(n * q, 1))
+            _split(m, n * q * _TRIG_COST, lambda l0, l1: _phase_groups(
+                basis, embeddings[l0:l1], g, None, lambda s0, S: consume(l0 + s0, S)))
+        G *= -scale
+        return G
 
     return scale * R, vjp
 
@@ -305,44 +324,6 @@ def rff_features_vjp(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernel
 def rff_feature_matrix(basis: RffBasis, embeddings: np.ndarray, spec: LatentKernelSpec) -> np.ndarray:
     """The R of rff_features_vjp."""
     return rff_features_vjp(basis, embeddings, spec)[0]
-
-
-def _rff_cotangent(T, n: int, q: int) -> np.ndarray:
-    T = np.asarray(T, dtype=np.float64)
-    if T.shape != (n, q):
-        raise DimensionMismatch(f"cotangent shape {T.shape} != {(n, q)}")
-    return T
-
-
-def rff_embedding_cotangents(
-    basis: RffBasis,
-    embeddings: np.ndarray,
-    spec: LatentKernelSpec,
-    T: np.ndarray,
-) -> np.ndarray:
-    """Chain a cotangent on R back to each particle's embedding matrix.
-
-    Given T = dJ/dR for R = rff_feature_matrix(...), returns the stacked
-    (m, n, d) cotangents G^(l) = -(sqrt(a) sqrt(2/q) / m) (T * sin(Z^(l) V^T + b)) V,
-    the sines rebuilt as R's pass makes them.
-    """
-    embeddings = _check_embeddings(embeddings)
-    m, n, d = embeddings.shape
-    T = _rff_cotangent(T, n, basis.q)
-    scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
-    G = np.empty((m, n, d))
-    g = _trig_group(n, basis.q)
-    def fill(l0, l1):  # G[l] for l in l0..l1-1, one phase GEMM a particle group
-        buf = np.empty((min(g, l1 - l0), n, basis.q))
-        for s0 in range(l0, l1, g):
-            S = buf[: min(g, l1 - s0)]
-            np.matmul(embeddings[s0 : s0 + len(S)], basis.V.T, out=S)
-            S += basis.b
-            _sines_over_phases(S, None, 0, n)
-            np.multiply(S, T, out=S)
-            G[s0 : s0 + len(S)] = scale * (S @ basis.V)
-    _split(m, n * basis.q * _TRIG_COST, fill)
-    return G
 
 
 def _tile_rows(m: int, n: int, n_b: int) -> int:

@@ -156,7 +156,8 @@ def rff_feature_matrix_serial(basis, embeddings, spec, cos=np.cos) -> np.ndarray
 
 
 def rff_embedding_cotangents_serial(basis, embeddings, spec, T, sin=np.sin) -> np.ndarray:
-    """One-thread kernels.rff_embedding_cotangents with libm's sin (or ``sin``)."""
+    """One-thread VJP of kernels.rff_features_vjp, one whole (n, q) phase matrix a
+    particle, with libm's sin (or ``sin``)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     m, n, d = embeddings.shape
     scale = -np.sqrt(spec.amplitude) * np.sqrt(2.0 / basis.q) / m
@@ -302,7 +303,7 @@ def rff_objective_dense_pool(ensemble, data, config, basis):
     else:
         X_pool, c_nll, w_reg = X_lab[:0], 1.0, 0.0
     Z_all, vjp = net.forward_vjp(ensemble, np.vstack([X_lab, X_pool]))
-    R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
+    R_all, rff_vjp = kernels.rff_features_vjp(basis, Z_all, spec)
     R_L, R_U = R_all[:n_l], R_all[n_l:]
     K_LL, K_LU, k_ss = R_L @ R_L.T, R_L @ R_U.T, np.sum(R_U * R_U, axis=1)
     state = gp.gp_state_exact(K_LL, y, config.noise_var, config.base_jitter)
@@ -312,7 +313,7 @@ def rff_objective_dense_pool(ensemble, data, config, basis):
     S_LL = c_nll * gp.nll_grad_kernel(state) + w_reg * (B @ B.T)
     T_L = 2.0 * S_LL @ R_L - 2.0 * w_reg * (B @ R_U)
     T_U = 2.0 * w_reg * (R_U - B.T @ R_L)
-    G = kernels.rff_embedding_cotangents(basis, Z_all, spec, np.vstack([T_L, T_U]))
+    G = rff_vjp(np.vstack([T_L, T_U]))
     return c_nll * nll_value + w_reg * reg_value, nll_value, vjp(G)
 
 
@@ -350,7 +351,7 @@ def objective_core_whole_batch(
         # K = R R^T has rank q, so every pool term is a q x q Gram: with
         # P = A^{-1} R_L, Q = R_L^T P and G_U = R_U^T R_U, the pool's
         # B = A^{-1} K_LU is P R_U^T, and no n_l x n_u array is formed
-        R_all = kernels.rff_feature_matrix(basis, Z_all, spec)
+        R_all, rff_vjp = kernels.rff_features_vjp(basis, Z_all, spec)
         R_L, R_U = R_all[:n_l], R_all[n_l:]
         state = gp.gp_state_exact(R_L @ R_L.T, y, config.noise_var, config.base_jitter)
         P = solve_chol(state.chol, R_L)
@@ -377,7 +378,7 @@ def objective_core_whole_batch(
         np.matmul(R_U, Q, out=T[n_l:])
         np.subtract(R_U, T[n_l:], out=T[n_l:])
         T[n_l:] *= 2.0 * w_reg
-        G = kernels.rff_embedding_cotangents(basis, Z_all, spec, T)
+        G = rff_vjp(T)
     else:
         C = np.block([[S_LL, -2.0 * w_reg * B],
                       [np.zeros_like(B.T), w_reg * np.eye(len(X_pool))]])

@@ -955,6 +955,24 @@ class TestReport:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "CheckpointError"
 
+    @pytest.mark.parametrize("body", [
+        "[]",
+        '{"test": {"per_point": {"variance": [1.0, 2.0]}}}',
+        '{"test": {"per_point": {"variance": [1.0, 2.0], "squared_error": [1.0, 2.0, 3.0]}}}',
+        '{"latent_mean_embeddings": [[0.1, 0.2]], "test": {"per_point": {"entropy": [0.5]}}}',
+        '{"latent_mean_embeddings": [0.1, 0.2]}',
+        '{"run": ',
+    ], ids=["list", "no-squared-error", "unequal-columns", "no-error", "flat-latent",
+          "cut-short"])
+    def test_malformed_report_fails_before_any_table(self, tmp_path, capsys, body):
+        report = tmp_path / "report.json"
+        report.write_text(body)
+        assert run(["report", "--run-dir", tmp_path]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CheckpointError"
+        assert str(report) in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]  # no table, no sidecar
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize("command", ["predict", "report"])

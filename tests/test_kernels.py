@@ -37,7 +37,6 @@ from dpkl.kernels import (
     empirical_cross_block,
     empirical_kernel_exact,
     kernel_embedding_cotangents,
-    rff_embedding_cotangents,
     rff_feature_matrix,
     rff_features_vjp,
     sample_rff_basis,
@@ -351,7 +350,7 @@ class TestCotangentChains:
         basis = sample_rff_basis(SPEC, 2, 8, seed=6)
         rng = np.random.default_rng(29)
         T = rng.normal(size=(4, 8))
-        G = rff_embedding_cotangents(basis, embeddings, SPEC, T)
+        G = rff_features_vjp(basis, embeddings, SPEC)[1](T)
         l, i, axis = 2, 0, 1
 
         def f(v):
@@ -366,20 +365,20 @@ class TestCotangentChains:
     @pytest.mark.parametrize("sines", ["kept", "rebuilt"])
     def test_rff_vjp_matches_fd(self, monkeypatch, sines):
         # the VJP of rff_features_vjp, its sines kept from R's pass or, with a
-        # budget below the m n q = 96 of them, rebuilt by rff_embedding_cotangents
+        # budget below the m n q = 96 of them, rebuilt by phase groups without R
         embeddings = random_embeddings(3, 4, 2, seed=28)
         basis = sample_rff_basis(SPEC, 2, 8, seed=6)
         T = np.random.default_rng(29).normal(size=(4, 8))
         if sines == "rebuilt":
             monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", 3 * 4 * 8 - 1)
-        rebuilds, chain = [], kernels_mod.rff_embedding_cotangents
-        monkeypatch.setattr(kernels_mod, "rff_embedding_cotangents",
-                            lambda *args: rebuilds.append(1) or chain(*args))
+        rebuilds, groups = [], kernels_mod._phase_groups
+        monkeypatch.setattr(kernels_mod, "_phase_groups",
+                            lambda *args: rebuilds.append(args[3] is None) or groups(*args))
         R, vjp = rff_features_vjp(basis, embeddings, SPEC)
         G = vjp(T)
-        assert len(rebuilds) == (sines == "rebuilt")
+        assert any(rebuilds) == (sines == "rebuilt")
         assert np.array_equal(R, rff_feature_matrix(basis, embeddings, SPEC))
-        assert np.array_equal(G, chain(basis, embeddings, SPEC, T))
+        assert np.array_equal(G, rff_embedding_cotangents_sincos_serial(basis, embeddings, SPEC, T))
         # the kept sines are spent: a second product rebuilds them, to the same bits
         assert np.array_equal(vjp(T), G)
         l, i, axis = 2, 0, 1
@@ -398,6 +397,15 @@ class TestCotangentChains:
         _, vjp = rff_features_vjp(basis, random_embeddings(3, 4, 2, seed=28), SPEC)
         with pytest.raises(DimensionMismatch):
             vjp(np.ones(8))
+
+    def test_empty_point_set(self):
+        # no phases: the first product spends the kept (empty) sines, the
+        # second rebuilds them
+        basis = sample_rff_basis(SPEC, 2, 8, seed=6)
+        R, vjp = rff_features_vjp(basis, np.empty((3, 0, 2)), SPEC)
+        assert R.shape == (0, 8)
+        for _ in range(2):
+            assert vjp(np.empty((0, 8))).shape == (3, 0, 2)
 
     def test_no_sines_outlive_the_call_above_the_budget(self, monkeypatch):
         # the paper pass's 225 000 sines (1.8 MB) are held for the VJP within
@@ -420,14 +428,13 @@ class TestCotangentChains:
 
 
 def assert_close_to_libm(basis, embeddings, T):
-    """R, the VJP and rff_embedding_cotangents against the np.cos / np.sin
-    oracles at rtol 1e-12, with an absolute floor of 1e-12 of the largest
-    entry: _sincos is within 2^-52 of libm, entry by entry."""
+    """R, the VJP and its second call, which rebuilds the sines, against the
+    np.cos / np.sin oracles at rtol 1e-12, with an absolute floor of 1e-12 of
+    the largest entry: _sincos is within 2^-52 of libm, entry by entry."""
     R, vjp = rff_features_vjp(basis, embeddings, SPEC)
     R_libm = rff_feature_matrix_serial(basis, embeddings, SPEC)
     G_libm = rff_embedding_cotangents_serial(basis, embeddings, SPEC, T)
-    for got, want in [(R, R_libm), (vjp(T), G_libm),
-                      (rff_embedding_cotangents(basis, embeddings, SPEC, T), G_libm)]:
+    for got, want in [(R, R_libm), (vjp(T), G_libm), (vjp(T), G_libm)]:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -447,6 +454,15 @@ def at_one_worker(monkeypatch, fn, *args):
         return fn(*args)
     finally:
         monkeypatch.setattr(threads, "_WORKERS", workers)
+
+
+def recording_split(ranges):
+    """threads._split, appending to ranges one list a call of the starts of
+    its ranges: a call's own list, as an rff rebuild splits again in a range."""
+    def split(n, unit_entries, fn):
+        ranges.append(seen := [])
+        threads._split(n, unit_entries, lambda a, b: (seen.append(a), fn(a, b)))
+    return split
 
 
 class TestKernelWorkers:
@@ -472,12 +488,7 @@ class TestKernelWorkers:
         monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", entries)
         ranges = []
-
-        def recording_split(n, unit_entries, fn):
-            ranges.append([])
-            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
-
-        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
         rng = np.random.default_rng(60)
         a, b = rng.normal(size=(m, na, d)), rng.normal(size=(m, nb, d))
         basis = sample_rff_basis(SPEC, d, q, seed=61)
@@ -488,16 +499,16 @@ class TestKernelWorkers:
         # the exact blocks sum in fixed particle chunks: equal to their own
         # one-worker result, and close to the one-loop form
         np.testing.assert_allclose(K, empirical_cross_block_serial(SPEC, a, b), rtol=1e-12)
+        R, vjp = rff_features_vjp(basis, a, SPEC)
+        G_rff = rff_embedding_cotangents_sincos_serial(basis, a, SPEC, T)
         pairs = [
             (K, at_one_worker(monkeypatch, empirical_cross_block, SPEC, a, b)),
             (K_star, K_star_ref),
             (k_ss, k_ss_ref),
             (k_ss, cross_kernel_batch_serial(SPEC, b, a)[1]),
-            (rff_feature_matrix(basis, a, SPEC), rff_feature_matrix_sincos_serial(basis, a, SPEC)),
-            (
-                rff_embedding_cotangents(basis, a, SPEC, T),
-                rff_embedding_cotangents_sincos_serial(basis, a, SPEC, T),
-            ),
+            (R, rff_feature_matrix_sincos_serial(basis, a, SPEC)),
+            (vjp(T), G_rff),  # the kept sines
+            (vjp(T), G_rff),  # rebuilt, split by particles
         ]
         for got, want in pairs:
             assert np.array_equal(got, want)
@@ -587,12 +598,7 @@ class TestExactCotangentChain:
         # m = 50, 45 training rows: both chunks run on their own worker
         monkeypatch.setattr(threads, "_WORKERS", workers)
         ranges = []
-
-        def recording_split(n, unit_entries, fn):
-            ranges.append([])
-            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
-
-        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
         rng = np.random.default_rng(67)
         Z, C = rng.normal(size=(50, 45, 2)), rng.normal(size=(45, 45))
         G = kernel_embedding_cotangents(SPEC, Z, C)
@@ -622,9 +628,10 @@ class TestExactCotangentChain:
 
 
 class TestRffWorkers:
-    """The rff loops at the paper sizes, one phase GEMM a particle group and one
-    _sincos a block, against their per-particle one-thread forms on the same
-    _sincos, bit for bit at any worker count, and close to libm's cos and sin."""
+    """The rff phase loop at the paper sizes, in R's pass and the VJP's rebuild,
+    one phase GEMM a particle group and one _sincos a block, against their
+    per-particle one-thread forms on the same _sincos, bit for bit at any
+    worker count, and close to libm's cos and sin."""
 
     M, Q = 50, 100
 
@@ -642,32 +649,50 @@ class TestRffWorkers:
             monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", trig_entries)
             monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", trig_entries)
         ranges = []
-
-        def recording_split(n, unit_entries, fn):
-            ranges.append([])
-            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
-
-        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
         rng = np.random.default_rng(64)
         Z = rng.normal(size=(self.M, n, 2))
         T = rng.normal(size=(n, self.Q))
         basis = sample_rff_basis(SPEC, 2, self.Q, seed=65)
-        assert np.array_equal(
-            rff_feature_matrix(basis, Z, SPEC), rff_feature_matrix_sincos_serial(basis, Z, SPEC)
-        )
-        G_want = rff_embedding_cotangents_sincos_serial(basis, Z, SPEC, T)
-        assert np.array_equal(rff_embedding_cotangents(basis, Z, SPEC, T), G_want)
-        # one split a particle group of R's pass, then one for the cotangents:
-        # at the default budget R's pass is one group, and the default
-        # threshold splits every call over all workers; it leaves a group of
-        # g = 1 or 3 to 8 particles (ragged) on the caller
-        g = self.M if trig_entries is None else max(1, trig_entries // (n * self.Q))
-        split = workers if min_entries == 0 or trig_entries is None else 1
-        assert [len(r) for r in ranges] == [split] * -(-self.M // g) + [workers]
         R, vjp = rff_features_vjp(basis, Z, SPEC)
+        G_want = rff_embedding_cotangents_sincos_serial(basis, Z, SPEC, T)
         assert np.array_equal(R, rff_feature_matrix_sincos_serial(basis, Z, SPEC))
         assert np.array_equal(vjp(T), G_want)
+        # one split a particle group of R's pass: at the default budget R's
+        # pass is one group, and the default threshold splits every call over
+        # all workers; it leaves a group of g = 1 or 3 to 8 particles (ragged)
+        # on the caller. The VJP keeps R's sines, or rebuilds them: one split
+        # by particles, then each range's groups of g, one serial split a
+        # group on the range's worker
+        g = self.M if trig_entries is None else max(1, trig_entries // (n * self.Q))
+        split = workers if min_entries == 0 or trig_entries is None else 1
+        want = [split] * -(-self.M // g)
+        if trig_entries is not None:
+            cuts = [self.M * i // workers for i in range(workers + 1)]
+            want += [workers] + [1] * sum(-(-(b - a) // g) for a, b in zip(cuts, cuts[1:]))
+        assert [len(r) for r in ranges] == want
+        assert np.array_equal(vjp(T), G_want)  # a second product rebuilds the sines
         assert_close_to_libm(basis, Z, T)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_particle_rebuild_splits_rows(self, monkeypatch, workers):
+        # m = 1 with n q above the budget: the particle split is one range on
+        # the caller, whose one group splits its sines by rows over the workers
+        n = 45
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels_mod, "_TRIG_ENTRIES", n * self.Q - 1)
+        ranges = []
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
+        rng = np.random.default_rng(69)
+        Z, T = rng.normal(size=(1, n, 2)), rng.normal(size=(n, self.Q))
+        basis = sample_rff_basis(SPEC, 2, self.Q, seed=70)
+        R, vjp = rff_features_vjp(basis, Z, SPEC)
+        G_want = rff_embedding_cotangents_sincos_serial(basis, Z, SPEC, T)
+        assert np.array_equal(R, rff_feature_matrix_sincos_serial(basis, Z, SPEC))
+        assert np.array_equal(vjp(T), G_want)
+        assert [len(r) for r in ranges] == [workers, 1, workers]  # R's rows, the particle, its rows
+        assert np.array_equal(vjp(T), G_want)
 
 
 class TestSplit:
@@ -792,12 +817,7 @@ class TestExactGram:
         # m = 50, 45 training rows: both chunks run on their own worker
         monkeypatch.setattr(threads, "_WORKERS", 2)
         ranges = []
-
-        def recording_split(n, unit_entries, fn):
-            ranges.append([])
-            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
-
-        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
         kernels_mod._exact_gram(SPEC, np.random.default_rng(72).normal(size=(50, 45, 2)))
         assert ranges == [[0, 1]]
 
@@ -960,12 +980,7 @@ class TestCrossBlockOnTheTileLoop:
         # both chunks, each on its own worker
         monkeypatch.setattr(threads, "_WORKERS", 2)
         ranges = []
-
-        def recording_split(n, unit_entries, fn):
-            ranges.append([])
-            threads._split(n, unit_entries, lambda a, b: (ranges[-1].append(a), fn(a, b)))
-
-        monkeypatch.setattr(kernels_mod, "_split", recording_split)
+        monkeypatch.setattr(kernels_mod, "_split", recording_split(ranges))
         empirical_kernel_exact(SPEC, np.random.default_rng(86).normal(size=(50, 45, 2)))
         assert ranges == [[0, 1]]
 
