@@ -74,10 +74,17 @@ def write_csv(path: Path, header, rows, config: dict, extra: dict | None = None)
 
 
 def environment() -> dict:
-    """Package versions, BLAS threads under the pinning, and the kernel worker count."""
+    """Package versions, BLAS threads under the pinning, the kernel worker count and
+    numpy's SIMD dispatch targets (None where numpy does not list them), which say
+    whether the rff trig's np.tan ran vectorised."""
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    except TypeError:  # numpy < 1.26 has no mode="dicts"
+        simd = {}
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas_threads": threads.pinned_blas_threads(),
-            "kernel_workers": threads._WORKERS}
+            "kernel_workers": threads._WORKERS,
+            "numpy_simd": simd.get("found")}
 
 
 def _error_record(kind: str, message: str) -> None:

@@ -26,10 +26,10 @@ round a row differently in a product of fewer rows); by particles where the rff
 VJP rebuilds its sines; by a fixed number of particle chunks, each summing into
 its own accumulator, in the exact tile loop. The rff route has one phase loop,
 over particle groups: one stacked ``np.matmul`` (one GEMM a particle, as a
-per-particle loop makes), then ``_sincos`` over L2-sized blocks, one Cody-Waite
-reduction (Cody & Waite 1980) for both cos and sin, in about half the time of
-np.cos plus np.sin. R sums the cosines in particle order; the sines, written
-over the phases, serve the VJP.
+per-particle loop makes), then ``_sincos`` over L2-sized blocks: one Cody-Waite
+reduction (Cody & Waite 1980) and one vectorised tangent of the half angle give
+both cos and sin, in about a quarter of the time of np.cos plus np.sin. R sums
+the cosines in particle order; the sines, written over the phases, serve the VJP.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ _BLOCK_ENTRIES = 1 << 17
 # takes groups of _BLOCK_ENTRIES (ROADMAP, "Measured and left out").
 _TRIG_ENTRIES = 1 << 20
 # A trig entry against threads._MIN_ENTRIES: _sincos and the sum into R take
-# about 20 ns an entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
+# about 11 ns an entry, so the 45-row paper passes (225 000 phases) pay for a hand-off.
 _TRIG_COST = 1 << 8
 # pi/2 = _PIO2_HI + _PIO2_LO, fdlibm's 33-bit pio2_1 and its tail: k _PIO2_HI is
-# exact for quadrants |k| <= 2^20. A _sincos block of 2^15 phases keeps its
-# complex output and temporaries, 32 bytes a phase, in L2; blocks of 2^14
-# (more, shorter calls) held 1 MB less on ssdpkl-pool but cut its gain by a third.
+# exact for quadrants |k| <= 2^20, so r is in [-pi/4, pi/4] and r/2 is exact. A
+# _sincos block of 2^15 phases keeps its complex output (16 bytes a phase) and
+# temporaries (24: k, t^2 and 1 + t^2) in L2; blocks of 2^14 (more, shorter
+# calls) held 1 MB less on ssdpkl-pool but cut its gain by a third.
 _PIO2_HI, _PIO2_LO, _K_MAX = 1.57079632673412561417e+00, 6.07710050650619224932e-11, 2.0**20
 _QUADRANTS, _SINCOS_ENTRIES = np.array([1, 1j, -1, -1j]), 1 << 15  # i^(k mod 4); phases a block
 # Particle chunks of the exact tile loop: a constant, never the worker count,
@@ -218,10 +219,11 @@ def sample_rff_basis(
 
 def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """cos(theta) + i sin(theta) into out, contiguous complex, spending theta:
-    cos and sin of r = (theta - k P1) - k P2, k = rint(2 theta / pi) and
-    pi/2 = P1 + P2, turned by the exact product with i^(k mod 4). Entry by
-    entry, a NaN, an inf or a quadrant |k| > 2^20, where k P1 is inexact,
-    gets libm's own."""
+    cos r = (1 - t^2) / (1 + t^2) and sin r = 2t / (1 + t^2) from one vectorised
+    t = tan(r/2), |t| <= tan(pi/8), of r = (theta - k P1) - k P2, k = rint(2
+    theta / pi) and pi/2 = P1 + P2, turned by the exact product with i^(k mod
+    4): within 2 * 2^-53 of libm's cos and sin. Entry by entry, a NaN, an inf
+    or a quadrant |k| > 2^20, where k P1 is inexact, gets libm's own."""
     k = np.multiply(theta, 2 / np.pi)
     np.rint(k, out=k)
     if not np.abs(k).max(initial=0.0) <= _K_MAX:  # a NaN fails it too
@@ -232,8 +234,15 @@ def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
         return out
     theta -= k * _PIO2_HI  # r, in place
     theta -= k * _PIO2_LO
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    theta *= 0.5  # r/2, exact above the subnormals
+    t = np.tan(theta, out=theta)
+    t2 = t * t
+    d = t2 + 1.0
+    np.subtract(1.0, t2, out=t2)
+    np.divide(t2, d, out=out.real)
+    t += t
+    np.divide(t, d, out=out.imag)
+    del t2, d  # before the rotation's integer quadrants: 24 bytes a phase at most
     k = k.astype(np.intp).reshape(-1)
     k &= 3
     o = out.reshape(-1)

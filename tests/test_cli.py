@@ -57,6 +57,8 @@ def expected_environment():
         # the pinning holds every loaded OpenBLAS to one thread; unknown without one
         "blas_threads": 1 if threads._openblas() else None,
         "kernel_workers": threads._WORKERS,
+        # numpy's SIMD dispatch targets: whether the rff trig's np.tan is vectorised
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
     }
 
 

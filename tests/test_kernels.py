@@ -274,8 +274,9 @@ class TestRffFeatures:
 
 
 class TestSincos:
-    """kernels._sincos, one Cody-Waite reduction for both cos and sin, against
-    np.cos and np.sin: within 2 * 2^-53 up to its bound, libm's own past it."""
+    """kernels._sincos, both cos and sin from one Cody-Waite reduction and the
+    tangent of the half angle, against np.cos and np.sin: within 2 * 2^-53 up to
+    its bound, on numpy's vectorised np.tan and on libm's alike, libm's own past it."""
 
     ULPS = 2 * 2.0**-53
     BOUND = 2.0**20 * np.pi / 2  # past it, k P1 is no longer exact
@@ -324,6 +325,20 @@ class TestSincos:
 
     def test_empty(self):
         assert self.sincos(np.empty((0, 3))).shape == (0, 3)
+
+    def test_block_temporaries_within_the_stated_bytes_a_phase(self):
+        # the _SINCOS_ENTRIES comment: 24 bytes a phase beyond out (k, t^2 and 1 + t^2)
+        n = kernels_mod._SINCOS_ENTRIES
+        theta = np.random.default_rng(71).uniform(-50.0, 50.0, n)
+        out = np.empty(n, complex)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernels_mod._sincos(theta, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 8 * n <= peak <= 24 * n + 4096  # k at least; a few Python objects beside the arrays
 
 
 class TestCotangentChains:
