@@ -55,10 +55,16 @@ _TRIG_COST = 1 << 8
 # pi/2 = _PIO2_HI + _PIO2_LO, fdlibm's 33-bit pio2_1 and its tail: k _PIO2_HI is
 # exact for quadrants |k| <= 2^20, so r is in [-pi/4, pi/4] and r/2 is exact. A
 # _sincos block of 2^15 phases keeps its complex output (16 bytes a phase) and
-# temporaries (24: k, t^2 and 1 + t^2) in L2; blocks of 2^14 (more, shorter
-# calls) held 1 MB less on ssdpkl-pool but cut its gain by a third.
+# temporaries (24: k, t^2 and 1 + t^2, which the quadrants and their factors
+# then reuse) in L2, both allocated once a call of _sines_over_phases; blocks
+# of 2^14 (more, shorter calls) held 1 MB less on ssdpkl-pool but cut its gain
+# by a third.
 _PIO2_HI, _PIO2_LO, _K_MAX = 1.57079632673412561417e+00, 6.07710050650619224932e-11, 2.0**20
 _QUADRANTS, _SINCOS_ENTRIES = np.array([1, 1j, -1, -1j]), 1 << 15  # i^(k mod 4); phases a block
+# The exact tiles' clamp operand, read-only: numpy 2.4's min loop takes 0.20-0.27
+# ns an entry against an array and 0.35-0.54 against a scalar on the tile shapes.
+_ZEROS = np.zeros(_BLOCK_ENTRIES)
+_ZEROS.flags.writeable = False
 # Particle chunks of the exact tile loop: a constant, never the worker count,
 # so each chunk's sums, and their order, are the same at any count.
 _CHUNKS = 2
@@ -116,8 +122,11 @@ def _augment(spec: LatentKernelSpec, Z: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _exp_nonpositive(blk: np.ndarray) -> np.ndarray:
     """exp(min(blk, 0)) in place; the clamp drops round-off that would make a
-    squared distance negative."""
-    np.minimum(blk, 0.0, out=blk)
+    squared distance negative. It compares against a view of _ZEROS up to its
+    size: the same bits as against the scalar 0, as exp(-0) = exp(0) and a NaN
+    stays NaN either way."""
+    zeros = _ZEROS[: blk.size].reshape(blk.shape) if blk.size <= _ZEROS.size else 0.0
+    np.minimum(blk, zeros, out=blk)
     return np.exp(blk, out=blk)
 
 
@@ -217,54 +226,58 @@ def sample_rff_basis(
     return RffBasis(V=V, b=b)
 
 
-def _sincos(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sincos(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """cos(theta) + i sin(theta) into out, contiguous complex, spending theta:
     cos r = (1 - t^2) / (1 + t^2) and sin r = 2t / (1 + t^2) from one vectorised
     t = tan(r/2), |t| <= tan(pi/8), of r = (theta - k P1) - k P2, k = rint(2
     theta / pi) and pi/2 = P1 + P2, turned by the exact product with i^(k mod
     4): within 2 * 2^-53 of libm's cos and sin. Entry by entry, a NaN, an inf
-    or a quadrant |k| > 2^20, where k P1 is inexact, gets libm's own."""
-    k = np.multiply(theta, 2 / np.pi)
+    or a quadrant |k| > 2^20, where k P1 is inexact, gets libm's own. The
+    temporaries go into the rows of ``scratch``, (3, at least theta.size)
+    float64, allocated when None."""
+    if scratch is None:
+        scratch = np.empty((3, theta.size))
+    k, a, b = (row[: theta.size].reshape(theta.shape) for row in scratch)
+    np.multiply(theta, 2 / np.pi, out=k)
     np.rint(k, out=k)
-    if not np.abs(k).max(initial=0.0) <= _K_MAX:  # a NaN fails it too
+    if not np.abs(k, out=a).max(initial=0.0) <= _K_MAX:  # a NaN fails it too
         ok = np.abs(k) <= _K_MAX
         with np.errstate(invalid="ignore"):
             out[...] = np.cos(theta) + 1j * np.sin(theta)
         out[ok] = _sincos(theta[ok], np.empty(np.count_nonzero(ok), complex))
         return out
-    theta -= k * _PIO2_HI  # r, in place
-    theta -= k * _PIO2_LO
+    theta -= np.multiply(k, _PIO2_HI, out=a)  # r, in place
+    theta -= np.multiply(k, _PIO2_LO, out=a)
     theta *= 0.5  # r/2, exact above the subnormals
     t = np.tan(theta, out=theta)
-    t2 = t * t
-    d = t2 + 1.0
+    t2 = np.multiply(t, t, out=a)
+    d = np.add(t2, 1.0, out=b)
     np.subtract(1.0, t2, out=t2)
     np.divide(t2, d, out=out.real)
     t += t
     np.divide(t, d, out=out.imag)
-    del t2, d  # before the rotation's integer quadrants: 24 bytes a phase at most
-    k = k.astype(np.intp).reshape(-1)
-    k &= 3
+    quadrant = scratch[2, : theta.size].view(np.intp)  # k mod 4, over 1 + t^2
+    np.copyto(quadrant, k.reshape(-1), casting="unsafe")
+    quadrant &= 3
+    factors = scratch[:2].reshape(-1).view(complex)[: theta.size]  # over k and t^2
     o = out.reshape(-1)
-    for j in range(4):  # a quarter block's factors at a time: fewer temporaries
-        q = slice(len(k) * j // 4, len(k) * (j + 1) // 4)
-        o[q] *= _QUADRANTS[k[q]]
+    o *= np.take(_QUADRANTS, quadrant, out=factors, mode="clip")
     return out
 
 
 def _sines_over_phases(P: np.ndarray, R: np.ndarray | None, r0: int, r1: int) -> None:
     """Write the sines of the (g, n, q) phases P[:, r0:r1] over them, adding
     their cosines to R[r0:r1] in particle order unless R is None; one _sincos
-    a block."""
+    a block, its output and temporaries in one buffer each for the call."""
     g, _, q = P.shape
     rows = max(1, min(r1 - r0, _SINCOS_ENTRIES // q))
     parts = min(g, max(1, _SINCOS_ENTRIES // (rows * q)))
-    buf = np.empty(parts * rows * q, complex)
+    buf, scratch = np.empty(parts * rows * q, complex), np.empty((3, parts * rows * q))
     for r in range(r0, r1, rows):
         rs = slice(r, min(r + rows, r1))
         for l0 in range(0, g, parts):
             blk = P[l0 : l0 + parts, rs]
-            E = _sincos(blk, buf[: blk.size].reshape(blk.shape))
+            E = _sincos(blk, buf[: blk.size].reshape(blk.shape), scratch)
             if R is not None:
                 for c in E.real:  # particle order, as one particle at a time
                     R[rs] += c

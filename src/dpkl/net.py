@@ -17,7 +17,10 @@ particle at a time. ``forward_vjp`` is the forward pass that a VJP follows: at
 the paper sizes it keeps the groups' activations (at most ``_TRACE_ENTRIES``)
 for its one backward pass, and above that the backward pass recomputes them.
 The trainer streams an ssdpkl pool through it in chunks sized to keep their
-trace, so only a large labeled set is recomputed.
+trace, so only a large labeled set is recomputed, and a pool group's later
+chunks take the VJP's add mode: each layer's gradient goes through a layer
+buffer of the worker range into the group's (m, P) sum, so no (m, P) scratch
+is needed.
 Per slice, the stacked GEMMs and reductions make the same calls as a
 per-particle loop, so the results are bitwise equal to it.
 
@@ -163,38 +166,45 @@ def _group_size(arch: MlpArchitecture, n: int) -> int:
 
 
 class _GroupBuffers:
-    """The layer outputs (g, n, fan_out) and, with ``deltas``, the backward
-    deltas (g, n, fan_in) past the first layer, for groups of up to g particles
-    over n rows: views of one block, which a worker range allocates and passes
-    down to each of its groups (``_over_groups``). Freed as one array, it keeps
-    glibc from trimming the heap under the pass's other arrays; with one array
-    a layer, an ssdpkl-pool epoch still took about 14k page faults, with the
+    """Buffers for groups of up to g particles over n rows, views of one block,
+    which a worker range allocates and passes down to each of its groups
+    (``_over_groups``): with "acts", the layer outputs (g, n, fan_out); with
+    "deltas", the backward deltas (g, n, fan_in) past the first layer; with
+    "grad", one layer's (g, fan_out, fan_in) weight gradient and (g, fan_out)
+    bias sums, at the largest layer's size, which an adding VJP writes before
+    it adds them into its output. Freed as one array, the block keeps glibc
+    from trimming the heap under the pass's other arrays; with one array a
+    layer, an ssdpkl-pool epoch still took about 14k page faults, with the
     block none."""
 
-    def __init__(self, arch: MlpArchitecture, g: int, n: int, deltas: bool):
+    def __init__(self, arch: MlpArchitecture, g: int, n: int, kinds: tuple[str, ...]):
         shapes = arch.layer_shapes
-        widths = [out for out, _ in shapes] + ([fin for _, fin in shapes[1:]] if deltas else [])
-        block, views, pos = np.empty(g * n * sum(widths)), [], 0
+        widths = ([out for out, _ in shapes] if "acts" in kinds else []) + (
+            [fin for _, fin in shapes[1:]] if "deltas" in kinds else [])
+        grad = max(out * (fin + 1) for out, fin in shapes) if "grad" in kinds else 0
+        block, views, pos = np.empty(g * (n * sum(widths) + grad)), [], 0
         for w in widths:
             views.append(block[pos : pos + g * n * w].reshape(g, n, w))
             pos += g * n * w
         self.acts, self.deltas = views[: len(shapes)], views[len(shapes) :]
+        self.grads = [(block[pos : pos + g * out * fin].reshape(g, out, fin),
+                       block[pos + g * out * fin : pos + g * out * (fin + 1)].reshape(g, out))
+                      for out, fin in shapes] if grad else []
 
 
-def _over_groups(arch: MlpArchitecture, m: int, n: int, fn, buffers: str | None = None) -> None:
+def _over_groups(arch: MlpArchitecture, m: int, n: int, fn, buffers: tuple[str, ...] = ()) -> None:
     """Run ``fn(rows, bufs)`` on every particle group, whole groups on the kernel workers.
 
-    With ``buffers`` ("forward", or "backward" for the deltas too), each worker
-    range allocates one ``_GroupBuffers`` for its first, largest group and
-    passes it as ``bufs`` to every group of the range; without them, each
-    group's arrays would be freed and faulted in again by the next. A pass
-    that keeps its activations passes None, and its groups get None.
+    With ``buffers``, the kinds of ``_GroupBuffers`` the pass writes, each
+    worker range allocates one for its first, largest group and passes it as
+    ``bufs`` to every group of the range; without them, each group's arrays
+    would be freed and faulted in again by the next. A pass that keeps its
+    activations and overwrites its output passes none, and its groups get None.
     """
     g = _group_size(arch, n)
 
     def run(start, stop):
-        bufs = None if buffers is None else _GroupBuffers(
-            arch, min(g, m - start * g), n, buffers == "backward")
+        bufs = None if not buffers else _GroupBuffers(arch, min(g, m - start * g), n, buffers)
         for s in range(start * g, min(stop * g, m), g):
             fn(slice(s, s + g), bufs)
 
@@ -259,20 +269,23 @@ def _forward(arch: MlpArchitecture, W: np.ndarray, X: np.ndarray, traces: dict |
         if traces is not None:
             traces[rows.start] = acts
 
-    _over_groups(arch, W.shape[0], X.shape[0], group, "forward" if traces is None else None)
+    _over_groups(arch, W.shape[0], X.shape[0], group, ("acts",) if traces is None else ())
     return Z
 
 
 def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
     """(Z, vjp): Z = ensemble_embeddings(ensemble, X) and the VJP of the forward map at X.
 
-    ``vjp(G, out=None)`` returns the vector-Jacobian products of every
-    particle's forward map, one row each: row l is d(sum_ij G[l]_ij
+    ``vjp(G, out=None, add=False)`` returns the vector-Jacobian products of
+    every particle's forward map, one row each: row l is d(sum_ij G[l]_ij
     Z^(l)_ij)/dw^(l), in the layout of the particle rows. G is (m, n, d); a
     broadcast view serves when every particle gets the same cotangent. Each
     layer's gradient is written straight into the layer views of ``out``, an
     (m, P) matrix with unit-stride rows (a column block of a wider matrix will
-    do), allocated when None; returns ``out``.
+    do), allocated when None; returns ``out``. With ``add``, each layer's
+    gradient goes into a layer buffer of the worker range and is added into
+    ``out``'s views: the same bits as ``out += vjp(G)``, with no (m, P)
+    temporary.
 
     The forward pass keeps every group's activations when they total at most
     ``_TRACE_ENTRIES`` (m n (D + sum(hidden) + d) values), so ``vjp`` runs no
@@ -288,14 +301,14 @@ def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
     spent = []
     last = len(arch.layer_shapes) - 1
 
-    def vjp(G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def vjp(G: np.ndarray, out: np.ndarray | None = None, add: bool = False) -> np.ndarray:
         if spent:
             raise RuntimeError("a forward_vjp product can be taken once")
         G = np.asarray(G, dtype=np.float64)
         if G.shape != Z.shape:
             raise DimensionMismatch(f"cotangent has shape {G.shape}, forward output is {Z.shape}")
         if out is None:
-            out = np.empty(W.shape)
+            out = (np.zeros if add else np.empty)(W.shape)
         elif out.shape != W.shape or out.strides[1] != out.itemsize:
             raise DimensionMismatch(
                 f"gradient output {out.shape} must be {W.shape} with unit-stride rows"
@@ -314,13 +327,18 @@ def forward_vjp(ensemble: ParticleEnsemble, X: np.ndarray):
                 if i < last:
                     # delta is the previous step's fresh product, so it is written in place
                     _chain_activation(delta, acts.pop(), arch.activation)
-                np.matmul(delta.transpose(0, 2, 1), acts[-1], out=gW)
-                np.sum(delta, axis=1, out=gb)
+                tW, tb = (gW, gb) if not add else (b[: len(delta)] for b in bufs.grads[i])
+                np.matmul(delta.transpose(0, 2, 1), acts[-1], out=tW)
+                np.sum(delta, axis=1, out=tb)
+                if add:
+                    gW += tW
+                    gb += tb
                 if i > 0:
-                    out_i = None if bufs is None else bufs.deltas[i - 1][: len(delta)]
+                    out_i = None if traces is not None else bufs.deltas[i - 1][: len(delta)]
                     delta = np.matmul(delta, Wl, out=out_i)
 
-        _over_groups(arch, m, n, group, "backward" if traces is None else None)
+        kinds = ("acts", "deltas") if traces is None else ()
+        _over_groups(arch, m, n, group, kinds + ("grad",) if add else kinds)
         return out
 
     return Z, vjp

@@ -19,7 +19,8 @@ raw gradient's squared norm doubles as its finiteness test.
 The objective's gradient is one grouped pass over the ensemble: embeddings
 and kernel cotangents are stacked (m, n, d) arrays, and the VJP of
 ``net.forward_vjp``, which reuses the forward pass's activations at the paper
-sizes, writes the (m, P) gradient in place.
+sizes, writes the (m, P) gradient in place; a pool group's later chunks add
+theirs into the group's one gradient sum.
 
 ``_train_epochs`` is the one epoch loop, shared with ``classify``: the
 validation schedule, the non-finite metric guard, the best snapshot (a copy
@@ -254,9 +255,11 @@ def _objective_core(
     forward trace, and gathers what the labeled side needs: G_U = R_U^T R_U
     (rff), or B B^T, the variances and the LU tiles' labeled-row cotangents
     (exact). The chunks form kernels._CHUNKS fixed groups of equal row
-    counts, each run whole on the kernel workers into its own sums and (m, P)
-    gradient, added in group order: the same bits at any worker count. Last,
-    the labeled cotangent and VJP.
+    counts, each run whole on the kernel workers into its own sums and one
+    (m, P) gradient sum, added in group order: the same bits at any worker
+    count. A group's first chunk writes its VJP into that sum and each later
+    one adds into it (the VJP's ``add``), so a worker range holds no (m, P)
+    scratch. Last, the labeled cotangent and VJP.
     """
     spec = config.kernel_spec()
     X_lab = data.X
@@ -281,21 +284,21 @@ def _objective_core(
         state = gp.gp_state_exact(kernels._exact_gram(spec, Z_L), y, config.noise_var,
                                   config.base_jitter)
 
-    def chunk(X_c, grad):  # the chunk's sums for the labeled side; its VJP into grad
+    def chunk(X_c, grad, add):  # the chunk's sums for the labeled side; its VJP into grad
         Z_c, vjp_c = net.forward_vjp(ensemble, X_c)
         if rff:
             R_c, rff_vjp_c = kernels.rff_features_vjp(basis, Z_c, spec)
             T_c = R_c @ Q  # d objective / d R_c = 2w (R_c - R_c Q)
             np.subtract(R_c, T_c, out=T_c)
             T_c *= 2.0 * w_reg
-            vjp_c(rff_vjp_c(T_c), out=grad)
+            vjp_c(rff_vjp_c(T_c), out=grad, add=add)
             return (R_c.T @ R_c,)
         K_Lc = kernels._exact_gram(spec, Z_L, Z_c)
         B_c = solve_chol(state.chol, K_Lc)  # columns are A^{-1} k_*(u)
         k_ss, G_c = kernels._self_pairs(spec, Z_c, w_reg)  # the pool block's w I
         G_Lc, G_cL = kernels.kernel_embedding_cotangents(spec, Z_L, -2.0 * w_reg * B_c, Z_c)
         G_c += G_cL
-        vjp_c(G_c, out=grad)
+        vjp_c(G_c, out=grad, add=add)
         return B_c @ B_c.T, float(np.sum(k_ss) - np.sum(K_Lc * B_c)), G_Lc
 
     n_u, c = len(X_pool), _pool_chunk_rows(config, ensemble.arch, n_l)
@@ -303,17 +306,15 @@ def _objective_core(
     groups = [None] * kernels._CHUNKS  # (sums, (m, P) gradient) of each non-empty group
 
     def run(k0, k1):  # groups k0..k1-1, their chunks in row order
-        scratch = np.empty(ensemble.flat().shape)  # the VJP of a group's later chunks
         for k in range(k0, k1):
             for r0 in range(cuts[k], cuts[k + 1], c):
                 X_c = X_pool[r0 : min(r0 + c, cuts[k + 1])]
-                if groups[k] is None:
-                    grad = np.empty_like(scratch)
-                    groups[k] = chunk(X_c, grad), grad
-                else:
-                    part, (sums, grad) = chunk(X_c, scratch), groups[k]
-                    grad += scratch
-                    groups[k] = tuple(map(operator.add, sums, part)), grad
+                if groups[k] is None:  # the group's first chunk writes its gradient
+                    grad = np.empty(ensemble.flat().shape)
+                    groups[k] = chunk(X_c, grad, False), grad
+                else:  # and each later one adds its VJP into it
+                    sums, grad = groups[k]
+                    groups[k] = tuple(map(operator.add, sums, chunk(X_c, grad, True))), grad
 
     if n_u:
         per_row = config.m * (config.q * kernels._TRIG_COST if rff else config.m * n_l)

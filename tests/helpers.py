@@ -167,9 +167,9 @@ def rff_embedding_cotangents_serial(basis, embeddings, spec, T, sin=np.sin) -> n
     return G
 
 
-def libm_sincos(theta, out):
+def libm_sincos(theta, out, scratch=None):
     """kernels._sincos from np.cos and np.sin: the trig of the rff loops before
-    they shared one reduction."""
+    they shared one reduction. It needs no scratch."""
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out

@@ -356,6 +356,41 @@ class TestForwardVjp:
         vjp(Z)  # a rejected cotangent does not spend the product
 
 
+class TestAddingVjp:
+    """vjp(G, out=A, add=True) adds each layer's gradient into A through a
+    layer buffer of its worker range: byte for byte A += vjp(G), signed zeros
+    included, on the kept trace and the recomputed one, at any worker count."""
+
+    ARCH_DIMS, N, WIDTH = TestBatchedPass.ARCH_DIMS, TestBatchedPass.N, TestBatchedPass.WIDTH
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trace_entries", [0, None])  # recomputed, kept
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_out_plus_vjp_bytewise(self, monkeypatch, workers, trace_entries, activation):
+        monkeypatch.setattr(threads, "_WORKERS", workers)
+        monkeypatch.setattr(threads, "_MIN_ENTRIES", 0)
+        monkeypatch.setattr(net, "_GROUP_ENTRIES", 2 * self.N * self.WIDTH)  # groups 2, 2, 1
+        if trace_entries is not None:
+            monkeypatch.setattr(net, "_TRACE_ENTRIES", trace_entries)
+        ranges = record_splits(monkeypatch)
+        m = 5
+        ens = random_ensemble(MlpArchitecture(**self.ARCH_DIMS, activation=activation), m, 13)
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(self.N, 3))
+        G = rng.normal(size=(m, self.N, 2))
+        G[1] = -0.0  # a particle whose every gradient entry is a signed zero
+        G[3, : self.N // 2] = 0.0
+        A = rng.normal(size=(m, ens.arch.num_params))
+        A[:, ::3], A[:, 1::3] = 0.0, -0.0  # +0 and -0 under every kind of VJP entry
+        A[2] = rng.normal(size=A.shape[1])
+        want = A.copy()
+        want += net.forward_vjp(ens, X)[1](G)
+        got = A.copy()
+        assert net.forward_vjp(ens, X)[1](G, out=got, add=True) is got
+        assert got.tobytes() == want.tobytes()
+        assert max(len(r) for r in ranges) == min(workers, 3)  # the adding VJP did split
+
+
 def record_splits(monkeypatch):
     """Patch net's _split to record, per call, the start of every range it runs."""
     ranges = []

@@ -382,6 +382,32 @@ class TestStreamedPool:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 1e6
 
+    def test_pool_pass_holds_no_gradient_scratch(self, monkeypatch):
+        # the paper MLP at D = 8 on one worker, 45 labeled rows and two groups
+        # of three 99-row chunks: one call's peak, less the arrays it must
+        # hold at once, stays below one (m, P) array (1.6 of 3.4 MB measured),
+        # so no chunk's VJP goes through an (m, P) scratch before it is added
+        # into its group's sum (5.2 MB with one)
+        monkeypatch.setattr(threads, "_WORKERS", 1)
+        cfg = TrainConfig(mode="ssdpkl", kernel_mode="rff")
+        arch = cfg.architecture(8)
+        c, n_l = trainer._pool_chunk_rows(cfg, arch, 45), 45
+        rng = np.random.default_rng(37)
+        data = TrainData(rng.uniform(size=(n_l, 8)), rng.normal(size=n_l),
+                         rng.uniform(size=(6 * c, 8)))
+        ens = net.init_ensemble(arch, cfg.m, 38)
+        basis = trainer._rff_basis_for(cfg)
+        out = np.empty(ens.flat().shape)
+        tracemalloc.start()
+        try:
+            trainer._objective_core(ens, data, cfg, basis, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_row = cfg.m * (sum(cfg.hidden_dims) + cfg.latent_dim + cfg.q) * 8  # trace and sines
+        held = (n_l + c) * per_row + 2 * out.nbytes  # the labeled and a chunk's, two group sums
+        assert peak - held < out.nbytes
+
 
 def test_exact_ssdpkl_pool_memory_is_bounded_by_the_chunk():
     # exact ssdpkl, m = 2, one epoch, 300 labeled rows and a 20 000-row pool:
